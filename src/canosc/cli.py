@@ -75,33 +75,16 @@ def build_hamiltonian(doc: dict, degrees: bool = False) -> Hamiltonian:
             length = float(s["length"])
             kind = s["kind"]
             if kind == "angle":
-                segs.append(Segment(length, ConstantAngle(_angle(s["alpha"], degrees))))
+                k = ConstantAngle(_angle(s["alpha"], degrees))
             elif kind == "ramp":
-                segs.append(
-                    Segment(
-                        length,
-                        PhiRamp(
-                            _angle(s["phi_start"], degrees),
-                            _angle(s["phi_end"], degrees),
-                        ),
-                    )
-                )
+                k = PhiRamp(_angle(s["phi_start"], degrees), _angle(s["phi_end"], degrees))
             elif kind == "matrix":
-                segs.append(
-                    Segment(
-                        length,
-                        ConstantMatrix(
-                            MatrixH(float(s["h11"]), float(s["h12"]), float(s["h22"]))
-                        ),
-                    )
-                )
+                k = ConstantMatrix(MatrixH(float(s["h11"]), float(s["h12"]), float(s["h22"])))
             elif kind == "table":
-                pts = tuple(
-                    (float(o), _angle(p, degrees)) for o, p in s["points"]
-                )
-                segs.append(Segment(length, PhiTable(pts)))
+                k = PhiTable(tuple((float(o), _angle(p, degrees)) for o, p in s["points"]))
             else:
                 raise ConfigError(f"{where}: unknown kind {kind!r}")
+            segs.append(Segment(length, k))
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

@@ -1,42 +1,37 @@
 """Complex transfer matrices and entire-function growth estimation.
 
 The transfer matrix T(x; z) solves U' = z J H(x) U with T(0; z) = 1 and has
-unit determinant (the generator is trace free).  On singular intervals the
-factor is exactly 1 + z*l*J*P_alpha because (J P_alpha)^2 = 0; constant
-full-rank segments use the matrix exponential; angle ramps integrate by
-adaptive RK in complex arithmetic.  Growth (order, exponential type) is
-estimated by regression on log M(r) over geometric radii, with a scaled
-product path available to avoid overflow for large |z|.
+unit determinant (the generator is trace free).  It is the product of one
+closed-form factor per :class:`~canosc.hamiltonian.Piece`: on singular
+intervals exactly 1 + z*l*J*P_alpha because (J P_alpha)^2 = 0; on ramps,
+table pieces and constant matrices R(phi1) exp(l G) R(phi0)^T, where
+G = [[0, -b], [a, 0]] is the constant generator in the rotating frame and
+exp(l G) is the 2x2 closed form of :func:`expm`.  The product is rescaled
+factor by factor, so growth (order, exponential type) can be estimated by
+regression on log M(r) over geometric radii far beyond the float range.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import zeta as hurwitz_zeta
 
-from . import rk
-from .hamiltonian import (
-    ConstantAngle,
-    ConstantMatrix,
-    Hamiltonian,
-    Segment,
-    p_alpha,
-    require_valid,
-)
+from .hamiltonian import Hamiltonian, Piece, p_alpha, require_valid, rotation
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-#: determinant drift beyond this aborts with an integrator-failure report
-DET_FAILURE = 1e-6
 
+@functools.cache
+def _hurwitz_zeta():
+    """scipy.special.zeta, imported on the first Hadamard call only."""
+    from scipy.special import zeta
 
-class DetDriftError(RuntimeError):
-    """Transfer-matrix determinant drifted beyond the failure threshold."""
+    return zeta
 
 
 @dataclass
@@ -44,84 +39,40 @@ class TransferMatrix:
     entries: np.ndarray  # 2x2 complex
     x: float
     z: complex
-    #: determinant accumulated factor by factor.  Exact factors (singular
-    #: intervals, matrix exponentials of trace-free generators) contribute
-    #: exactly 1; only integrated factors contribute numerically.  Evaluating
-    #: det from the final entries instead would lose it to cancellation once
-    #: the entries are large, since that difference of products carries an
-    #: error of order |T|^2 * eps.
-    det: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if abs(self.det - 1.0) > DET_FAILURE:
-            raise DetDriftError(
-                f"det T = {self.det} at x = {self.x}, z = {self.z}; "
-                "integrator failure"
-            )
 
     @property
-    def first_column(self) -> tuple[complex, complex]:
-        """(A, C) = (u1, u2) for the solution with u(0) = e1."""
-        return complex(self.entries[0, 0]), complex(self.entries[1, 0])
+    def det(self) -> complex:
+        """1 by construction: every factor is 1 + z l J P_alpha with
+        (J P_alpha)^2 = 0, or the exponential of a trace-free generator.
+        The per-factor rounding is checked by the kernel property tests."""
+        return 1.0 + 0.0j
 
 
-def _det2(M: np.ndarray) -> complex:
-    return complex(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+def expm(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """(E, s) with exp(M) = e^s * E, for a trace-free 2x2 matrix M.
 
-
-def _segment_factor(
-    seg: Segment, span: float, z: complex, tol: float
-) -> tuple[np.ndarray, complex]:
-    """(factor, det of factor).
-
-    The exact factors have unit determinant analytically: tr(J P_alpha) = 0
-    with (J P_alpha)^2 = 0 for singular intervals, and det expm(z l J H) =
-    exp(z l tr(J H)) = 1 since J H is trace free.  The determinant of an
-    integrated factor is the residual that measures integrator quality.
+    M^2 = -det(M) * 1, so the series sums to cosh(mu) + (sinh(mu)/mu) M with
+    mu^2 = -det M (both even in mu).  Once |Re mu| exceeds 20 the factor
+    e^|Re mu| is returned as s instead of multiplied in, so no entry
+    overflows; otherwise s = 0.
     """
-    kind = seg.kind
-    if isinstance(kind, ConstantAngle):
-        return np.eye(2, dtype=complex) + z * span * (J @ p_alpha(kind.alpha)), 1.0
-    if isinstance(kind, ConstantMatrix):
-        return expm(z * span * (J @ kind.matrix.as_array())), 1.0
-
-    def f(x, u):
-        return z * (J @ seg.h_at(x) @ u.reshape(2, 2)).reshape(4)
-
-    _, ys, _ = rk.integrate_adaptive(
-        f, 0.0, span, np.eye(2, dtype=complex).reshape(4), tol
-    )
-    F = ys[-1].reshape(2, 2)
-    return F, _det2(F)
+    mu = cmath.sqrt(M[0, 1] * M[1, 0] - M[0, 0] * M[1, 1])
+    s = abs(mu.real)
+    if s <= 20.0:
+        c, sh, s = cmath.cosh(mu), (cmath.sinh(mu) / mu if mu else 1.0), 0.0
+    else:
+        p, q = cmath.exp(mu - s), cmath.exp(-mu - s)
+        c, sh = 0.5 * (p + q), 0.5 * (p - q) / mu
+    return c * np.eye(2) + sh * M, s
 
 
-def transfer_matrix(
-    H: Hamiltonian,
-    x: float,
-    z: complex,
-    tol: float = 1e-10,
-) -> TransferMatrix:
-    """T(x; z), product of per-segment factors."""
-    require_valid(H)
-    if x > H.x_max + 1e-12 and H.tail is None:
-        raise ValueError("x beyond X_max")
-    T = np.eye(2, dtype=complex)
-    det = complex(1.0)
-    acc = 0.0
-    for seg in H.segments:
-        if acc >= x:
-            break
-        span = min(seg.length, x - acc)
-        F, d = _segment_factor(seg, span, z, tol)
-        T = F @ T
-        det *= d
-        acc += seg.length
-    if x > acc and H.tail is not None:
-        tail_seg = Segment(x - acc, ConstantAngle(H.tail.gamma))
-        F, d = _segment_factor(tail_seg, x - acc, z, tol)
-        T = F @ T
-        det *= d
-    return TransferMatrix(entries=T, x=x, z=z, det=det)
+def _piece_factor(piece: Piece, span: float, z: complex) -> tuple[np.ndarray, float]:
+    """(F, s): the factor of `span` of the piece is e^s * F."""
+    if piece.singular:
+        return np.eye(2, dtype=complex) + z * (span * piece.lam1) * (J @ p_alpha(piece.phi0)), 0.0
+    a, b = piece.rates(z)
+    E, s = expm(span * np.array([[0.0, -b], [a, 0.0]]))
+    return rotation(piece.phi(span)) @ E @ rotation(piece.phi0).T, s
 
 
 def transfer_matrix_log(
@@ -132,24 +83,37 @@ def transfer_matrix_log(
 ) -> tuple[np.ndarray, float]:
     """(U, s) with T(x; z) = exp(s) * U and max |U entry| = 1.
 
-    Per-segment rescaling keeps the running product inside floating range,
-    so growth can be probed at radii where T itself would overflow.
+    Per-factor rescaling keeps the running product inside floating range,
+    so growth can be probed at radii where T itself would overflow.  Past
+    X_max the singular tail contributes its factor; without a tail, x beyond
+    X_max is a ValueError.  The factors are closed forms, so tol is unused.
     """
     require_valid(H)
     U = np.eye(2, dtype=complex)
     logscale = 0.0
-    acc = 0.0
-    for seg in H.segments:
-        if acc >= x:
-            break
-        span = min(seg.length, x - acc)
-        U = _segment_factor(seg, span, z, tol)[0] @ U
+    for _, piece, span in H.walk(x):
+        F, s = _piece_factor(piece, span, z)
+        U = F @ U
         m = float(np.max(np.abs(U)))
         if m > 0.0:
             U = U / m
-            logscale += math.log(m)
-        acc += seg.length
+            logscale += s + math.log(m)
     return U, logscale
+
+
+def transfer_matrix(
+    H: Hamiltonian,
+    x: float,
+    z: complex,
+    tol: float = 1e-10,
+) -> TransferMatrix:
+    """T(x; z) = exp(s) * U from :func:`transfer_matrix_log`; raises
+    OverflowError when exp(s) leaves the float range."""
+    U, s = transfer_matrix_log(H, x, z, tol)
+    try:
+        return TransferMatrix(entries=math.exp(s) * U, x=x, z=z)
+    except OverflowError:
+        raise OverflowError(f"|T({x}; {z})| = exp({s:.6g}); use transfer_matrix_log") from None
 
 
 def log_max_entry(H: Hamiltonian, x: float, z: complex, tol: float = 1e-10) -> float:
@@ -246,36 +210,42 @@ def _auto_terms(z: complex, alpha: float, eps: float = 1e-12) -> int:
     return int(max(50, math.ceil(n1), math.ceil(n2)))
 
 
-def hadamard_a(z: complex, alpha: float, N: Optional[int] = None) -> complex:
-    """prod_{n>=1} (1 - z / n^alpha), partial product with tail correction.
+def _a_zeros(alpha: float, count: int) -> np.ndarray:
+    return np.arange(1, count + 1, dtype=float) ** alpha
 
-    The tail beyond N contributes exp(-z * sum_{n>N} n^(-alpha)) to first
-    order; N (auto-chosen if omitted) keeps the neglected second-order tail
-    below 1e-12.  z within 1e-12 of a retained zero returns exactly 0.
+
+def _hadamard(z: complex, alpha: float, N: Optional[int], zeros_of, log: bool, scale=1.0):
+    """scale * prod_{n<=N} (1 - z/z_n) * exp(-z * sum_{n>N} n^(-alpha)), or log |.|.
+
+    The tail beyond N contributes that exponential to first order; N
+    (auto-chosen if omitted) keeps the neglected second-order tail below
+    1e-12.  Without ``log``, z within 1e-12 of a retained zero gives exactly 0.
     """
     if alpha <= 2.0:
         raise ValueError("alpha must exceed 2")
     if N is None:
         N = _auto_terms(z, alpha)
-    n = np.arange(1, N + 1, dtype=float)
-    zeros = n**alpha
-    dist = np.abs(z - zeros)
-    if np.min(dist) < 1e-12 * max(1.0, abs(z)):
+    if abs(scale) < 1e-300:
+        return -math.inf if log else complex(scale)
+    zeros = zeros_of(alpha, N)
+    tail = -z * float(_hurwitz_zeta()(alpha, N + 1))
+    if log:
+        with np.errstate(divide="ignore"):
+            s = float(np.sum(np.log(np.abs(1.0 - z / zeros))))
+        return math.log(abs(scale)) + s + float(tail.real)
+    if np.min(np.abs(z - zeros)) < 1e-12 * max(1.0, abs(z)):
         return 0.0 + 0.0j
-    prod = complex(np.prod(1.0 - z / zeros))
-    tail = float(hurwitz_zeta(alpha, N + 1))
-    return prod * np.exp(-z * tail)
+    return scale * complex(np.prod(1.0 - z / zeros)) * np.exp(tail)
+
+
+def hadamard_a(z: complex, alpha: float, N: Optional[int] = None) -> complex:
+    """prod_{n>=1} (1 - z / n^alpha), partial product with tail correction."""
+    return _hadamard(z, alpha, N, _a_zeros, log=False)
 
 
 def hadamard_a_log(z: complex, alpha: float, N: Optional[int] = None) -> float:
     """log |A(z)|, overflow safe."""
-    if N is None:
-        N = _auto_terms(z, alpha)
-    n = np.arange(1, N + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        s = float(np.sum(np.log(np.abs(1.0 - z / n**alpha))))
-    tail = float(hurwitz_zeta(alpha, N + 1))
-    return s + float((-z * tail).real)
+    return _hadamard(z, alpha, N, _a_zeros, log=True)
 
 
 def hadamard_c_zeros(alpha: float, count: int) -> np.ndarray:
@@ -287,34 +257,14 @@ def hadamard_c_zeros(alpha: float, count: int) -> np.ndarray:
 def hadamard_c(z: complex, alpha: float, N: Optional[int] = None) -> complex:
     """z * prod (1 - z / z_n) with z_n = (n^alpha + (n+1)^alpha)/2, C'(0) = 1.
 
-    The zeros alternate with those of hadamard_a by construction.
+    The zeros alternate with those of hadamard_a by construction.  The tail
+    sum of 1/z_n is bounded by the Hurwitz zeta of the smaller zero n^alpha.
     """
-    if alpha <= 2.0:
-        raise ValueError("alpha must exceed 2")
-    if N is None:
-        N = _auto_terms(z, alpha)
-    zeros = hadamard_c_zeros(alpha, N)
-    if abs(z) < 1e-300:
-        return complex(z)
-    dist = np.abs(z - zeros)
-    if np.min(dist) < 1e-12 * max(1.0, abs(z)):
-        return 0.0 + 0.0j
-    prod = complex(np.prod(1.0 - z / zeros))
-    # tail sum of 1/z_n, bounded via the Hurwitz zeta of the smaller zero
-    tail = float(hurwitz_zeta(alpha, N + 1))
-    return z * prod * np.exp(-z * tail)
+    return _hadamard(z, alpha, N, hadamard_c_zeros, log=False, scale=z)
 
 
 def hadamard_c_log(z: complex, alpha: float, N: Optional[int] = None) -> float:
-    if N is None:
-        N = _auto_terms(z, alpha)
-    zeros = hadamard_c_zeros(alpha, N)
-    if abs(z) < 1e-300:
-        return -math.inf
-    with np.errstate(divide="ignore"):
-        s = float(np.sum(np.log(np.abs(1.0 - z / zeros))))
-    tail = float(hurwitz_zeta(alpha, N + 1))
-    return math.log(abs(z)) + s + float((-z * tail).real)
+    return _hadamard(z, alpha, N, hadamard_c_zeros, log=True, scale=z)
 
 
 @dataclass

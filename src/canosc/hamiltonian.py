@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -147,6 +147,36 @@ class PhiTable:
 SegmentKind = Union[ConstantAngle, ConstantMatrix, PhiRamp, PhiTable]
 
 
+class Piece(NamedTuple):
+    """[offset, end) of a segment, where H = R(phi) diag(lam1, lam2) R(phi)^T.
+
+    phi runs linearly from phi0 to phi1; with kappa = -phi' the frame
+    v = R(phi)^T u turns u' = z J H u into v' = [[0, -b], [a, 0]] v with the
+    constants (a, b) = :meth:`rates`.  Angle pieces have (lam1, lam2) = (1, 0);
+    a constant matrix is one piece in its eigenbasis (phi0 = phi1).
+    """
+
+    offset: float
+    end: float
+    phi0: float
+    phi1: float
+    lam1: float = 1.0
+    lam2: float = 0.0
+
+    @property
+    def singular(self) -> bool:
+        """H = lam1 P_phi0 throughout, so b = 0: the singular-interval closed forms."""
+        return self.phi0 == self.phi1 and self.lam2 == 0.0
+
+    def phi(self, off: float) -> float:
+        return self.phi0 + (self.phi1 - self.phi0) * (off / (self.end - self.offset))
+
+    def rates(self, z):
+        """(a, b) = (z lam1 + kappa, z lam2 + kappa)."""
+        kappa = (self.phi0 - self.phi1) / (self.end - self.offset)
+        return z * self.lam1 + kappa, z * self.lam2 + kappa
+
+
 @dataclass(frozen=True)
 class Segment:
     length: float
@@ -164,28 +194,29 @@ class Segment:
     def is_singular(self) -> bool:
         return isinstance(self.kind, ConstantAngle)
 
-    def phi_at(self, offset: float) -> Optional[float]:
-        """Angle of H at the given offset, None for ConstantMatrix."""
-        k = self.kind
-        if isinstance(k, ConstantAngle):
-            return k.alpha
-        if isinstance(k, PhiRamp):
-            return k.phi_start + (k.phi_end - k.phi_start) * offset / self.length
-        if isinstance(k, PhiTable):
-            return k.phi_at(offset)
-        return None
-
     def h_at(self, offset: float) -> np.ndarray:
         k = self.kind
         if isinstance(k, ConstantMatrix):
             return k.matrix.as_array()
-        return p_alpha(self.phi_at(offset))
+        if isinstance(k, ConstantAngle):
+            return p_alpha(k.alpha)
+        if isinstance(k, PhiRamp):
+            return p_alpha(k.phi_start + (k.phi_end - k.phi_start) * offset / self.length)
+        return p_alpha(k.phi_at(offset))
 
-    def det_bound(self) -> float:
-        """Largest determinant of H on the segment (0 for angle families)."""
-        if isinstance(self.kind, ConstantMatrix):
-            return self.kind.matrix.det
-        return 0.0
+    def pieces(self) -> tuple[Piece, ...]:
+        """One :class:`Piece` per constant angle, ramp, matrix or table interval."""
+        k = self.kind
+        if isinstance(k, ConstantAngle):
+            return (Piece(0.0, self.length, k.alpha, k.alpha),)
+        if isinstance(k, PhiRamp):
+            return (Piece(0.0, self.length, k.phi_start, k.phi_end),)
+        if isinstance(k, ConstantMatrix):
+            m, phi = k.matrix, k.matrix.angle()
+            lam1 = 0.5 * float(m.trace + math.hypot(m.h11 - m.h22, 2.0 * m.h12))
+            return (Piece(0.0, self.length, phi, phi, lam1, float(m.det) / lam1),)
+        pts = k.points
+        return tuple(Piece(o0, o1, p0, p1) for (o0, p0), (o1, p1) in zip(pts, pts[1:]))
 
     def split(self, at: float) -> tuple["Segment", "Segment"]:
         """Split into two segments with lengths (at, length - at)."""
@@ -273,6 +304,26 @@ class Hamiltonian:
             return p_alpha(self.tail.gamma)
         i, off = self.segment_at(x)
         return self.segments[i].h_at(off)
+
+    def walk(self, L: float):
+        """(x, piece, span) for every piece that meets (0, L): x its start, span
+        its length inside (0, L).  Past X_max the tail is one more piece;
+        without a tail, L beyond X_max is a ValueError."""
+        acc = 0.0
+        for seg in self.segments:
+            if acc >= L:
+                return
+            for p in seg.pieces():
+                x = acc + p.offset
+                if x >= L:
+                    break
+                yield x, p, min(p.end - p.offset, L - x)
+            acc += seg.length
+        if L > acc:
+            if self.tail is not None:
+                yield acc, Piece(0.0, L - acc, self.tail.gamma, self.tail.gamma), L - acc
+            elif L > acc + 1e-12 * max(1.0, acc):
+                raise ValueError(f"L = {L} beyond X_max = {acc} and no tail attached")
 
     def single_singular_type(self) -> Optional[float]:
         """Angle alpha if the whole body is one singular interval, else None."""
@@ -462,23 +513,14 @@ def extract_phi(H: Hamiltonian, tol: float = RANK_ONE_TOL) -> PhiProfile:
     x = 0.0
     prev_end: Optional[float] = None
     for i, seg in enumerate(H.segments):
-        det = seg.det_bound()
+        ps = seg.pieces()
+        det = max(p.lam1 * p.lam2 for p in ps)
         if det > tol:
             raise NotRankOne(i, det)
-        k = seg.kind
-        if isinstance(k, ConstantMatrix):
-            local = [(0.0, k.matrix.angle()), (seg.length, k.matrix.angle())]
-        elif isinstance(k, ConstantAngle):
-            local = [(0.0, k.alpha), (seg.length, k.alpha)]
-        elif isinstance(k, PhiRamp):
-            local = [(0.0, k.phi_start), (seg.length, k.phi_end)]
-        else:
-            local = list(k.points)
-        start = local[0][1]
-        shift = 0.0 if prev_end is None else _align_below(start, prev_end) - start
-        for (o0, p0), (o1, p1) in zip(local, local[1:]):
-            pieces.append(PhiPiece(x + o0, x + o1, p0 + shift, p1 + shift))
-        prev_end = local[-1][1] + shift
+        shift = 0.0 if prev_end is None else _align_below(ps[0].phi0, prev_end) - ps[0].phi0
+        for p in ps:
+            pieces.append(PhiPiece(x + p.offset, x + p.end, p.phi0 + shift, p.phi1 + shift))
+        prev_end = ps[-1].phi1 + shift
         x += seg.length
     if H.tail is not None:
         phi_inf = _align_below(H.tail.gamma, prev_end)

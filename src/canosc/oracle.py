@@ -5,7 +5,9 @@ main path.  Transfer matrices for piecewise-constant-angle systems are
 assembled from the exact nilpotent factors 1 + t*l*J*P_alpha alone, and
 eigenvalues are counted by sign changes of the boundary functional.  The
 Riccati comparison solutions give closed-form sandwich bounds for angle
-trajectories on C/x tails.
+trajectories on C/x tails.  Ramp factors and ramp Pruefer angles are
+computed in mpmath from the matrix exponential of the rotating-frame
+generator, at 30 digits.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
-from .hamiltonian import ConstantAngle, Hamiltonian
-
-PI = math.pi
+from .hamiltonian import PI, ConstantAngle, Hamiltonian
 
 
 def _exact_transfer(H: Hamiltonian, L: float, lam: float) -> np.ndarray:
@@ -134,6 +135,48 @@ def count_by_sign_changes(
         prev = n
         grid_step /= 2.0
     return prev if prev is not None else len(res.roots)
+
+
+# ---------------------------------------------------------------------------
+# mpmath references for a ramp phi(x) = phi0 + (phi1 - phi0) x / length
+
+
+def _mp_ramp_factor(phi0, phi1, length, z):
+    """R(phi1) expm(length (z J P_0 + kappa J)) R(phi0)^T at the working precision:
+    with u = R(phi) v and kappa = -phi', v' = (z J P_0 + kappa J) v is constant."""
+    rot = lambda g: mpmath.matrix([[mpmath.cos(g), -mpmath.sin(g)], [mpmath.sin(g), mpmath.cos(g)]])
+    kappa = (phi0 - phi1) / length
+    return rot(phi1) * mpmath.expm(length * mpmath.matrix([[0, -kappa], [z + kappa, 0]])) * rot(phi0).T
+
+
+def ramp_factor(phi0: float, phi1: float, length: float, z: complex, dps: int = 30) -> np.ndarray:
+    """Transfer factor of u' = z J P_phi(x) u across a ramp, via mpmath.expm."""
+    with mpmath.workdps(dps):
+        F = _mp_ramp_factor(*map(mpmath.mpf, (phi0, phi1, length)), mpmath.mpc(z))
+        return np.array(F.tolist(), dtype=complex)
+
+
+def ramp_theta(
+    phi0: float, phi1: float, length: float, t: float, theta0: float, dps: int = 30
+) -> float:
+    """Unwrapped Pruefer angle theta(length) of theta' = t cos^2(theta - phi).
+
+    The ramp is cut into sub-ramps with |t| h <= 1/2, across which theta
+    moves by less than 1/2, so the angle change of the propagated vector
+    over each is its principal value.
+    """
+    with mpmath.workdps(dps):
+        p0, p1, ell = mpmath.mpf(phi0), mpmath.mpf(phi1), mpmath.mpf(length)
+        n = max(1, int(math.ceil(2.0 * abs(t) * length)))
+        theta = mpmath.mpf(theta0)
+        u = mpmath.matrix([mpmath.cos(theta), mpmath.sin(theta)])
+        for i in range(n):
+            a = p0 + (p1 - p0) * i / n
+            b = p0 + (p1 - p0) * (i + 1) / n
+            w = _mp_ramp_factor(a, b, ell / n, mpmath.mpf(t)) * u
+            theta += mpmath.atan2(u[0] * w[1] - u[1] * w[0], u[0] * w[0] + u[1] * w[1])
+            u = w / mpmath.norm(w)
+        return float(theta)
 
 
 # ---------------------------------------------------------------------------

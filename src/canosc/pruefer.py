@@ -1,9 +1,12 @@
 """Pruefer-angle integration for canonical systems.
 
 Writing a real solution as u = R e_theta turns the system into the scalar
-equation theta' = t * e_theta^T H(x) e_theta.  On singular intervals
-(H = P_alpha) this integrates in closed form; elsewhere an embedded adaptive
-Runge-Kutta pair advances the angle with a per-segment error budget.  The
+equation theta' = t * e_theta^T H(x) e_theta.  Every coefficient is a chain
+of :class:`~canosc.hamiltonian.Piece` s, and on a piece psi = theta - phi
+obeys psi' = a cos^2 psi + b sin^2 psi with constants (a, b) = piece.rates(t),
+so each step has a closed form: :func:`step_singular` when b = 0 (singular
+intervals), the linear angle chi with tan psi = sqrt(a/b) tan chi when
+ab > 0, and the angle of the tanh-scaled propagated vector when ab <= 0.  The
 angle is kept unwrapped (no mod-pi reduction) so that the counting formulas
 can apply ceil/floor directly.
 """
@@ -15,18 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rk
-from .hamiltonian import (
-    ConstantAngle,
-    ConstantMatrix,
-    Hamiltonian,
-    PhiRamp,
-    PhiTable,
-    Segment,
-    require_valid,
-)
-
-PI = math.pi
+from .hamiltonian import HALF_PI, PI, Hamiltonian, Piece, require_valid
 
 #: below this |cos(theta - alpha)| the angle sits exactly on a stationary point
 STATIONARY_EPS = 1e-15
@@ -48,28 +40,43 @@ def step_singular(theta_in: float, alpha: float, length: float, t: float) -> flo
     return alpha + k * PI + math.atan(math.tan(r) + t * length)
 
 
-def _theta_rhs(seg: Segment, t: float):
-    """Right-hand side t * e_theta^T H e_theta on one segment (offset coords)."""
-    kind = seg.kind
-    if isinstance(kind, ConstantMatrix):
-        m = kind.matrix
+def turn(psi: float, a: float, b: float, length: float) -> float:
+    """psi after `length` of psi' = a cos^2 psi + b sin^2 psi.
 
-        def f(x, th):
-            c, s = math.cos(th), math.sin(th)
-            return t * (m.h11 * c * c + 2.0 * m.h12 * s * c + m.h22 * s * s)
+    ab > 0: tan psi = k tan chi with k = sqrt(a/b) >= 1 (else the rates are
+    swapped and psi shifted by pi/2) and chi' = sign(a) sqrt(ab); chi carries
+    the pi-branch count.  ab <= 0: psi moves by less than pi, by the angle
+    atan2(s psi'(psi), 1 + s (a - b) sin psi cos psi) of the propagated unit
+    vector scaled by 1/cosh(mu l), s = tanh(mu l)/mu, mu^2 = -ab, so nothing
+    overflows.
+    """
+    if a * b > 0.0:
+        if abs(b) > abs(a):
+            return turn(psi - HALF_PI, b, a, length) + HALF_PI
+        k = math.sqrt(a / b)
+        if k < 1e150:
+            n = math.floor(psi / PI + 0.5)
+            chi = math.atan(math.tan(psi - n * PI) / k) + math.copysign(math.sqrt(a * b), a) * length
+            m = math.floor(chi / PI + 0.5)
+            return (n + m) * PI + math.atan(k * math.tan(chi - m * PI))
+        b = 0.0  # below rounding against a: the singular-interval motion
+    mu = math.sqrt(-a * b)
+    s = math.tanh(mu * length) / mu if mu > 0.0 else length
+    c, sn = math.cos(psi), math.sin(psi)
+    return psi + math.atan2(s * (a * c * c + b * sn * sn), 1.0 + s * (a - b) * sn * c)
 
-        return f
 
-    def f(x, th):
-        c = math.cos(th - seg.phi_at(x))
-        return t * c * c
-
-    return f
+def advance(theta: float, piece: Piece, length: float, t: float) -> float:
+    """theta after `length` of the piece, from theta at the piece start."""
+    if piece.singular:
+        return step_singular(theta, piece.phi0, length, t * piece.lam1)
+    a, b = piece.rates(t)
+    return turn(theta - piece.phi0, a, b, length) + piece.phi(length)
 
 
 @dataclass
 class PrueferTrajectory:
-    """Sampled (x, theta(x; t)) for one real spectral parameter."""
+    """Sampled (x, theta(x; t)); the steps are closed forms, so err_bound is 0."""
 
     t: float
     theta0: float
@@ -95,71 +102,36 @@ def integrate(
 ) -> PrueferTrajectory:
     """Pruefer trajectory on [0, L] with err_bound <= tol.
 
-    Singular segments advance exactly; the rest by adaptive RK.  Every
-    segment boundary and every requested x_eval point appears among the
-    samples.  L may exceed X_max when a singular tail is attached.
+    Every piece advances in closed form (see :func:`advance`).  Every piece
+    boundary and every requested x_eval point appears among the samples; an
+    x_eval point inside a piece is reached from the piece start.  L may
+    exceed X_max when a singular tail is attached.
     """
     require_valid(H)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if L < 0.0:
         raise ValueError("L must be nonnegative")
-    if L > H.x_max and H.tail is None:
-        raise ValueError(f"L = {L} beyond X_max = {H.x_max} and no tail attached")
-
-    segs = list(H.segments)
-    if L > H.x_max:
-        segs.append(Segment(L - H.x_max, ConstantAngle(H.tail.gamma)))
 
     eval_pts = sorted({float(x) for x in x_eval if 0.0 < float(x) < L})
-    rk_length = 0.0
-    acc = 0.0
-    for s in segs:
-        if acc >= L:
-            break
-        if not s.is_singular:
-            rk_length += min(s.length, L - acc)
-        acc += s.length
-
     xs = [0.0]
     thetas = [float(theta0)]
-    err = 0.0
-    x = 0.0
     theta = float(theta0)
-    remaining = L
-    for seg in segs:
-        if remaining <= 0.0:
-            break
-        span = min(seg.length, remaining)
-        inner = [p - x for p in eval_pts if x < p < x + span]
-        if seg.is_singular:
-            alpha = seg.kind.alpha
-            for off in inner:
-                xs.append(x + off)
-                thetas.append(step_singular(theta, alpha, off, t))
-            theta = step_singular(theta, alpha, span, t)
-            xs.append(x + span)
-            thetas.append(theta)
-        else:
-            budget = tol * (span / rk_length) if rk_length > 0 else tol
-            sx, sy, e = rk.integrate_adaptive(
-                _theta_rhs(seg, t), 0.0, span, theta, budget, x_eval=inner
-            )
-            for xi, yi in zip(sx[1:], sy[1:]):
-                xs.append(x + xi)
-                thetas.append(float(yi))
-            theta = float(sy[-1])
-            err += e
-        x += span
-        remaining -= span
+    for x, piece, span in H.walk(L):
+        for off in [p - x for p in eval_pts if x < p < x + span]:
+            xs.append(x + off)
+            thetas.append(advance(theta, piece, off, t))
+        theta = advance(theta, piece, span, t)
+        xs.append(x + span)
+        thetas.append(theta)
     if not math.isfinite(theta):
-        raise rk.IntegrationError("non-finite Pruefer angle")
+        raise FloatingPointError("non-finite Pruefer angle")
     return PrueferTrajectory(
         t=t,
         theta0=float(theta0),
         xs=np.asarray(xs),
         thetas=np.asarray(thetas),
-        err_bound=err,
+        err_bound=0.0,
     )
 
 

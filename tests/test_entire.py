@@ -1,10 +1,14 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from canosc import entire, rk
+import canosc
+from canosc import entire, oracle, rk
 from canosc.entire import (
     hadamard_a,
     hadamard_a_log,
@@ -25,6 +29,8 @@ from canosc.hamiltonian import (
     MatrixH,
     PhiRamp,
     Segment,
+    SingularHalfLine,
+    p_alpha,
 )
 
 PI = math.pi
@@ -93,6 +99,54 @@ class TestTransferMatrix:
         T = transfer_matrix(H, 1.5, z)
         lm = log_max_entry(H, 1.5, z)
         assert lm == pytest.approx(math.log(np.max(np.abs(T.entries))), abs=1e-10)
+
+    def test_log_form_includes_tail(self):
+        H = Hamiltonian((Segment(1.0, ConstantAngle(0.3)),), tail=SingularHalfLine(-0.9))
+        z = 3.0 + 4.0j
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        body = np.eye(2) + z * (J @ p_alpha(0.3))
+        tail = np.eye(2) + z * 1.5 * (J @ p_alpha(-0.9))
+        expected = math.log(np.max(np.abs(tail @ body)))
+        assert expected == pytest.approx(3.2285, abs=1e-4)
+        assert log_max_entry(H, 2.5, z) == pytest.approx(expected, abs=1e-12)
+        assert np.allclose(transfer_matrix(H, 2.5, z).entries, tail @ body, atol=1e-12)
+
+    def test_beyond_x_max_without_tail_rejected(self):
+        H = single(ConstantAngle(0.3))
+        with pytest.raises(ValueError):
+            log_max_entry(H, 2.5, 3.0 + 4.0j)
+        with pytest.raises(ValueError):
+            transfer_matrix(H, 2.5, 3.0 + 4.0j)
+
+    def test_overflow_raises_while_log_form_holds(self):
+        # H = diag(1/2, 1/2): |T(iy)| = cosh(y/2), beyond the float range at y = 3000
+        H = single(ConstantMatrix(MatrixH(0.5, 0.0, 0.5)))
+        assert log_max_entry(H, 1.0, 3000j) == pytest.approx(1500.0 - math.log(2.0), rel=1e-14)
+        with pytest.raises(OverflowError):
+            transfer_matrix(H, 1.0, 3000j)
+
+    @pytest.mark.parametrize("z", [1000j, 600 + 800j])
+    def test_ramp_at_large_z_matches_mpmath(self, z):
+        H = single(PhiRamp(0.75, -0.75))
+        T = transfer_matrix(H, 1.0, z).entries
+        ref = oracle.ramp_factor(0.75, -0.75, 1.0, z)
+        assert np.max(np.abs(T - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_import_leaves_scipy_out():
+    """scipy loads on the first Hadamard call, not on import."""
+    code = (
+        "import sys, canosc, canosc.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(repr(canosc.hadamard_a(-1.0, 3.0)))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(canosc.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    modules, value = out.stdout.splitlines()
+    assert modules == "[]"
+    assert value == repr(hadamard_a(-1.0, 3.0))
 
 
 class TestOrderFit:

@@ -1,0 +1,193 @@
+"""Property tests of the closed-form piece kernels.
+
+The Pruefer steps and transfer factors of :mod:`canosc.pruefer` and
+:mod:`canosc.entire` are checked against the adaptive Dormand-Prince
+integrator of :mod:`canosc.rk` at tol 1e-12, run segment by segment with
+every table kink as a checkpoint, and against the invariants of the exact
+propagators: theta(L; t) nondecreasing in t, covariance under rotation,
+invariance under splitting a segment, and unit determinant of every factor.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from canosc import entire, pruefer, rk
+from canosc.hamiltonian import (
+    ConstantMatrix,
+    Hamiltonian,
+    MatrixH,
+    PhiRamp,
+    PhiTable,
+    Segment,
+    rotate,
+    rotation,
+)
+
+J = np.array([[0.0, -1.0], [1.0, 0.0]])
+RK_TOL = 1e-12
+
+lengths = st.floats(0.1, 1.5)
+angles = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def ramps(draw):
+    a, b = sorted((draw(angles), draw(angles)), reverse=True)
+    return Segment(draw(lengths), PhiRamp(a, b))
+
+
+def matrix(lam2: float, alpha: float) -> ConstantMatrix:
+    """H = R(alpha) diag(1 - lam2, lam2) R(alpha)^T."""
+    r = rotation(alpha)
+    m = r @ np.diag([1.0 - lam2, lam2]) @ r.T
+    return ConstantMatrix(MatrixH(m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1]))
+
+
+@st.composite
+def matrices(draw):
+    return Segment(draw(lengths), matrix(draw(st.floats(0.0, 0.5)), draw(angles)))
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(2, 5))
+    steps = draw(st.lists(st.floats(0.05, 0.6), min_size=n, max_size=n))
+    offs = np.concatenate(([0.0], np.cumsum(steps)))
+    drops = draw(st.lists(st.sampled_from([0.0, 0.1, 0.4, 1.0]), min_size=n, max_size=n))
+    phis = draw(angles) - np.concatenate(([0.0], np.cumsum(drops)))
+    pts = tuple(zip(offs.tolist(), phis.tolist()))
+    return Segment(pts[-1][0], PhiTable(pts))
+
+
+segments = st.one_of(ramps(), matrices(), tables())
+systems = st.lists(segments, min_size=1, max_size=3).map(lambda s: Hamiltonian(tuple(s)))
+
+
+def kinks(seg: Segment) -> list[float]:
+    if isinstance(seg.kind, PhiTable):
+        return [o for o, _ in seg.kind.points[1:-1]]
+    return []
+
+
+def rk_theta(H: Hamiltonian, t: float, theta0: float, x_eval=()) -> tuple[float, dict]:
+    """theta(X_max; t) and theta at x_eval, segment by segment by rk."""
+    theta, acc, at = theta0, 0.0, {}
+    for seg in H.segments:
+        def f(x, th, seg=seg):
+            h = seg.h_at(x)
+            c, s = math.cos(th), math.sin(th)
+            return t * (h[0, 0] * c * c + 2.0 * h[0, 1] * s * c + h[1, 1] * s * s)
+
+        inner = {p: p - acc for p in x_eval if acc < p < acc + seg.length}
+        xs, ys, _ = rk.integrate_adaptive(
+            f, 0.0, seg.length, theta, RK_TOL, x_eval=kinks(seg) + list(inner.values())
+        )
+        for p, off in inner.items():
+            at[p] = float(ys[xs.index(off)])
+        theta = float(ys[-1])
+        acc += seg.length
+    return theta, at
+
+
+def rk_transfer(H: Hamiltonian, z: complex) -> np.ndarray:
+    T = np.eye(2, dtype=complex)
+    for seg in H.segments:
+        def f(x, u, seg=seg):
+            return z * (J @ seg.h_at(x) @ u.reshape(2, 2)).reshape(4)
+
+        _, ys, _ = rk.integrate_adaptive(
+            f, 0.0, seg.length, np.eye(2, dtype=complex).reshape(4), RK_TOL, x_eval=kinks(seg)
+        )
+        T = ys[-1].reshape(2, 2) @ T
+    return T
+
+
+class TestAgainstRK:
+    @given(systems, st.floats(-20.0, 20.0), angles)
+    @settings(max_examples=40, deadline=None)
+    def test_theta(self, H, t, theta0):
+        ref, _ = rk_theta(H, t, theta0)
+        assert pruefer.theta_at(H, t, theta0, H.x_max) == pytest.approx(ref, abs=1e-9)
+
+    @given(st.lists(tables(), min_size=1, max_size=2), st.floats(-20.0, 20.0), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_x_eval_inside_table_pieces(self, segs, t, data):
+        H = Hamiltonian(tuple(segs))
+        pts = data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4))
+        ends = H.boundaries()
+        x_eval = sorted({p * H.x_max for p in pts} - set(ends))
+        assume(x_eval)
+        _, ref = rk_theta(H, t, 0.2, x_eval)
+        tr = pruefer.integrate(H, t, 0.2, H.x_max, x_eval=x_eval)
+        for x in x_eval:
+            assert tr.value(x) == pytest.approx(ref[x], abs=1e-9)
+
+    @given(ramps(), st.floats(0.0, 10.0), angles)
+    @settings(max_examples=30, deadline=None)
+    def test_ramp_below_and_at_minus_kappa(self, seg, excess, theta0):
+        # t <= -kappa makes a = t + kappa <= 0 < b = kappa (ab <= 0)
+        kappa = (seg.kind.phi_start - seg.kind.phi_end) / seg.length
+        assume(kappa > 0.0)
+        H = Hamiltonian((seg,))
+        for t in (-kappa, -kappa - excess):
+            ref, _ = rk_theta(H, t, theta0)
+            assert pruefer.theta_at(H, t, theta0, H.x_max) == pytest.approx(ref, abs=1e-9)
+
+    @given(angles, lengths, st.floats(-50.0, 50.0), st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_near_rank_one_matrix_is_singular_step(self, alpha, length, t, theta0):
+        H = Hamiltonian((Segment(length, matrix(1e-14, alpha)),))
+        exact = pruefer.step_singular(theta0, alpha, length, t)
+        assert pruefer.theta_at(H, t, theta0, length) == pytest.approx(exact, abs=1e-11)
+
+    @given(systems, st.floats(-15.0, 15.0), st.floats(-15.0, 15.0))
+    @settings(max_examples=25, deadline=None)
+    def test_transfer_matrix(self, H, re, im):
+        z = complex(re, im)
+        T = entire.transfer_matrix(H, H.x_max, z).entries
+        ref = rk_transfer(H, z)
+        assert np.max(np.abs(T - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
+
+
+class TestInvariants:
+    @given(systems, st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=6), angles)
+    @settings(max_examples=40, deadline=None)
+    def test_theta_nondecreasing_in_t(self, H, ts, theta0):
+        vals = [pruefer.theta_at(H, t, theta0, H.x_max) for t in sorted(ts)]
+        assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
+
+    @given(systems, st.floats(-20.0, 20.0), angles, st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_rotation_covariance(self, H, t, theta0, gamma):
+        th = pruefer.theta_at(H, t, theta0, H.x_max)
+        th_rot = pruefer.theta_at(rotate(H, gamma), t, theta0 + gamma, H.x_max)
+        assert th_rot == pytest.approx(th + gamma, abs=1e-11 * max(1.0, abs(th)))
+
+    @given(segments, st.floats(0.05, 0.95), st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_split_leaves_theta_and_T(self, seg, frac, t, im):
+        H = Hamiltonian((seg,))
+        H_split = Hamiltonian(seg.split(frac * seg.length))
+        th = pruefer.theta_at(H, t, 0.3, H.x_max)
+        assert pruefer.theta_at(H_split, t, 0.3, H.x_max) == pytest.approx(
+            th, abs=1e-11 * max(1.0, abs(th))
+        )
+        z = complex(t, im)
+        T = entire.transfer_matrix(H, H.x_max, z).entries
+        T_split = entire.transfer_matrix(H_split, H.x_max, z).entries
+        assert np.max(np.abs(T - T_split)) <= 1e-11 * max(1.0, np.max(np.abs(T)))
+
+    @given(segments, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    @settings(max_examples=80, deadline=None)
+    def test_factor_det_one(self, seg, re, im):
+        # the factor is e^s F, so |det(e^s F) - 1| <= 1e-12 max(1, |e^s F|^2)
+        # reads |det F - e^(-2s)| <= 1e-12 max(e^(-2s), |F|^2)
+        z = complex(re, im)
+        for _, piece, span in Hamiltonian((seg,)).walk(seg.length):
+            F, s = entire._piece_factor(piece, span, z)
+            det = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
+            unit = math.exp(-2.0 * s)
+            assert abs(det - unit) <= 1e-12 * max(unit, np.max(np.abs(F)) ** 2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from canosc import oracle, pruefer, spectra
+from canosc import oracle, pruefer, rk, spectra
 from canosc.hamiltonian import ConstantAngle, Hamiltonian, PhiRamp, Segment
 from canosc.spectra import SpectralWindow
 
@@ -135,3 +135,36 @@ class TestRiccatiBranches:
         sup = pruefer.theta_at(H, 1.25 / (4 * C), 0.0, H.x_max, 1e-8)
         assert sub < PI / 2
         assert sup > PI / 2
+
+
+class TestRampReferences:
+    def test_factor_matches_rk(self):
+        z = 2.0 + 1.5j
+        H = single(PhiRamp(0.6, -0.4), length=1.3)
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+        def f(x, u):
+            return z * (J @ H.h_at(x) @ u.reshape(2, 2)).reshape(4)
+
+        _, ys, _ = rk.integrate_adaptive(f, 0.0, 1.3, np.eye(2, dtype=complex).reshape(4), 1e-12)
+        F = oracle.ramp_factor(0.6, -0.4, 1.3, z)
+        assert np.max(np.abs(F - ys[-1].reshape(2, 2))) < 1e-10
+        assert abs(np.linalg.det(F) - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("t", [-6.0, -0.5, 0.0, 1.0, 9.0])
+    def test_theta_matches_rk(self, t):
+        def f(x, th):
+            return t * math.cos(th - (0.6 - x / 1.3)) ** 2
+
+        _, ys, _ = rk.integrate_adaptive(f, 0.0, 1.3, 0.25, 1e-12)
+        assert oracle.ramp_theta(0.6, -0.4, 1.3, t, 0.25) == pytest.approx(float(ys[-1]), abs=1e-10)
+
+    def test_theta_counts_turns(self):
+        # psi = theta - phi turns at the mean rate sqrt((t + kappa) kappa), so
+        # sqrt(80.77 * 0.77) * 1.3 / pi = 3.3 half-turns; every branch is kept
+        th = oracle.ramp_theta(0.6, -0.4, 1.3, 80.0, 0.0)
+        assert 3.0 * PI < th < 4.0 * PI
+        assert th == pytest.approx(
+            pruefer.theta_at(single(PhiRamp(0.6, -0.4), length=1.3), 80.0, 0.0, 1.3), abs=1e-12
+        )
+

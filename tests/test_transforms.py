@@ -58,6 +58,19 @@ class TestSchrodingerImport:
         H, _, _ = schrodinger_to_canonical(P)
         assert spectra.classify_semibounded(H).kind == "in_c_plus"
 
+    def test_linear_potential_halfline_count(self):
+        # X_max = 8.6e18: the table's last pieces are ~1e17 long, where an
+        # adaptive step size underflows; the closed-form steps take them whole
+        xs = np.linspace(0.0, 10.0, 201)
+        H, _, _ = schrodinger_to_canonical(SchrodingerProblem(grid=xs, values=xs.copy(), E0=-1.0))
+        assert H.x_max > 1e18
+        schedule = [H.x_max * f for f in (0.25, 0.5, 0.75, 1.0)]
+        res = spectra.halfline_count(H, spectra.SpectralWindow(-1.0, 1.0), schedule)
+        assert all(math.isfinite(f) for f in res.F_values)
+        # E0 + [0, 1) = [-1, 0) lies below the lowest eigenvalue of -y'' + x y
+        res = spectra.halfline_count(H, spectra.SpectralWindow(0.0, 1.0), schedule)
+        assert (res.status, res.count) == ("stabilized", 0)
+
     def test_x_map_is_monotone(self):
         _, xmap, _ = schrodinger_to_canonical(free_problem())
         assert np.all(np.diff(xmap.X) > 0.0)
