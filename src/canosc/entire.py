@@ -3,18 +3,23 @@
 The transfer matrix T(x; z) solves U' = z J H(x) U with T(0; z) = 1 and has
 unit determinant (the generator is trace free).  It is the product of one
 closed-form factor per :class:`~canosc.hamiltonian.Piece`: on singular
-intervals exactly 1 + z*l*J*P_alpha because (J P_alpha)^2 = 0; on ramps,
-table pieces and constant matrices R(phi1) exp(l G) R(phi0)^T, where
-G = [[0, -b], [a, 0]] is the constant generator in the rotating frame and
-exp(l G) is the 2x2 closed form of :func:`expm`.  The product is rescaled
-factor by factor, so growth (order, exponential type) can be estimated by
-regression on log M(r) over geometric radii far beyond the float range.
+intervals exactly 1 + z*N with N = l*J*P_alpha, because (J P_alpha)^2 = 0;
+on ramps, table pieces and constant matrices R(phi1) exp(l G) R(phi0)^T,
+where G = [[0, -b], [a, 0]] is the constant generator in the rotating frame
+and exp(l G) is the 2x2 closed form of :func:`expm`.
+
+The product is batched over z: z may be an array of any shape, every
+factor is an array of shape z.shape + (2, 2), and one walk over the pieces
+multiplies them all, with each element rescaled by its own largest entry
+after every factor.  A scalar z is the 0-d case and gives a 2x2 matrix.
+The rescaling lets growth (order, exponential type) be estimated by
+regression on log M(r) over geometric radii far beyond the float range;
+:func:`order_fit` and :func:`type_fit_imaginary` pass their whole z-grid to
+the evaluated function in one call.
 """
 
 from __future__ import annotations
 
-import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -24,14 +29,6 @@ import numpy as np
 from .hamiltonian import Hamiltonian, Piece, p_alpha, require_valid, rotation
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-@functools.cache
-def _hurwitz_zeta():
-    """scipy.special.zeta, imported on the first Hadamard call only."""
-    from scipy.special import zeta
-
-    return zeta
 
 
 @dataclass
@@ -48,57 +45,68 @@ class TransferMatrix:
         return 1.0 + 0.0j
 
 
-def expm(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """(E, s) with exp(M) = e^s * E, for a trace-free 2x2 matrix M.
+def expm(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, s) with exp(M) = e^s * E, for trace-free 2x2 matrices M.
 
-    M^2 = -det(M) * 1, so the series sums to cosh(mu) + (sinh(mu)/mu) M with
-    mu^2 = -det M (both even in mu).  Once |Re mu| exceeds 20 the factor
-    e^|Re mu| is returned as s instead of multiplied in, so no entry
-    overflows; otherwise s = 0.
+    M has shape (..., 2, 2) and s has shape M.shape[:-2]; a single 2x2 M
+    gives a 2x2 E and a float s.  M^2 = -det(M) * 1, so the series sums to
+    cosh(mu) + (sinh(mu)/mu) M with mu^2 = -det M (both even in mu).  Where
+    |Re mu| exceeds 20 the factor e^|Re mu| is returned as s instead of
+    multiplied in, so no entry overflows; elsewhere s = 0.
     """
-    mu = cmath.sqrt(M[0, 1] * M[1, 0] - M[0, 0] * M[1, 1])
-    s = abs(mu.real)
-    if s <= 20.0:
-        c, sh, s = cmath.cosh(mu), (cmath.sinh(mu) / mu if mu else 1.0), 0.0
-    else:
-        p, q = cmath.exp(mu - s), cmath.exp(-mu - s)
-        c, sh = 0.5 * (p + q), 0.5 * (p - q) / mu
-    return c * np.eye(2) + sh * M, s
+    M = np.asarray(M, dtype=complex)
+    mu = np.sqrt(M[..., 0, 1] * M[..., 1, 0] - M[..., 0, 0] * M[..., 1, 1])
+    s = np.abs(mu.real)
+    s = np.where(s > 20.0, s, 0.0)
+    # e^(+-mu - s) - 1: their difference is 2 e^-s sinh(mu) without cancellation at small mu
+    p, q = np.expm1(mu - s), np.expm1(-mu - s)
+    c = 0.5 * (p + q) + 1.0
+    sh = np.divide(0.5 * (p - q), mu, out=np.ones_like(mu), where=mu != 0.0)
+    E = c[..., None, None] * np.eye(2) + sh[..., None, None] * M
+    return E, (s if s.ndim else float(s))
 
 
-def _piece_factor(piece: Piece, span: float, z: complex) -> tuple[np.ndarray, float]:
-    """(F, s): the factor of `span` of the piece is e^s * F."""
+def _piece_factor(piece: Piece, span: float, z) -> tuple[np.ndarray, np.ndarray]:
+    """(F, s): the factor of `span` of the piece is e^s * F, with F of shape
+    z.shape + (2, 2) and s of shape z.shape (0 on singular pieces)."""
+    z = np.asarray(z, dtype=complex)
     if piece.singular:
-        return np.eye(2, dtype=complex) + z * (span * piece.lam1) * (J @ p_alpha(piece.phi0)), 0.0
+        N = (span * piece.lam1) * (J @ p_alpha(piece.phi0))
+        return np.eye(2) + z[..., None, None] * N, 0.0
     a, b = piece.rates(z)
-    E, s = expm(span * np.array([[0.0, -b], [a, 0.0]]))
+    G = np.zeros(z.shape + (2, 2), dtype=complex)
+    G[..., 0, 1] = span * -b
+    G[..., 1, 0] = span * a
+    E, s = expm(G)
     return rotation(piece.phi(span)) @ E @ rotation(piece.phi0).T, s
 
 
 def transfer_matrix_log(
     H: Hamiltonian,
     x: float,
-    z: complex,
+    z,
     tol: float = 1e-10,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(U, s) with T(x; z) = exp(s) * U and max |U entry| = 1.
 
-    Per-factor rescaling keeps the running product inside floating range,
-    so growth can be probed at radii where T itself would overflow.  Past
-    X_max the singular tail contributes its factor; without a tail, x beyond
-    X_max is a ValueError.  The factors are closed forms, so tol is unused.
+    z is a complex scalar or array; U has shape z.shape + (2, 2) and s shape
+    z.shape (a scalar z gives a 2x2 U and a float s).  Rescaling each element
+    after every factor keeps the running products inside floating range, so
+    growth can be probed at radii where T itself would overflow.  Past X_max
+    the singular tail contributes its factor; without a tail, x beyond X_max
+    is a ValueError.  The factors are closed forms, so tol is unused.
     """
     require_valid(H)
-    U = np.eye(2, dtype=complex)
-    logscale = 0.0
+    z = np.asarray(z, dtype=complex)
+    U = np.eye(2, dtype=complex) + np.zeros(z.shape + (1, 1))
+    logscale = np.zeros(z.shape)
     for _, piece, span in H.walk(x):
         F, s = _piece_factor(piece, span, z)
         U = F @ U
-        m = float(np.max(np.abs(U)))
-        if m > 0.0:
-            U = U / m
-            logscale += s + math.log(m)
-    return U, logscale
+        m = np.abs(U).max(axis=(-2, -1))
+        U = U / m[..., None, None]
+        logscale += s + np.log(m)
+    return U, (logscale if z.ndim else float(logscale))
 
 
 def transfer_matrix(
@@ -107,8 +115,8 @@ def transfer_matrix(
     z: complex,
     tol: float = 1e-10,
 ) -> TransferMatrix:
-    """T(x; z) = exp(s) * U from :func:`transfer_matrix_log`; raises
-    OverflowError when exp(s) leaves the float range."""
+    """T(x; z) = exp(s) * U from :func:`transfer_matrix_log` at a scalar z;
+    raises OverflowError when exp(s) leaves the float range."""
     U, s = transfer_matrix_log(H, x, z, tol)
     try:
         return TransferMatrix(entries=math.exp(s) * U, x=x, z=z)
@@ -116,11 +124,13 @@ def transfer_matrix(
         raise OverflowError(f"|T({x}; {z})| = exp({s:.6g}); use transfer_matrix_log") from None
 
 
-def log_max_entry(H: Hamiltonian, x: float, z: complex, tol: float = 1e-10) -> float:
-    """log of the largest |entry| of T(x; z), overflow safe."""
+def log_max_entry(H: Hamiltonian, x: float, z, tol: float = 1e-10):
+    """log of the largest |entry| of T(x; z), overflow safe; elementwise for
+    an array z (a float for a scalar z)."""
     U, s = transfer_matrix_log(H, x, z, tol)
-    m = float(np.max(np.abs(U)))
-    return s + math.log(m) if m > 0.0 else -math.inf
+    with np.errstate(divide="ignore"):
+        out = s + np.log(np.abs(U).max(axis=(-2, -1)))
+    return out if np.ndim(out) else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +150,7 @@ class GrowthFit:
 
 
 def order_fit(
-    evaluate: Callable[[complex], complex],
+    evaluate: Callable[[np.ndarray], np.ndarray],
     r_min: float,
     r_max: float,
     n_radii: int = 12,
@@ -151,8 +161,11 @@ def order_fit(
 
     M(r) is the max of |F| over sampled phases; the order estimate is the
     slope of log log+ M against log r over the upper half of the radii.
-    When ``log_abs`` is set, ``evaluate`` must return log |F(z)| directly
-    (overflow-safe path).
+    ``evaluate`` is called once, with the whole grid: a complex ndarray of
+    shape (n_radii, n_phases), row i on the circle |z| = radii[i].  It must
+    return F elementwise in the same shape (wrap a scalar-only function in
+    ``np.vectorize``).  When ``log_abs`` is set, ``evaluate`` must return
+    log |F(z)| directly (overflow-safe path).
     """
     if r_max / r_min < 1e3:
         raise ValueError("need r_max / r_min >= 1e3 for a stable fit")
@@ -161,14 +174,10 @@ def order_fit(
     radii = np.geomspace(r_min, r_max, n_radii)
     # phase offset keeps samples off the positive real axis, where zeros live
     phases = 2.0 * math.pi * (np.arange(n_phases) + 0.37) / n_phases
-    logmax = np.empty(n_radii)
-    for i, r in enumerate(radii):
-        vals = []
-        for ph in phases:
-            zz = r * complex(math.cos(ph), math.sin(ph))
-            v = evaluate(zz)
-            vals.append(float(v) if log_abs else math.log(max(abs(v), 1e-300)))
-        logmax[i] = max(vals)
+    Z = radii[:, None] * (np.cos(phases) + 1j * np.sin(phases))[None, :]
+    v = evaluate(Z)
+    vals = np.asarray(v, dtype=float) if log_abs else np.log(np.maximum(np.abs(v), 1e-300))
+    logmax = vals.max(axis=1)
     upper = radii >= radii[n_radii // 2 - 1]
     mask = upper & (logmax > 1e-9)
     if mask.sum() < 3:
@@ -182,7 +191,7 @@ def order_fit(
 
 
 def type_fit_imaginary(
-    evaluate_log: Callable[[complex], float],
+    evaluate_log: Callable[[np.ndarray], np.ndarray],
     y_min: float,
     y_max: float,
     n_points: int = 12,
@@ -191,9 +200,12 @@ def type_fit_imaginary(
 
     Fits log M(iy) ~ tau * y over the upper half of a geometric y-grid;
     used to compare measured growth with the de Branges type.
+    ``evaluate_log`` is called once, with the complex ndarray i*ys of shape
+    (n_points,), and must return log M elementwise (wrap a scalar-only
+    function in ``np.vectorize``).
     """
     ys = np.geomspace(y_min, y_max, n_points)
-    lm = np.array([evaluate_log(complex(0.0, y)) for y in ys])
+    lm = np.asarray(evaluate_log(1j * ys), dtype=float)
     upper = ys >= ys[n_points // 2 - 1]
     slope, _ = np.polyfit(ys[upper], lm[upper], 1)
     return float(slope)
@@ -214,21 +226,59 @@ def _a_zeros(alpha: float, count: int) -> np.ndarray:
     return np.arange(1, count + 1, dtype=float) ** alpha
 
 
-def _hadamard(z: complex, alpha: float, N: Optional[int], zeros_of, log: bool, scale=1.0):
-    """scale * prod_{n<=N} (1 - z/z_n) * exp(-z * sum_{n>N} n^(-alpha)), or log |.|.
+# B_2 .. B_12 / (2j)!: Euler-Maclaurin coefficients of the Hurwitz zeta
+_EM_COEFFS = tuple(
+    b / math.factorial(2 * j)
+    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730), 1)
+)
+# below this a, the first omitted Euler-Maclaurin term exceeds 1e-16 relative
+_EM_MIN_A = 30.0
+
+
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """zeta(s, a) = sum_{k>=0} (k + a)^(-s) for s > 1, a > 0.
+
+    Terms are summed directly until a >= 30; the rest is the Euler-Maclaurin
+    sum a^(1-s)/(s-1) + a^(-s)/2 + sum_{j<=6} B_2j/(2j)! (s)_(2j-1) a^(1-s-2j),
+    whose remainder is below 1e-16 relative there for s <= 8.
+    """
+    terms = []
+    while a < _EM_MIN_A:
+        terms.append(a**-s)
+        a += 1.0
+    terms += [a ** (1.0 - s) / (s - 1.0), 0.5 * a**-s]
+    rising = s * a ** (-s - 1.0)  # (s)_(2j-1) a^(1-s-2j) at j = 1
+    for j, c in enumerate(_EM_COEFFS, 1):
+        terms.append(c * rising)
+        rising *= (s + 2 * j - 1) * (s + 2 * j) / (a * a)
+    return math.fsum(terms)
+
+
+def _hadamard(z, alpha: float, N: Optional[int], zeros_of, log: bool, scaled: bool = False):
+    """scale * prod_{n<=N} (1 - z/z_n) * exp(-z * sum_{n>N} n^(-alpha)), or log |.|,
+    with scale = z if ``scaled`` else 1.
 
     The tail beyond N contributes that exponential to first order; N
     (auto-chosen if omitted) keeps the neglected second-order tail below
     1e-12.  Without ``log``, z within 1e-12 of a retained zero gives exactly 0.
+    An array z is evaluated element by element into an array of its shape.
     """
     if alpha <= 2.0:
         raise ValueError("alpha must exceed 2")
+    if np.ndim(z) == 0:
+        return _hadamard_at(z, alpha, N, zeros_of, log, z if scaled else 1.0)
+    z = np.asarray(z)
+    out = [_hadamard_at(v, alpha, N, zeros_of, log, v if scaled else 1.0) for v in z.flat]
+    return np.array(out, dtype=float if log else complex).reshape(z.shape)
+
+
+def _hadamard_at(z: complex, alpha: float, N: Optional[int], zeros_of, log: bool, scale):
     if N is None:
         N = _auto_terms(z, alpha)
     if abs(scale) < 1e-300:
         return -math.inf if log else complex(scale)
     zeros = zeros_of(alpha, N)
-    tail = -z * float(_hurwitz_zeta()(alpha, N + 1))
+    tail = -z * _hurwitz_zeta(alpha, N + 1.0)
     if log:
         with np.errstate(divide="ignore"):
             s = float(np.sum(np.log(np.abs(1.0 - z / zeros))))
@@ -260,11 +310,11 @@ def hadamard_c(z: complex, alpha: float, N: Optional[int] = None) -> complex:
     The zeros alternate with those of hadamard_a by construction.  The tail
     sum of 1/z_n is bounded by the Hurwitz zeta of the smaller zero n^alpha.
     """
-    return _hadamard(z, alpha, N, hadamard_c_zeros, log=False, scale=z)
+    return _hadamard(z, alpha, N, hadamard_c_zeros, log=False, scaled=True)
 
 
 def hadamard_c_log(z: complex, alpha: float, N: Optional[int] = None) -> float:
-    return _hadamard(z, alpha, N, hadamard_c_zeros, log=True, scale=z)
+    return _hadamard(z, alpha, N, hadamard_c_zeros, log=True, scaled=True)
 
 
 @dataclass

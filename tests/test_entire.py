@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import canosc
 from canosc import entire, oracle, rk
@@ -133,20 +135,37 @@ class TestTransferMatrix:
         assert np.max(np.abs(T - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _run_fresh(code: str) -> list[str]:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(canosc.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    return out.stdout.splitlines()
+
+
 def test_import_leaves_scipy_out():
-    """scipy loads on the first Hadamard call, not on import."""
+    """Importing canosc loads no scipy module."""
     code = (
         "import sys, canosc, canosc.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "print(repr(canosc.hadamard_a(-1.0, 3.0)))"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(canosc.__file__)))
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    modules, value = out.stdout.splitlines()
+    modules, value = _run_fresh(code)
     assert modules == "[]"
     assert value == repr(hadamard_a(-1.0, 3.0))
+
+
+def test_hadamard_leaves_scipy_out():
+    """The Hadamard products, Hurwitz zeta tail included, load no scipy module."""
+    code = (
+        "import sys, canosc\n"
+        "canosc.entire.hadamard_a_log(1e3j, 3.0)\n"
+        "print(repr(canosc.hadamard_c(-1.0, 3.0)))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    value, modules = _run_fresh(code)
+    assert modules == "[]"
+    assert value == repr(hadamard_c(-1.0, 3.0))
 
 
 class TestOrderFit:
@@ -166,6 +185,24 @@ class TestOrderFit:
     def test_radius_ratio_enforced(self):
         with pytest.raises(ValueError):
             order_fit(lambda z: z, 1.0, 10.0)
+
+    def test_grid_evaluated_in_one_call(self):
+        calls = []
+
+        def log_abs_exp(z):
+            calls.append(z)
+            return z.real
+
+        fit = order_fit(log_abs_exp, 1e2, 1e6, n_radii=9, n_phases=5, log_abs=True)
+        assert len(calls) == 1
+        (Z,) = calls
+        assert isinstance(Z, np.ndarray) and Z.dtype == complex and Z.shape == (9, 5)
+        assert np.allclose(np.abs(Z), fit.radii[:, None], rtol=1e-14)
+        assert fit.order == pytest.approx(1.0, abs=0.05)
+
+    def test_scalar_only_function_through_vectorize(self):
+        fit = order_fit(np.vectorize(lambda z: cmath.polar(z)[0]), 1e2, 1e6, log_abs=True)
+        assert fit.order == pytest.approx(1.0, abs=0.05)
 
 
 class TestHadamard:
@@ -202,11 +239,52 @@ class TestHadamard:
         assert hadamard_c_zeros(3.0, 1)[0] == pytest.approx(4.5)
         assert hadamard_c(4.5, 3.0) == 0.0
 
+    @pytest.mark.parametrize("fn", [hadamard_a, hadamard_a_log, hadamard_c, hadamard_c_log])
+    def test_array_matches_scalar_calls(self, fn):
+        Z = np.array([[-3.7, 8.0, 0.0], [1e3j, -12.3 + 4.0j, 4.5]])
+        out = fn(Z, 3.0)
+        assert out.shape == Z.shape
+        for idx in np.ndindex(*Z.shape):
+            assert out[idx] == fn(complex(Z[idx]), 3.0)
+
     def test_zeros_interlace(self):
         a_zeros = np.arange(1, 101, dtype=float) ** 3
         c_zeros = hadamard_c_zeros(3.0, 100)
         assert np.all(a_zeros < c_zeros)
         assert np.all(c_zeros[:-1] < a_zeros[1:])
+
+
+class TestHurwitzZeta:
+    @given(st.floats(2.0, 8.0, exclude_min=True), st.floats(0.0, 7.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_mpmath(self, s, log_a):
+        a = 2.0 * 10.0 ** (log_a * (math.log10(5e6) / 7.0))  # a in [2, 1e7]
+        with mpmath.workdps(40):
+            ref = mpmath.zeta(s, a)
+        assert abs(entire._hurwitz_zeta(s, a) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("s", [2.0 + 1e-9, 3.0, 5.5, 8.0])
+    def test_small_integer_a_matches_mpmath(self, s):
+        for a in range(2, 60):
+            with mpmath.workdps(40):
+                ref = mpmath.zeta(s, a)
+            assert abs(entire._hurwitz_zeta(s, float(a)) - ref) <= 1e-15 * ref
+
+    def test_explicit_small_n_tail(self):
+        # the tail exp(-z zeta(alpha, N + 1)) is exact for N = 3 (a = 4 < 30)
+        z, alpha = -2.5 + 1.5j, 3.0
+        with mpmath.workdps(40):
+            prod = mpmath.fprod(1 - mpmath.mpc(z) / mpmath.mpf(n) ** 3 for n in (1, 2, 3))
+            ref = complex(prod * mpmath.exp(-mpmath.mpc(z) * mpmath.zeta(alpha, 4)))
+        assert abs(hadamard_a(z, alpha, N=3) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("fn", [hadamard_a, hadamard_a_log, hadamard_c, hadamard_c_log])
+    def test_alpha_at_most_two_rejected(self, fn):
+        for alpha in (2.0, 1.5):
+            with pytest.raises(ValueError):
+                fn(-1.0, alpha)
+            with pytest.raises(ValueError):
+                fn(np.array([-1.0, 2j]), alpha)
 
 
 class TestH2Integral:
@@ -223,6 +301,19 @@ class TestTypeFit:
         H = single(ConstantMatrix(MatrixH(0.5, 0.0, 0.5)), length=2.0)
         rate = type_fit_imaginary(lambda z: log_max_entry(H, 2.0, z), 1.0, 100.0)
         assert rate == pytest.approx(1.0, rel=1e-3)
+
+    def test_axis_evaluated_in_one_call(self):
+        calls = []
+
+        def rate_two(z):
+            calls.append(z)
+            return 2.0 * z.imag
+
+        assert type_fit_imaginary(rate_two, 1.0, 100.0, n_points=10) == pytest.approx(2.0)
+        assert len(calls) == 1
+        (Z,) = calls
+        assert isinstance(Z, np.ndarray) and Z.shape == (10,)
+        assert np.array_equal(Z, 1j * np.geomspace(1.0, 100.0, 10))
 
 
 class TestOrderBound:

@@ -6,6 +6,8 @@ integrator of :mod:`canosc.rk` at tol 1e-12, run segment by segment with
 every table kink as a checkpoint, and against the invariants of the exact
 propagators: theta(L; t) nondecreasing in t, covariance under rotation,
 invariance under splitting a segment, and unit determinant of every factor.
+The batched transfer product over an array of z is checked element by
+element against scalar calls.
 """
 
 import math
@@ -16,12 +18,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from canosc import entire, pruefer, rk
 from canosc.hamiltonian import (
+    ConstantAngle,
     ConstantMatrix,
     Hamiltonian,
     MatrixH,
     PhiRamp,
     PhiTable,
     Segment,
+    SingularHalfLine,
     rotate,
     rotation,
 )
@@ -64,6 +68,12 @@ def tables(draw):
 
 segments = st.one_of(ramps(), matrices(), tables())
 systems = st.lists(segments, min_size=1, max_size=3).map(lambda s: Hamiltonian(tuple(s)))
+constant_angles = st.builds(Segment, lengths, st.builds(ConstantAngle, angles))
+tailed = st.builds(
+    Hamiltonian,
+    st.lists(st.one_of(segments, constant_angles), min_size=1, max_size=4).map(tuple),
+    st.one_of(st.none(), st.builds(SingularHalfLine, angles)),
+)
 
 
 def kinks(seg: Segment) -> list[float]:
@@ -191,3 +201,51 @@ class TestInvariants:
             det = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
             unit = math.exp(-2.0 * s)
             assert abs(det - unit) <= 1e-12 * max(unit, np.max(np.abs(F)) ** 2)
+
+
+class TestBatched:
+    """An array of z runs through one product; each element must match the
+    scalar call at that z."""
+
+    @given(
+        tailed,
+        st.sampled_from([(5,), (3, 4)]),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.5, 1.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_array_matches_scalar_calls(self, H, shape, seed, beyond):
+        rng = np.random.default_rng(seed)
+        radii = 10.0 ** rng.uniform(-2.0, 3.0, shape)
+        Z = radii * np.exp(2j * math.pi * rng.random(shape))
+        x = H.x_max * (beyond if H.tail is not None else min(beyond, 1.0))
+        U, s = entire.transfer_matrix_log(H, x, Z)
+        lm = entire.log_max_entry(H, x, Z)
+        assert U.shape == shape + (2, 2) and s.shape == shape and lm.shape == shape
+        for idx in np.ndindex(*shape):
+            U1, s1 = entire.transfer_matrix_log(H, x, Z[idx])
+            assert np.max(np.abs(U[idx] - U1)) <= 1e-13
+            assert abs(s[idx] - s1) <= 1e-13 * max(1.0, abs(s1))
+            lm1 = entire.log_max_entry(H, x, Z[idx])
+            assert abs(lm[idx] - lm1) <= 1e-13 * max(1.0, abs(lm1))
+
+    @given(tailed, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+    @settings(max_examples=20, deadline=None)
+    def test_scalar_gives_matrix_and_float(self, H, re, im):
+        for z in (complex(re, im), re, np.complex128(complex(re, im))):
+            U, s = entire.transfer_matrix_log(H, H.x_max, z)
+            assert U.shape == (2, 2) and type(s) is float
+            assert type(entire.log_max_entry(H, H.x_max, z)) is float
+            assert entire.transfer_matrix(H, H.x_max, z).entries.shape == (2, 2)
+
+    @given(segments, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    @settings(max_examples=40, deadline=None)
+    def test_factor_stack_matches_each_z(self, seg, re, im):
+        z = complex(re, im) * np.array([1.0, 1e-3, 1e-9, 0.0])
+        for _, piece, span in Hamiltonian((seg,)).walk(seg.length):
+            F, s = entire._piece_factor(piece, span, z)
+            assert F.shape == (4, 2, 2) and np.shape(s) in ((), (4,))
+            for k in range(4):
+                F1, s1 = entire._piece_factor(piece, span, z[k])
+                assert np.max(np.abs(F[k] - F1)) <= 1e-13 * max(1.0, np.max(np.abs(F1)))
+                assert np.broadcast_to(s, (4,))[k] == s1
