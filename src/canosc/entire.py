@@ -2,20 +2,27 @@
 
 The transfer matrix T(x; z) solves U' = z J H(x) U with T(0; z) = 1 and has
 unit determinant (the generator is trace free).  It is the product of one
-closed-form factor per :class:`~canosc.hamiltonian.Piece`: on singular
-intervals exactly 1 + z*N with N = l*J*P_alpha, because (J P_alpha)^2 = 0;
-on ramps, table pieces and constant matrices R(phi1) exp(l G) R(phi0)^T,
-where G = [[0, -b], [a, 0]] is the constant generator in the rotating frame
-and exp(l G) is the 2x2 closed form of :func:`expm`.
+closed-form factor per :class:`~canosc.hamiltonian.Piece`, R(phi1) exp(l G)
+R(phi0)^T, where G = [[0, -b], [a, 0]] is the constant generator in the
+rotating frame v = R(phi)^T u and exp(l G) = cosh(mu) + (sinh(mu)/mu) l G
+(:func:`expm`).  On a singular interval b = 0 and mu = 0, so the factor in
+the frame is the shear [[1, 0], [z l lam1, 1]].
 
-The product is batched over z: z may be an array of any shape, every
-factor is an array of shape z.shape + (2, 2), and one walk over the pieces
-multiplies them all, with each element rescaled by its own largest entry
-after every factor.  A scalar z is the 0-d case and gives a 2x2 matrix.
-The rescaling lets growth (order, exponential type) be estimated by
-regression on log M(r) over geometric radii far beyond the float range;
-:func:`order_fit` and :func:`type_fit_imaginary` pass their whole z-grid to
-the evaluated function in one call.
+The product stays in the frame: it carries the two rows of R(phi)^T T
+through each piece's frame factor, turns them by the jump phi1(previous) -
+phi0(next) between pieces (none along table and ramp chains) and applies
+R(phi1) once at the end.  It is batched over z: z may be an array of any
+shape and one walk over the pieces serves every element; a scalar z is the
+0-d case and gives a 2x2 matrix.  Instead of normalising after every
+factor, the product keeps a running upper bound on log max |entry| and,
+only when the next factor could take it past a fixed headroom below the
+float range, scales each element by 2^-e (e the exponent of its largest
+entry), counting e.  Scaling a normal number by a power of two is exact,
+so the result does not depend on where that happens.  This lets growth
+(order, exponential type) be estimated by regression on log M(r) over
+geometric radii far beyond the float range; :func:`order_fit` and
+:func:`type_fit_imaginary` pass their whole z-grid to the evaluated
+function in one call.
 """
 
 from __future__ import annotations
@@ -26,9 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian, Piece, p_alpha, require_valid, rotation
-
-J = np.array([[0.0, -1.0], [1.0, 0.0]])
+from .hamiltonian import Hamiltonian, Piece, require_valid, rotation
 
 
 @dataclass
@@ -45,6 +50,20 @@ class TransferMatrix:
         return 1.0 + 0.0j
 
 
+def _cosh_sinhc(mu):
+    """(c, sh, s) with cosh(mu) = e^s c and sinh(mu)/mu = e^s sh, elementwise.
+
+    s = |Re mu| where that exceeds 20, else 0, so neither c nor sh overflows.
+    """
+    s = np.abs(mu.real)
+    s = np.where(s > 20.0, s, 0.0)
+    # e^(+-mu - s) - 1: their difference is 2 e^-s sinh(mu) without cancellation at small mu
+    p, q = np.expm1(mu - s), np.expm1(-mu - s)
+    c = 0.5 * (p + q) + 1.0
+    sh = np.divide(0.5 * (p - q), mu, out=np.ones_like(mu), where=mu != 0.0)
+    return c, sh, s
+
+
 def expm(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E, s) with exp(M) = e^s * E, for trace-free 2x2 matrices M.
 
@@ -55,30 +74,75 @@ def expm(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     multiplied in, so no entry overflows; elsewhere s = 0.
     """
     M = np.asarray(M, dtype=complex)
-    mu = np.sqrt(M[..., 0, 1] * M[..., 1, 0] - M[..., 0, 0] * M[..., 1, 1])
-    s = np.abs(mu.real)
-    s = np.where(s > 20.0, s, 0.0)
-    # e^(+-mu - s) - 1: their difference is 2 e^-s sinh(mu) without cancellation at small mu
-    p, q = np.expm1(mu - s), np.expm1(-mu - s)
-    c = 0.5 * (p + q) + 1.0
-    sh = np.divide(0.5 * (p - q), mu, out=np.ones_like(mu), where=mu != 0.0)
+    c, sh, s = _cosh_sinhc(np.sqrt(M[..., 0, 1] * M[..., 1, 0] - M[..., 0, 0] * M[..., 1, 1]))
     E = c[..., None, None] * np.eye(2) + sh[..., None, None] * M
     return E, (s if s.ndim else float(s))
 
 
+def _frame_factor(piece: Piece, span: float, z: np.ndarray):
+    """(c, A, B, s): the factor of `span` of the piece in its rotating frame,
+    exp(span G) with G = [[0, -b], [a, 0]], is e^s [[c, B], [A, c]].
+
+    c = cosh mu, A = (sinh mu / mu) span a and B = -(sinh mu / mu) span b with
+    mu^2 = -span^2 a b, each of the shape of z.  A singular piece (b = 0) is
+    the mu = 0 case: the shear c = 1, B = 0, A = z span lam1, s = 0.
+    """
+    if piece.singular:
+        return 1.0, (span * piece.lam1) * z, 0.0, 0.0
+    a, b = piece.rates(z)
+    la, lb = span * a, span * b
+    c, sh, s = _cosh_sinhc(np.sqrt(-lb * la))
+    return c, sh * la, -sh * lb, s
+
+
+def _end_angle(piece: Piece, span: float) -> float:
+    """phi at the end of `span` of the piece (phi1 exactly for the whole piece)."""
+    return piece.phi1 if span == piece.end - piece.offset else piece.phi(span)
+
+
 def _piece_factor(piece: Piece, span: float, z) -> tuple[np.ndarray, np.ndarray]:
     """(F, s): the factor of `span` of the piece is e^s * F, with F of shape
-    z.shape + (2, 2) and s of shape z.shape (0 on singular pieces)."""
+    z.shape + (2, 2) and s of shape z.shape (0 on singular pieces).  F is
+    R(phi1) [[c, B], [A, c]] R(phi0)^T with the frame factor of
+    :func:`_frame_factor`, the one the product uses, computed over z
+    flattened as the product does it (numpy rounds a complex product of two
+    scalars differently from one inside an array)."""
     z = np.asarray(z, dtype=complex)
-    if piece.singular:
-        N = (span * piece.lam1) * (J @ p_alpha(piece.phi0))
-        return np.eye(2) + z[..., None, None] * N, 0.0
-    a, b = piece.rates(z)
-    G = np.zeros(z.shape + (2, 2), dtype=complex)
-    G[..., 0, 1] = span * -b
-    G[..., 1, 0] = span * a
-    E, s = expm(G)
-    return rotation(piece.phi(span)) @ E @ rotation(piece.phi0).T, s
+    c, A, B, s = _frame_factor(piece, span, z.reshape(-1))
+    F = np.empty((z.size, 2, 2), dtype=complex)
+    F[:, 0, 0] = F[:, 1, 1] = c
+    F[:, 0, 1] = B
+    F[:, 1, 0] = A
+    F = rotation(_end_angle(piece, span)) @ F @ rotation(piece.phi0).T
+    return F.reshape(z.shape + (2, 2)), (np.reshape(s, z.shape) if np.ndim(s) else s)
+
+
+# The running product is rescaled before the bound on log max |entry| would
+# pass 2^512, halfway to the end of the double range, so entries stay normal.
+_HEADROOM = 512.0 * math.log(2.0)
+_LOG_SQRT2 = 0.5 * math.log(2.0)
+
+
+def _rotate(V: np.ndarray, angle: float) -> np.ndarray:
+    """R(angle) V for the rows V of shape (2, 2, n)."""
+    return (rotation(angle) @ V.reshape(2, -1)).reshape(V.shape)
+
+
+def _headroom(V: np.ndarray, exps: np.ndarray, bound: float, step: float) -> float:
+    """The bound on log max |V entry| after a factor that adds at most `step`.
+
+    When that would pass the headroom, each element of V is first scaled by
+    2^-e, e the exponent of its largest entry, and e is added to exps; a
+    power of two scales every normal number exactly, so this changes no digit
+    of the result unless the data make partial products below the normal
+    range (an angle of 1e-159, whose square is subnormal, say).
+    """
+    if bound + step > _HEADROOM:
+        _, e = np.frexp(np.abs(V).max(axis=(0, 1)))
+        V *= np.ldexp(1.0, -e)
+        exps += e
+        bound = 0.0
+    return bound + step
 
 
 def transfer_matrix_log(
@@ -90,23 +154,54 @@ def transfer_matrix_log(
     """(U, s) with T(x; z) = exp(s) * U and max |U entry| = 1.
 
     z is a complex scalar or array; U has shape z.shape + (2, 2) and s shape
-    z.shape (a scalar z gives a 2x2 U and a float s).  Rescaling each element
-    after every factor keeps the running products inside floating range, so
-    growth can be probed at radii where T itself would overflow.  Past X_max
-    the singular tail contributes its factor; without a tail, x beyond X_max
-    is a ValueError.  The factors are closed forms, so tol is unused.
+    z.shape (a scalar z gives a 2x2 U and a float s).  The two rows of the
+    running product are kept in the rotating frame of the current piece,
+    where each factor is e^s (c 1 + (sinh mu / mu) G) and a singular factor
+    the shear row1 += z l lam1 row0; between pieces the rows turn by the jump
+    phi1(previous) - phi0(next), which is 0 along table and ramp chains, and
+    R(phi1) of the last piece is applied once at the end.  A running upper
+    bound on log max |entry| (log1p(max|z| l lam1) per shear, log(2 max|E|)
+    per other factor, log sqrt 2 per turn) decides when an element must be
+    scaled by a power of two, which is exact (see :func:`_headroom`), so
+    where that happens does not change U or s.  Past X_max the singular tail
+    contributes its factor; without a tail, x beyond X_max is a ValueError.
+    The factors are closed forms, so tol is unused.
     """
     require_valid(H)
     z = np.asarray(z, dtype=complex)
-    U = np.eye(2, dtype=complex) + np.zeros(z.shape + (1, 1))
-    logscale = np.zeros(z.shape)
+    zs = z.reshape(-1)
+    V = np.zeros((2, 2, zs.size), dtype=complex)  # V[i, j, k]: entry (i, j) at zs[k]
+    V[0, 0] = V[1, 1] = 1.0
+    exps = np.zeros(zs.size, dtype=int)  # T = R(angle) 2^exps e^logs V
+    logs = np.zeros(zs.size)
+    r = float(np.abs(zs).max(initial=0.0))
+    bound = angle = 0.0
     for _, piece, span in H.walk(x):
-        F, s = _piece_factor(piece, span, z)
-        U = F @ U
-        m = np.abs(U).max(axis=(-2, -1))
-        U = U / m[..., None, None]
-        logscale += s + np.log(m)
-    return U, (logscale if z.ndim else float(logscale))
+        if piece.phi0 != angle:
+            bound = _headroom(V, exps, bound, _LOG_SQRT2)
+            V = _rotate(V, angle - piece.phi0)
+        c, A, B, s = _frame_factor(piece, span, zs)
+        if piece.singular:
+            bound = _headroom(V, exps, bound, math.log1p(r * span * piece.lam1))
+            V[1] += A * V[0]
+        else:
+            e_max = max(np.abs(c).max(), np.abs(A).max(), np.abs(B).max())
+            bound = _headroom(V, exps, bound, math.log(2.0 * e_max))
+            V0, V1 = V
+            t = A * V0
+            V0 *= c
+            V0 += B * V1
+            V1 *= c
+            V1 += t
+            logs += s
+        angle = _end_angle(piece, span)
+    if angle:
+        V = _rotate(V, angle)
+    m = np.abs(V).max(axis=(0, 1))
+    f, e = np.frexp(m)
+    s = (exps + e) * math.log(2.0) + np.log(f) + logs
+    U = (V / m).transpose(2, 0, 1).reshape(z.shape + (2, 2))
+    return U, (s.reshape(z.shape) if z.ndim else float(s[0]))
 
 
 def transfer_matrix(
@@ -126,11 +221,9 @@ def transfer_matrix(
 
 def log_max_entry(H: Hamiltonian, x: float, z, tol: float = 1e-10):
     """log of the largest |entry| of T(x; z), overflow safe; elementwise for
-    an array z (a float for a scalar z)."""
-    U, s = transfer_matrix_log(H, x, z, tol)
-    with np.errstate(divide="ignore"):
-        out = s + np.log(np.abs(U).max(axis=(-2, -1)))
-    return out if np.ndim(out) else float(out)
+    an array z (a float for a scalar z).  This is the s of
+    :func:`transfer_matrix_log`, whose U has largest |entry| 1."""
+    return transfer_matrix_log(H, x, z, tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +240,15 @@ class GrowthFit:
 
     def table(self) -> list[tuple[float, float]]:
         return list(zip(self.radii.tolist(), self.logmax.tolist()))
+
+
+def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """(slope, rms residual) of the least-squares line through (xs, ys)."""
+    dx = xs - xs.sum() / xs.size
+    dy = ys - ys.sum() / ys.size
+    slope = float(dx @ dy / (dx @ dx))
+    r = dy - slope * dx
+    return slope, math.sqrt(r @ r / r.size)
 
 
 def order_fit(
@@ -185,9 +287,8 @@ def order_fit(
         return GrowthFit(radii, logmax, order=0.0, residual=0.0, n_phases=n_phases)
     xs = np.log(radii[mask])
     ys = np.log(logmax[mask])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    return GrowthFit(radii, logmax, order=float(slope), residual=resid, n_phases=n_phases)
+    slope, resid = _line_fit(xs, ys)
+    return GrowthFit(radii, logmax, order=slope, residual=resid, n_phases=n_phases)
 
 
 def type_fit_imaginary(
@@ -207,8 +308,7 @@ def type_fit_imaginary(
     ys = np.geomspace(y_min, y_max, n_points)
     lm = np.asarray(evaluate_log(1j * ys), dtype=float)
     upper = ys >= ys[n_points // 2 - 1]
-    slope, _ = np.polyfit(ys[upper], lm[upper], 1)
-    return float(slope)
+    return _line_fit(ys[upper], lm[upper])[0]
 
 
 # ---------------------------------------------------------------------------

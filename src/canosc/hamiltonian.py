@@ -392,6 +392,17 @@ class PhiPiece:
     def is_plateau(self) -> bool:
         return self.phi0 == self.phi1
 
+    def int_cos2(self) -> float:
+        """Integral of cos^2(phi) over the piece, in closed form."""
+        dx = self.x1 - self.x0
+        a, b = self.phi0, self.phi1
+        if abs(b - a) < 1e-14:
+            c = math.cos(a)
+            return dx * c * c
+        # int cos^2 = phi/2 + sin(2 phi)/4, change of variables x -> phi
+        prim = lambda v: 0.5 * v + 0.25 * math.sin(2.0 * v)
+        return dx * (prim(a) - prim(b)) / (a - b)
+
 
 @dataclass(frozen=True)
 class PhiProfile:

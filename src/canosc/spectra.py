@@ -23,6 +23,8 @@ import numpy as np
 
 from . import pruefer
 from .hamiltonian import (
+    HALF_PI,
+    PI,
     Hamiltonian,
     NotRankOne,
     PhiProfile,
@@ -30,9 +32,6 @@ from .hamiltonian import (
     require_valid,
     truncate_with_tail,
 )
-
-PI = math.pi
-HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -588,7 +587,7 @@ def zero_eigenvalue_check(phi: PhiProfile) -> ZeroEigenvalueCheck:
     """
     if abs(phi.phi_infinity + HALF_PI) > 1e-9:
         return ZeroEigenvalueCheck(False, math.inf, False)
-    total = sum(_int_cos2(p) for p in phi.pieces)
+    total = sum(p.int_cos2() for p in phi.pieces)
     # decay of g = phi + pi/2 between the window midpoint and the end
     x1 = phi.x_max
     x0 = 0.5 * x1
@@ -601,18 +600,6 @@ def zero_eigenvalue_check(phi: PhiProfile) -> ZeroEigenvalueCheck:
     p = math.log(g1 / g0) / math.log(x1 / x0)
     converges = p < -0.5 - 1e-3
     return ZeroEigenvalueCheck(converges, total, converges)
-
-
-def _int_cos2(piece) -> float:
-    """Integral of cos^2(phi) over one linear piece, in closed form."""
-    dx = piece.x1 - piece.x0
-    a, b = piece.phi0, piece.phi1
-    if abs(b - a) < 1e-14:
-        c = math.cos(a)
-        return dx * c * c
-    # int cos^2 = phi/2 + sin(2 phi)/4, change of variables x -> phi
-    prim = lambda v: 0.5 * v + 0.25 * math.sin(2.0 * v)
-    return dx * (prim(a) - prim(b)) / (a - b)
 
 
 def truncation_beta(phi: PhiProfile, L: float) -> float:

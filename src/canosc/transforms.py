@@ -18,6 +18,8 @@ import numpy as np
 
 from . import rk
 from .hamiltonian import (
+    HALF_PI,
+    PI,
     ConstantAngle,
     ConstantMatrix,
     Hamiltonian,
@@ -27,9 +29,6 @@ from .hamiltonian import (
     Segment,
     SingularHalfLine,
 )
-
-PI = math.pi
-HALF_PI = math.pi / 2
 
 
 class AssumptionViolated(Exception):
@@ -333,10 +332,8 @@ def canonical_to_diagonal(
             cells.append(DiagonalSegment(deltaT=w_mass, h=1.0))
         else:
             # exact cell integrals: dw-mass = int cos^2(phi) dx, dt from tan
-            a, b = piece.phi0, piece.phi1
-            prim = lambda v: 0.5 * v + 0.25 * math.sin(2.0 * v)
-            w_mass = length * (prim(a) - prim(b)) / (a - b)
-            dt = -math.tan(b) + math.tan(a)
+            w_mass = piece.int_cos2()
+            dt = -math.tan(piece.phi1) + math.tan(piece.phi0)
             dT = w_mass + dt
             cells.append(DiagonalSegment(deltaT=dT, h=w_mass / dT))
         # jumps between pieces carry no dw and no dt inside the range gap

@@ -127,6 +127,44 @@ class TestTransferMatrix:
         with pytest.raises(OverflowError):
             transfer_matrix(H, 1.0, 3000j)
 
+    def test_long_singular_chain_matches_mpmath(self):
+        # 400 shears at |z| = 1e8: log max |T| ~ 7e3, far past the rescaling
+        # headroom, so the product is rescaled many times on the way
+        alphas = [0.3, -1.1] * 200
+        H = Hamiltonian(tuple(Segment(1.0, ConstantAngle(a)) for a in alphas))
+        Z = 1e8 * np.exp(2j * PI * (np.arange(8) + 0.37) / 8)
+        lm = log_max_entry(H, H.x_max, Z)
+        assert lm.shape == (8,) and np.all(lm > 10.0 * entire._HEADROOM)
+        with mpmath.workdps(30):
+            # J P_alpha for each of the two angles
+            N = {
+                a: mpmath.matrix([[-mpmath.sin(a) * mpmath.cos(a), -mpmath.sin(a) ** 2],
+                                  [mpmath.cos(a) ** 2, mpmath.sin(a) * mpmath.cos(a)]])
+                for a in (0.3, -1.1)
+            }
+            for z, got in zip(Z, lm):
+                zm = mpmath.mpc(complex(z))
+                T = mpmath.eye(2)
+                for a in alphas:
+                    T = T + zm * (N[a] * T)
+                ref = mpmath.log(max(abs(T[i, j]) for i in range(2) for j in range(2)))
+                assert abs(got - float(ref)) <= 1e-12 * float(ref)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (3,), (2, 4)]))
+    @settings(max_examples=40, deadline=None)
+    def test_expm_matches_mpmath(self, seed, shape):
+        # trace-free generators with |mu| up to ~60, past the e^s split at 20
+        rng = np.random.default_rng(seed)
+        M = (rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))) * 10.0 ** rng.uniform(-3, 1.5)
+        M[..., 1, 1] = -M[..., 0, 0]
+        E, s = entire.expm(M)
+        assert E.shape == M.shape and np.shape(s) == shape
+        for idx in np.ndindex(*shape):
+            with mpmath.workdps(30):
+                ref = mpmath.expm(mpmath.matrix(M[idx].tolist())) * mpmath.exp(-np.asarray(s)[idx])
+            ref = np.array(ref.tolist(), dtype=complex)
+            assert np.max(np.abs(E[idx] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("z", [1000j, 600 + 800j])
     def test_ramp_at_large_z_matches_mpmath(self, z):
         H = single(PhiRamp(0.75, -0.75))
@@ -199,6 +237,18 @@ class TestOrderFit:
         assert isinstance(Z, np.ndarray) and Z.dtype == complex and Z.shape == (9, 5)
         assert np.allclose(np.abs(Z), fit.radii[:, None], rtol=1e-14)
         assert fit.order == pytest.approx(1.0, abs=0.05)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_line_fit_matches_polyfit(self, seed, n):
+        rng = np.random.default_rng(seed)
+        xs = np.log(np.geomspace(1.0, 10.0 ** rng.uniform(3.0, 12.0), n))
+        ys = rng.normal(0.0, 3.0) + rng.normal(0.0, 2.0) * xs + rng.normal(0.0, 0.5, n)
+        slope, resid = entire._line_fit(xs, ys)
+        ref = np.polyfit(xs, ys, 1)
+        assert abs(slope - ref[0]) <= 1e-14 * max(1.0, abs(ref[0]))
+        ref_resid = math.sqrt(np.mean((ys - np.polyval(ref, xs)) ** 2))
+        assert resid == pytest.approx(ref_resid, rel=1e-12, abs=1e-14)
 
     def test_scalar_only_function_through_vectorize(self):
         fit = order_fit(np.vectorize(lambda z: cmath.polar(z)[0]), 1e2, 1e6, log_abs=True)

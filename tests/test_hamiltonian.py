@@ -224,3 +224,17 @@ class TestHelpers:
         P = p_alpha(-1.2)
         assert np.allclose(P @ P, P)
         assert np.trace(P) == pytest.approx(1.0)
+
+    # prim(a) - prim(b) cancels for small drops, losing about eps/drop relative
+    cancels = pytest.mark.xfail(strict=True, reason="cancellation in the closed form at small drops")
+
+    @pytest.mark.parametrize(
+        "drop",
+        [0.0, 1e-15, 0.4, 1.5, pytest.param(1e-10, marks=cancels), pytest.param(1e-6, marks=cancels)],
+    )
+    def test_int_cos2_matches_quadrature(self, drop):
+        import mpmath
+
+        piece = PhiPiece(0.5, 2.0, 0.3, 0.3 - drop)
+        ref = mpmath.quad(lambda x: mpmath.cos(piece.value(float(x))) ** 2, [0.5, 2.0])
+        assert piece.int_cos2() == pytest.approx(float(ref), rel=1e-12)

@@ -7,10 +7,12 @@ every table kink as a checkpoint, and against the invariants of the exact
 propagators: theta(L; t) nondecreasing in t, covariance under rotation,
 invariance under splitting a segment, and unit determinant of every factor.
 The batched transfer product over an array of z is checked element by
-element against scalar calls.
+element against scalar calls, and its power-of-two rescaling is checked to
+change no bit of the result.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,6 +230,23 @@ class TestBatched:
             assert abs(s[idx] - s1) <= 1e-13 * max(1.0, abs(s1))
             lm1 = entire.log_max_entry(H, x, Z[idx])
             assert abs(lm[idx] - lm1) <= 1e-13 * max(1.0, abs(lm1))
+
+    @given(tailed, st.integers(0, 2**32 - 1), st.floats(0.5, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_rescaling_is_exact(self, H, seed, beyond):
+        # scaling by powers of two is exact: rescaling the product at nearly
+        # every factor must give the same bits as rescaling it rarely.  That
+        # holds for normal numbers only, so the data may not make partial
+        # products below the float range (an angle of 1e-159 squares to one).
+        assume(all(v == 0.0 or abs(v) > 1e-100 for _, p, _ in H.walk(H.x_max) for v in (p.phi0, p.phi1, p.lam2)))
+        assume(H.tail is None or H.tail.gamma == 0.0 or abs(H.tail.gamma) > 1e-100)
+        rng = np.random.default_rng(seed)
+        Z = 10.0 ** rng.uniform(0.0, 3.0, 6) * np.exp(2j * math.pi * rng.random(6))
+        x = H.x_max * (beyond if H.tail is not None else min(beyond, 1.0))
+        U, s = entire.transfer_matrix_log(H, x, Z)
+        with mock.patch.object(entire, "_HEADROOM", 5.0):
+            U5, s5 = entire.transfer_matrix_log(H, x, Z)
+        assert np.array_equal(U, U5) and np.array_equal(s, s5)
 
     @given(tailed, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
     @settings(max_examples=20, deadline=None)
