@@ -396,12 +396,12 @@ class PhiPiece:
         """Integral of cos^2(phi) over the piece, in closed form."""
         dx = self.x1 - self.x0
         a, b = self.phi0, self.phi1
-        if abs(b - a) < 1e-14:
+        d = a - b
+        if d == 0.0:
             c = math.cos(a)
             return dx * c * c
-        # int cos^2 = phi/2 + sin(2 phi)/4, change of variables x -> phi
-        prim = lambda v: 0.5 * v + 0.25 * math.sin(2.0 * v)
-        return dx * (prim(a) - prim(b)) / (a - b)
+        # (sin 2a - sin 2b) / 4 = cos(a + b) sin(d) / 2: no cancellation at small d
+        return dx * (0.5 + math.cos(a + b) * math.sin(d) / (2.0 * d))
 
 
 @dataclass(frozen=True)
@@ -462,7 +462,17 @@ class PhiProfile:
         return self.pieces[lo].value(x)
 
     def values(self, xs) -> np.ndarray:
-        return np.array([self.value(float(x)) for x in np.atleast_1d(xs)])
+        """phi at every x of xs: :meth:`value` elementwise, same bits."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        x0, x1, phi0, phi1 = np.array(
+            [(p.x0, p.x1, p.phi0, p.phi1) for p in self.pieces]
+        ).T
+        i = np.minimum(np.searchsorted(x1, xs, side="right"), len(x1) - 1)
+        s = (xs - x0[i]) / (x1[i] - x0[i])
+        out = phi0[i] + (phi1[i] - phi0[i]) * s
+        out[xs == x1[-1]] = phi1[-1]
+        out[xs > x1[-1]] = self.phi_infinity
+        return out
 
     def shifted(self, c: float, d_norm: int = 0) -> "PhiProfile":
         return PhiProfile(

@@ -92,6 +92,14 @@ class PrueferTrajectory:
         return float(np.interp(x, self.xs, self.thetas))
 
 
+def _check_args(H: Hamiltonian, tol: float, L: float) -> None:
+    require_valid(H)
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if L < 0.0:
+        raise ValueError("L must be nonnegative")
+
+
 def integrate(
     H: Hamiltonian,
     t: float,
@@ -107,12 +115,7 @@ def integrate(
     x_eval point inside a piece is reached from the piece start.  L may
     exceed X_max when a singular tail is attached.
     """
-    require_valid(H)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if L < 0.0:
-        raise ValueError("L must be nonnegative")
-
+    _check_args(H, tol, L)
     eval_pts = sorted({float(x) for x in x_eval if 0.0 < float(x) < L})
     xs = [0.0]
     thetas = [float(theta0)]
@@ -136,8 +139,20 @@ def integrate(
 
 
 def theta_at(H: Hamiltonian, t: float, theta0: float, L: float, tol: float = 1e-9) -> float:
-    """theta(L; t) with initial angle theta0."""
-    return integrate(H, t, theta0, L, tol).theta_end()
+    """theta(L; t) with initial angle theta0.
+
+    Walks the pieces and keeps only the running angle: the same
+    :func:`advance` calls as :func:`integrate` without x_eval, so the result
+    is ``integrate(H, t, theta0, L, tol).theta_end()`` bit for bit, without
+    building the sampled trajectory.
+    """
+    _check_args(H, tol, L)
+    theta = float(theta0)
+    for _, piece, span in H.walk(L):
+        theta = advance(theta, piece, span, t)
+    if not math.isfinite(theta):
+        raise FloatingPointError("non-finite Pruefer angle")
+    return theta
 
 
 def theta_of_t_sweep(

@@ -107,7 +107,7 @@ def _dist_to_grid(v: float) -> float:
 
 
 class NoUniqueRoot(Exception):
-    """theta(L; .) is constant on a bracketing interval."""
+    """theta(L; .) sits on a target level over the whole window."""
 
 
 def locate_eigenvalues(
@@ -117,32 +117,56 @@ def locate_eigenvalues(
     w: SpectralWindow,
     tol: float = 1e-9,
 ) -> list[float]:
-    """Eigenvalues in [s, t), by bisection on the monotone angle map."""
+    """Eigenvalues in [s, t), by a bracketed secant on the monotone angle map.
+
+    Level n's eigenvalue is where theta(L; .) crosses beta + n pi.  Its
+    bracket is the tightest one among the angles already evaluated (at s, at
+    t and at every earlier iterate, earlier levels included), so a level
+    after the first starts from the previous level's root at no cost.  Each
+    step takes the secant point of the bracket, or its midpoint when the
+    secant point is not inside it, and halves the stale endpoint's value
+    after two steps on the same side (regula falsi, Illinois variant).  A
+    point is accepted when |theta - target| < tol or the bracket it was taken
+    from is narrower than 1e-14 max(1, |point|).  A map flat on the target
+    level over the whole window has no unique root: NoUniqueRoot.
+    """
     if _is_full_singular_pi_half(H, L):
         return []
     th_s = pruefer.theta_at(H, w.s, 0.0, L, tol)
     th_t = pruefer.theta_at(H, w.t, 0.0, L, tol)
-    n_lo = _ceil_level(th_s, beta)
-    n_hi = _ceil_level(th_t, beta)
+    if th_s == th_t and abs(math.remainder(th_s - beta, PI)) < tol:
+        raise NoUniqueRoot(f"angle map flat at level {th_s:g} on [{w.s:g}, {w.t:g}]")
+    seen = [(w.s, th_s), (w.t, th_t)]
     out = []
-    for n in range(n_lo, n_hi):
+    for n in range(_ceil_level(th_s, beta), _ceil_level(th_t, beta)):
         target = beta + n * PI
-        lo, hi = w.s, w.t
-        f_lo = th_s - target
-        f_hi = th_t - target
-        if f_lo == f_hi:
-            raise NoUniqueRoot(f"flat angle map at level {n}")
-        # theta(L; .) is nondecreasing; bisect to |theta - target| < tol
+        # theta(L; .) is nondecreasing: f <= 0 left of the root, f > 0 right of it
+        lo, f_lo = max((x, th - target) for x, th in seen if th <= target)
+        hi, f_hi = min((x, th - target) for x, th in seen if th > target and x > lo)
+        if abs(f_lo) < tol:
+            out.append(lo)
+            continue
+        side = 0
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f_mid = pruefer.theta_at(H, mid, 0.0, L, tol) - target
-            if abs(f_mid) < tol or hi - lo < 1e-14 * max(1.0, abs(mid)):
+            x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            th = pruefer.theta_at(H, x, 0.0, L, tol)
+            seen.append((x, th))
+            f = th - target
+            if abs(f) < tol or hi - lo < 1e-14 * max(1.0, abs(x)):
                 break
-            if f_mid < 0.0:
-                lo = mid
+            if f < 0.0:
+                lo, f_lo = x, f
+                if side < 0:
+                    f_hi *= 0.5
+                side = -1
             else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
+                hi, f_hi = x, f
+                if side > 0:
+                    f_lo *= 0.5
+                side = 1
+        out.append(x)
     return sorted(out)
 
 
@@ -167,6 +191,19 @@ class HalfLineCount:
         return self.status == "divergent"
 
 
+#: rounding allowance of one closed-form Pruefer step, in ulp of max(|theta|, pi)
+ANGLE_STEP_ULPS = 8
+
+
+def _angle_rounding(tr: pruefer.PrueferTrajectory) -> float:
+    """Bound on the rounding of every angle of a trajectory: each sample is
+    one closed-form step from the previous piece boundary, and the steps'
+    errors are taken to add up along the walk.  theta' = t e^T H e has the
+    sign of t, so the largest |theta| is at an end of the trajectory."""
+    scale = max(PI, abs(tr.theta0), abs(tr.theta_end()))
+    return ANGLE_STEP_ULPS * math.ulp(1.0) * len(tr.xs) * scale
+
+
 def halfline_count(
     H: Hamiltonian,
     w: SpectralWindow,
@@ -185,8 +222,19 @@ def halfline_count(
     essential spectrum and the answer is divergent; when they meet [s, t)
     in any other way it is inconclusive.  Both carry the model as witness,
     so such an answer rests on the fitted tail, not on the truncations.
-    Otherwise the floor must agree on three consecutive points to count as
+    Otherwise the floor must agree on the last three points to count as
     stabilized.
+
+    F is floored against a rounding bound, not a fixed slack.  Each sampled
+    angle is taken to be within ANGLE_STEP_ULPS * eps * max(|theta|, pi) per
+    closed-form step of its exact value, the errors adding up along the
+    walk, so F is within delta = (N_t M_t + N_s M_s) * ANGLE_STEP_ULPS * eps
+    / pi of its exact value, where N is a trajectory's sample count and M
+    its largest |theta| (at least pi), found at one of its ends.  The exact
+    F is nonnegative, since theta(L; .) is nondecreasing, so F within delta
+    of 0 counts 0.  F within delta of an integer k >= 1 at one of the last
+    three points leaves the floor undecided: the answer is inconclusive
+    with a ``rounding`` witness.
     """
     require_valid(H)
     if H.tail is not None:
@@ -208,11 +256,10 @@ def halfline_count(
     L_max = schedule[-1]
     tr_t = pruefer.integrate(H, w.t, 0.0, L_max, tol, x_eval=schedule)
     tr_s = pruefer.integrate(H, w.s, 0.0, L_max, tol, x_eval=schedule)
-    F = [
-        (tr_t.value(L) - tr_s.value(L)) / PI
-        for L in schedule
-    ]
-    floors = [math.floor(f + 1e-12) for f in F]
+    # one interp per trajectory: the values of PrueferTrajectory.value at each L
+    th_t = np.interp(schedule, tr_t.xs, tr_t.thetas)
+    th_s = np.interp(schedule, tr_s.xs, tr_s.thetas)
+    F = ((th_t - th_s) / PI).tolist()
     if max(F) > divergence_threshold:
         witness = {"rule": "threshold", "F_max": max(F), "threshold": divergence_threshold}
         return HalfLineCount("divergent", None, schedule, F, witness)
@@ -224,8 +271,17 @@ def halfline_count(
             return HalfLineCount("divergent", None, schedule, F, witness)
         if lower < w.t and w.s <= upper:
             return HalfLineCount("inconclusive", None, schedule, F, witness)
-    if len(floors) >= 3 and floors[-1] == floors[-2] == floors[-3]:
-        return HalfLineCount("stabilized", floors[-1], schedule, F)
+    if len(F) < 3:
+        return HalfLineCount("inconclusive", None, schedule, F)
+    bound = (_angle_rounding(tr_t) + _angle_rounding(tr_s)) / PI
+    for L, f in zip(schedule[-3:], F[-3:]):
+        k = round(f)
+        if k >= 1 and abs(f - k) <= bound:
+            witness = {"rule": "rounding", "L": L, "F": f, "integer": k, "bound": bound}
+            return HalfLineCount("inconclusive", None, schedule, F, witness)
+    floors = [max(math.floor(f), 0) for f in F[-3:]]
+    if floors[0] == floors[1] == floors[2]:
+        return HalfLineCount("stabilized", floors[2], schedule, F)
     return HalfLineCount("inconclusive", None, schedule, F)
 
 
@@ -378,12 +434,11 @@ def ess_spectrum_bounds(
         raise ValueError("tail_fraction must be in (0, 1)")
     x_lo = tail_fraction * phi.x_max
     x_hi = phi.x_max
-    xs = sorted(
+    xs = np.array(sorted(
         {p.x0 for p in phi.pieces if x_lo <= p.x0 <= x_hi}
         | set(np.linspace(x_lo, x_hi, n_samples))
-    )
-    g = np.array([x * (phi.value(x) - phi.phi_infinity) for x in xs])
-    g = np.maximum(g, 0.0)
+    ))
+    g = np.maximum(xs * (phi.values(xs) - phi.phi_infinity), 0.0)
     A = float(np.max(g))
     B = float(np.min(g))
     warnings = []
@@ -391,7 +446,7 @@ def ess_spectrum_bounds(
     # a bounded limsup gives ratio ~1, g ~ x^p growth gives ratio 2^p
     def window_sup(lo, hi):
         ws = np.linspace(lo, hi, n_samples)
-        return float(max(x * (phi.value(x) - phi.phi_infinity) for x in ws))
+        return float(np.max(ws * (phi.values(ws) - phi.phi_infinity)))
 
     sup1 = max(window_sup(0.25 * phi.x_max, 0.5 * phi.x_max), 0.0)
     sup2 = max(window_sup(0.5 * phi.x_max, phi.x_max), 0.0)

@@ -152,6 +152,25 @@ class TestExtractPhi:
             d = (prof.value(xq) - back.value(xq)) / PI
             assert abs(d - round(d)) < 1e-9
 
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(st.floats(0.0, 1.2), max_size=40),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_values_is_value_elementwise(self, raw, fractions):
+        # ramps and jumps; samples at every breakpoint, inside and past X_max
+        x, phi, pieces = 0.0, 0.7, []
+        for length, drop, jump in raw:
+            pieces.append(PhiPiece(x, x + length, phi, phi - drop))
+            x, phi = x + length, phi - drop - jump
+        prof = PhiProfile(tuple(pieces), phi - 0.3)
+        xs = [p.x0 for p in pieces] + [p.x1 for p in pieces] + [f * x for f in fractions]
+        assert prof.values(xs).tolist() == [prof.value(v) for v in xs]
+
 
 class TestRotate:
     def test_projection_rotates_to_projection(self):
@@ -225,13 +244,7 @@ class TestHelpers:
         assert np.allclose(P @ P, P)
         assert np.trace(P) == pytest.approx(1.0)
 
-    # prim(a) - prim(b) cancels for small drops, losing about eps/drop relative
-    cancels = pytest.mark.xfail(strict=True, reason="cancellation in the closed form at small drops")
-
-    @pytest.mark.parametrize(
-        "drop",
-        [0.0, 1e-15, 0.4, 1.5, pytest.param(1e-10, marks=cancels), pytest.param(1e-6, marks=cancels)],
-    )
+    @pytest.mark.parametrize("drop", [0.0, 1e-15, 0.4, 1.5, 1e-10, 1e-6])
     def test_int_cos2_matches_quadrature(self, drop):
         import mpmath
 

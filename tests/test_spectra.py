@@ -112,6 +112,123 @@ class TestLocate:
             assert spectra._dist_to_grid(th - beta) < 1e-6
 
 
+lengths = st.floats(0.1, 1.5)
+angles = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def secant_segments(draw):
+    """One angle, ramp, matrix or table segment."""
+    kind = draw(st.sampled_from(["angle", "ramp", "matrix", "table"]))
+    length = draw(lengths)
+    if kind == "angle":
+        return Segment(length, ConstantAngle(draw(angles)))
+    if kind == "ramp":
+        a, b = sorted((draw(angles), draw(angles)), reverse=True)
+        return Segment(length, PhiRamp(a, b))
+    if kind == "matrix":
+        # R(alpha) diag(1 - lam2, lam2) R(alpha)^T
+        lam2, alpha = draw(st.floats(0.0, 0.5)), draw(angles)
+        c, s = math.cos(alpha), math.sin(alpha)
+        h11 = (1 - lam2) * c * c + lam2 * s * s
+        return Segment(length, ConstantMatrix(MatrixH(h11, (1 - 2 * lam2) * c * s, 1 - h11)))
+    n = draw(st.integers(2, 4))
+    offsets = np.linspace(0.0, length, n + 1)
+    drops = draw(st.lists(st.floats(0.0, 0.8), min_size=n, max_size=n))
+    phi = draw(angles) - np.concatenate([[0.0], np.cumsum(drops)])
+    return Segment(length, PhiTable(tuple(zip(offsets.tolist(), phi.tolist()))))
+
+
+secant_systems = st.lists(secant_segments(), min_size=1, max_size=4).map(lambda s: Hamiltonian(tuple(s)))
+
+
+def bisection_root(H, L, target, lo, hi):
+    """theta(L; lam) = target by plain bisection to the last bit."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if pruefer.theta_at(H, mid, 0.0, L) - target < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestLocateSecant:
+    @given(secant_systems, st.floats(0.0, 3.0), st.floats(-10.0, 10.0), st.floats(0.5, 30.0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_count_rule_and_reference(self, H, beta, s, width):
+        L, tol = H.x_max, 1e-9
+        w = SpectralWindow(s, s + width)
+        eigs = spectra.locate_eigenvalues(H, L, beta, w, tol)
+        assert len(eigs) == spectra.count_bounded(H, L, beta, w, tol).count
+        assert eigs == sorted(eigs)
+        for lam in eigs:
+            assert w.s <= lam < w.t
+            th = pruefer.theta_at(H, lam, 0.0, L)
+            n = round((th - beta) / PI)
+            target = beta + n * PI
+            # the stopping rule: |theta - target| < tol, or lam was taken from
+            # a bracket of the target narrower than 1e-14 max(1, |lam|)
+            d = 1e-14 * max(1.0, abs(lam))
+            assert abs(th - target) < tol or (
+                pruefer.theta_at(H, lam - d, 0.0, L) <= target < pruefer.theta_at(H, lam + d, 0.0, L)
+            )
+            ref = bisection_root(H, L, target, w.s, w.t)
+            h = 1e-6 * max(1.0, abs(ref))
+            slope = (pruefer.theta_at(H, ref + h, 0.0, L) - pruefer.theta_at(H, ref - h, 0.0, L)) / (2 * h)
+            assert abs(lam - ref) <= 1.01 * tol / slope + 1e-13 * max(1.0, abs(ref))
+
+    def test_midpoint_fallback_when_secant_leaves_bracket(self, monkeypatch):
+        # f(s) = -1.5 tol against f(t) = 3: the secant point s + 5e-10 rounds
+        # to s = 1e8, so the first iterate is the midpoint
+        H, tol, s = single(ConstantAngle(0.0)), 1e-9, 1e8
+        calls = []
+
+        def theta(H, t, theta0, L, tol=1e-9):
+            calls.append(t)
+            return PI - 1.5e-9 + 3.0 * (t - s) ** 3
+
+        monkeypatch.setattr(pruefer, "theta_at", theta)
+        (lam,) = spectra.locate_eigenvalues(H, 1.0, 0.0, SpectralWindow(s, s + 1.0), tol)
+        assert calls[:3] == [s, s + 1.0, s + 0.5]
+        assert abs(theta(H, lam, 0.0, 1.0) - PI) < tol
+
+    def test_multi_level_window_reuses_roots(self, monkeypatch):
+        H = Hamiltonian(
+            (
+                Segment(1.0, ConstantAngle(0.3)),
+                Segment(0.8, PhiRamp(-0.2, -1.4)),
+                Segment(0.5, ConstantAngle(-2.0)),
+            )
+        )
+        L, beta, w = H.x_max, 0.6, SpectralWindow(-5.0, 120.0)
+        evals = []
+        theta_at = pruefer.theta_at
+        monkeypatch.setattr(pruefer, "theta_at", lambda *a: evals.append(a[1]) or theta_at(*a))
+        eigs = spectra.locate_eigenvalues(H, L, beta, w)
+        assert len(eigs) == spectra.count_bounded(H, L, beta, w).count >= 4
+        assert all(a < b for a, b in zip(eigs, eigs[1:]))
+        levels = [round((theta_at(H, lam, 0.0, L) - beta) / PI) for lam in eigs]
+        assert levels == list(range(levels[0], levels[0] + len(eigs)))
+        # bisection to the same tol takes about 30 evaluations per level here
+        assert len(evals) < 2 + 15 * len(eigs)
+
+    def test_flat_map_on_target_has_no_unique_root(self, monkeypatch):
+        # theta(L; .) = beta on the whole window: every point meets the angle condition
+        H = single(ConstantAngle(0.0))
+        monkeypatch.setattr(pruefer, "theta_at", lambda H, t, theta0, L, tol=1e-9: 0.6 + PI)
+        with pytest.raises(spectra.NoUniqueRoot):
+            spectra.locate_eigenvalues(H, 1.0, 0.6, SpectralWindow(-3.0, 3.0))
+        assert spectra.locate_eigenvalues(H, 1.0, 0.5, SpectralWindow(-3.0, 3.0)) == []
+
+    @given(secant_systems, st.floats(-30.0, 30.0), angles)
+    @settings(max_examples=30, deadline=None)
+    def test_theta_at_is_integrate_end_bit_for_bit(self, H, t, theta0):
+        L = H.x_max * 0.7
+        assert pruefer.theta_at(H, t, theta0, L) == pruefer.integrate(H, t, theta0, L).theta_end()
+
+
 class TestHalfLine:
     def test_tail_delegates_to_bounded(self):
         H = single(ConstantAngle(0.0), tail=SingularHalfLine(PI / 4 - PI / 2))
@@ -140,6 +257,29 @@ class TestHalfLine:
         H = single(ConstantAngle(0.0))
         with pytest.raises(ValueError):
             spectra.halfline_count(H, SpectralWindow(0.0, 1.0), [0.5, 2.0])
+
+    @pytest.mark.parametrize(
+        "F, outcome",
+        [(-1e-16, ("stabilized", 0)), (1 - 1e-6, ("stabilized", 0)), (1 - 1e-15, ("inconclusive", None)),
+         (1 + 1e-15, ("inconclusive", None)), (2 + 1e-6, ("stabilized", 2))],
+    )
+    def test_floor_against_rounding_bound(self, monkeypatch, F, outcome):
+        # theta_t - theta_s = pi F at every schedule point
+        schedule = [1.0, 2.0, 3.0]
+
+        def integrate(H, t, theta0, L, tol=1e-9, x_eval=()):
+            end = PI * F if t == w.t else 0.0
+            xs, thetas = np.array([0.0, *schedule]), np.array([0.0, end, end, end])
+            return pruefer.PrueferTrajectory(t, theta0, xs, thetas, 0.0)
+
+        w = SpectralWindow(-2.0, -1.0)
+        monkeypatch.setattr(pruefer, "integrate", integrate)
+        res = spectra.halfline_count(single(ConstantAngle(0.0), length=3.0), w, schedule)
+        assert (res.status, res.count) == outcome
+        if res.status == "inconclusive":
+            assert res.witness["rule"] == "rounding"
+            assert res.witness["integer"] == 1
+            assert abs(res.witness["F"] - 1) <= res.witness["bound"] < 1e-12
 
     def test_threshold_divergence_carries_witness(self):
         # many singular intervals with a large total drop: F far above 50

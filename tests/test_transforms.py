@@ -67,6 +67,11 @@ class TestSchrodingerImport:
         schedule = [H.x_max * f for f in (0.25, 0.5, 0.75, 1.0)]
         res = spectra.halfline_count(H, spectra.SpectralWindow(-1.0, 1.0), schedule)
         assert all(math.isfinite(f) for f in res.F_values)
+        # the true count is 0, but F = 1 - 6e-16 lies within the rounding
+        # bound of 1: undecided, not stabilized at 1
+        assert res.status == "inconclusive"
+        assert res.witness["rule"] == "rounding"
+        assert abs(res.witness["F"] - 1.0) <= res.witness["bound"]
         # E0 + [0, 1) = [-1, 0) lies below the lowest eigenvalue of -y'' + x y
         res = spectra.halfline_count(H, spectra.SpectralWindow(0.0, 1.0), schedule)
         assert (res.status, res.count) == ("stabilized", 0)
