@@ -10,7 +10,7 @@ Systems are described by a JSON document::
         {"length": 1.0, "kind": "table", "points": [[0.0, 0.3], [1.0, 0.1]]}
       ],
       "tail": {"type": "singular", "gamma": -1.5707963267948966},
-      "tolerances": {"integration": 1e-9, "rank_one": 1e-10}
+      "tolerances": {"integration": 1e-9}
     }
 
 All angles are radians unless ``--degrees`` is given.  Results go to stdout
@@ -35,6 +35,7 @@ from .hamiltonian import (
     ConstantMatrix,
     Hamiltonian,
     MatrixH,
+    NotRankOne,
     PhiRamp,
     PhiTable,
     Segment,
@@ -65,6 +66,17 @@ def load_config(path: str, degrees: bool = False) -> tuple[Hamiltonian, dict]:
     return build_hamiltonian(doc, degrees=degrees), doc
 
 
+#: one decoder per segment kind: (segment object, degrees) -> kind
+KINDS = {
+    "angle": lambda s, deg: ConstantAngle(_angle(s["alpha"], deg)),
+    "ramp": lambda s, deg: PhiRamp(_angle(s["phi_start"], deg), _angle(s["phi_end"], deg)),
+    "matrix": lambda s, deg: ConstantMatrix(
+        MatrixH(float(s["h11"]), float(s["h12"]), float(s["h22"]))
+    ),
+    "table": lambda s, deg: PhiTable(tuple((float(o), _angle(p, deg)) for o, p in s["points"])),
+}
+
+
 def build_hamiltonian(doc: dict, degrees: bool = False) -> Hamiltonian:
     if not isinstance(doc, dict) or "segments" not in doc:
         raise ConfigError("top-level object with a 'segments' list required")
@@ -74,17 +86,9 @@ def build_hamiltonian(doc: dict, degrees: bool = False) -> Hamiltonian:
         try:
             length = float(s["length"])
             kind = s["kind"]
-            if kind == "angle":
-                k = ConstantAngle(_angle(s["alpha"], degrees))
-            elif kind == "ramp":
-                k = PhiRamp(_angle(s["phi_start"], degrees), _angle(s["phi_end"], degrees))
-            elif kind == "matrix":
-                k = ConstantMatrix(MatrixH(float(s["h11"]), float(s["h12"]), float(s["h22"])))
-            elif kind == "table":
-                k = PhiTable(tuple((float(o), _angle(p, degrees)) for o, p in s["points"]))
-            else:
+            if kind not in KINDS:
                 raise ConfigError(f"{where}: unknown kind {kind!r}")
-            segs.append(Segment(length, k))
+            segs.append(Segment(length, KINDS[kind](s, degrees)))
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -103,9 +107,7 @@ def build_hamiltonian(doc: dict, degrees: bool = False) -> Hamiltonian:
 
 def _tolerances(doc: dict, args) -> float:
     tol = doc.get("tolerances", {}).get("integration", 1e-9)
-    if getattr(args, "tol", None) is not None:
-        tol = args.tol
-    return float(tol)
+    return float(tol if args.tol is None else args.tol)
 
 
 def _jsonable(obj):
@@ -135,89 +137,72 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (JSON document, CSV (header, rows) or None,
+# whether the answer is inconclusive); main does the output and exit codes
 
 
-def cmd_validate(args) -> int:
-    try:
-        H, _ = load_config(args.config, args.degrees)
-    except ConfigError as exc:
-        emit({"valid": False, "error": str(exc)})
-        return 2
+def cmd_validate(args):
+    H, _ = load_config(args.config, args.degrees)
     rep = validate(H)
-    emit({"valid": rep.ok, "issues": rep.issues, "x_max": H.x_max})
-    return 0 if rep.ok else 2
+    if not rep.ok:
+        raise ConfigError("; ".join(f"segment {i}: {m}" for i, m in rep.issues))
+    return {"valid": True, "issues": [], "x_max": H.x_max}, None, False
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args):
     H, doc = load_config(args.config, args.degrees)
     tol = _tolerances(doc, args)
-    tr = pruefer.integrate(H, args.t, args.theta0, args.L, tol)
-    emit(
-        {
-            "inputs": {"t": args.t, "theta0": args.theta0, "L": args.L, "tol": tol},
-            "theta_end": tr.theta_end(),
-            "err_bound": tr.err_bound,
-            "n_samples": len(tr.xs),
-        }
-    )
-    if args.csv:
-        write_csv(args.csv, ["x", "theta"], zip(tr.xs, tr.thetas))
-    return 0
+    theta0 = _angle(args.theta0, args.degrees)
+    tr = pruefer.integrate(H, args.t, theta0, args.L, tol)
+    out = {
+        "inputs": {"t": args.t, "theta0": theta0, "L": args.L, "tol": tol},
+        "theta_end": tr.theta_end(),
+        "err_bound": tr.err_bound,
+        "n_samples": len(tr.xs),
+    }
+    return out, (["x", "theta"], zip(tr.xs, tr.thetas)), False
 
 
-def cmd_count(args) -> int:
+def cmd_count(args):
     H, doc = load_config(args.config, args.degrees)
     tol = _tolerances(doc, args)
     w = spectra.SpectralWindow(args.window[0], args.window[1])
-    beta = _angle(args.beta, args.degrees)
     if args.L is not None:
+        beta = _angle(args.beta, args.degrees)
         res = spectra.count_bounded(H, args.L, beta, w, tol)
-        emit(
-            {
-                "inputs": {"L": args.L, "beta": beta, "window": [w.s, w.t], "tol": tol},
-                "result": res.count,
-                "certified": res.certified,
-            }
-        )
-        return 0
+        out = {
+            "inputs": {"L": args.L, "beta": beta, "window": [w.s, w.t], "tol": tol},
+            "result": res.count,
+            "certified": res.certified,
+        }
+        return out, None, False
     schedule = args.schedule or [H.x_max * f for f in (0.25, 0.5, 0.75, 1.0)]
     res = spectra.halfline_count(H, w, schedule, tol)
-    emit(
-        {
-            "inputs": {"window": [w.s, w.t], "schedule": res.L_values, "tol": tol},
-            "status": res.status,
-            "result": res.count,
-            "F_values": res.F_values,
-            "witness": res.witness,
-        }
-    )
-    if args.csv:
-        write_csv(args.csv, ["L", "F"], zip(res.L_values, res.F_values))
-    if args.strict and res.status == "inconclusive":
-        return 3
-    return 0
+    out = {
+        "inputs": {"window": [w.s, w.t], "schedule": res.L_values, "tol": tol},
+        "status": res.status,
+        "result": res.count,
+        "F_values": res.F_values,
+        "witness": res.witness,
+    }
+    return out, (["L", "F"], zip(res.L_values, res.F_values)), res.status == "inconclusive"
 
 
-def cmd_locate(args) -> int:
+def cmd_locate(args):
     H, doc = load_config(args.config, args.degrees)
     tol = _tolerances(doc, args)
     w = spectra.SpectralWindow(args.window[0], args.window[1])
     beta = _angle(args.beta, args.degrees)
     eigs = spectra.locate_eigenvalues(H, args.L, beta, w, tol)
-    emit(
-        {
-            "inputs": {"L": args.L, "beta": beta, "window": [w.s, w.t], "tol": tol},
-            "result": eigs,
-            "count": len(eigs),
-        }
-    )
-    if args.csv:
-        write_csv(args.csv, ["eigenvalue"], [[e] for e in eigs])
-    return 0
+    out = {
+        "inputs": {"L": args.L, "beta": beta, "window": [w.s, w.t], "tol": tol},
+        "result": eigs,
+        "count": len(eigs),
+    }
+    return out, (["eigenvalue"], [[e] for e in eigs]), False
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     H, _ = load_config(args.config, args.degrees)
     c = spectra.classify_semibounded(H)
     out = {"kind": c.kind}
@@ -228,27 +213,24 @@ def cmd_classify(args) -> int:
     if c.phi is not None:
         out["phi_start"] = c.phi.phi_start
         out["phi_infinity"] = c.phi.phi_infinity
-    emit(out)
-    return 0
+    return out, None, False
 
 
-def cmd_wholeline(args) -> int:
+def cmd_wholeline(args):
     H_left, _ = load_config(args.config_left, args.degrees)
     H_right, _ = load_config(args.config_right, args.degrees)
     phi_l = extract_phi(H_left)
     phi_r = extract_phi(H_right)
     ok = spectra.classify_wholeline(phi_l, phi_r)
-    emit(
-        {
-            "nonnegative": ok,
-            "drop_left": phi_l.drop,
-            "drop_right": phi_r.drop,
-        }
-    )
-    return 0
+    out = {
+        "nonnegative": ok,
+        "drop_left": phi_l.drop,
+        "drop_right": phi_r.drop,
+    }
+    return out, None, False
 
 
-def cmd_ess_bounds(args) -> int:
+def cmd_ess_bounds(args):
     H, _ = load_config(args.config, args.degrees)
     phi, model = spectra.tail_profile(H)
     b = spectra.ess_spectrum_bounds(phi, tail_fraction=args.tail_fraction)
@@ -264,13 +246,10 @@ def cmd_ess_bounds(args) -> int:
     }
     if model is not None:
         out["tail_model"] = model.summary()
-    emit(out)
-    if args.strict and b.warnings:
-        return 3
-    return 0
+    return out, None, bool(b.warnings)
 
 
-def cmd_m_endpoints(args) -> int:
+def cmd_m_endpoints(args):
     H, _ = load_config(args.config, args.degrees)
     phi = extract_phi(H)
     m_minus_inf, m_zero_minus = spectra.m_endpoints(phi)
@@ -278,53 +257,38 @@ def cmd_m_endpoints(args) -> int:
     if args.minus_t is not None:
         out["m_numeric"] = spectra.m_halfline_real(H, args.minus_t)
         out["minus_t"] = args.minus_t
-    emit(out)
-    return 0
+    return out, None, False
 
 
-def cmd_zero_eig(args) -> int:
+def cmd_zero_eig(args):
     H, _ = load_config(args.config, args.degrees)
     chk = spectra.zero_eigenvalue_check(extract_phi(H))
-    emit(
-        {
-            "is_eigenvalue": chk.is_eigenvalue,
-            "body_integral": chk.integral,
-            "tail_converges": chk.tail_converges,
-        }
-    )
-    return 0
+    out = {
+        "is_eigenvalue": chk.is_eigenvalue,
+        "body_integral": chk.integral,
+        "tail_converges": chk.tail_converges,
+    }
+    return out, None, False
 
 
-def cmd_to_diagonal(args) -> int:
+def cmd_to_diagonal(args):
     H, _ = load_config(args.config, args.degrees)
     phi = extract_phi(H)
-    try:
-        D = transforms.canonical_to_diagonal(phi)
-    except transforms.SplitRequired as exc:
-        emit({"error": str(exc)})
-        return 2
-    emit(
-        {
-            "t0": D.t0,
-            "rotation_applied": D.rotation_applied,
-            "total_T": D.total_T,
-            "type": transforms.debranges_type(D),
-            "cells": [{"deltaT": s.deltaT, "h": s.h} for s in D.segments],
-        }
-    )
-    if args.csv:
-        write_csv(args.csv, ["deltaT", "h"], [(s.deltaT, s.h) for s in D.segments])
-    return 0
+    D = transforms.canonical_to_diagonal(phi)
+    out = {
+        "t0": D.t0,
+        "rotation_applied": D.rotation_applied,
+        "total_T": D.total_T,
+        "type": transforms.debranges_type(D),
+        "cells": [{"deltaT": s.deltaT, "h": s.h} for s in D.segments],
+    }
+    return out, (["deltaT", "h"], [(s.deltaT, s.h) for s in D.segments]), False
 
 
-def cmd_type(args) -> int:
+def cmd_type(args):
     H, _ = load_config(args.config, args.degrees)
     phi = extract_phi(H)
-    try:
-        D = transforms.canonical_to_diagonal(phi)
-    except transforms.SplitRequired as exc:
-        emit({"error": str(exc)})
-        return 2
+    D = transforms.canonical_to_diagonal(phi)
     tau = transforms.debranges_type(D)
     out = {"type": tau, "total_T": D.total_T}
     if args.measure:
@@ -335,11 +299,10 @@ def cmd_type(args) -> int:
         )
         out["measured_rate"] = slope
         out["y_max"] = y_max
-    emit(out)
-    return 0
+    return out, None, False
 
 
-def cmd_order(args) -> int:
+def cmd_order(args):
     H, doc = load_config(args.config, args.degrees)
     tol = _tolerances(doc, args)
     L = args.L if args.L is not None else H.x_max
@@ -350,16 +313,12 @@ def cmd_order(args) -> int:
         n_radii=args.n_radii,
         log_abs=True,
     )
-    emit(
-        {
-            "inputs": {"L": L, "r_min": args.r_min, "r_max": args.r_max},
-            "order": fit.order,
-            "residual": fit.residual,
-        }
-    )
-    if args.csv:
-        write_csv(args.csv, ["r", "log_max"], fit.table())
-    return 0
+    out = {
+        "inputs": {"L": L, "r_min": args.r_min, "r_max": args.r_max},
+        "order": fit.order,
+        "residual": fit.residual,
+    }
+    return out, (["r", "log_max"], fit.table()), False
 
 
 def _load_potential(path: str):
@@ -367,69 +326,48 @@ def _load_potential(path: str):
     return data[:, 0], data[:, 1]
 
 
-def cmd_schrodinger_import(args) -> int:
+def cmd_schrodinger_import(args):
     xs, vs = _load_potential(args.potential)
     P = transforms.SchrodingerProblem(grid=xs, values=vs, E0=args.e0)
-    try:
-        H, xmap, swapped = transforms.schrodinger_to_canonical(P)
-    except transforms.AssumptionViolated as exc:
-        emit({"error": str(exc)})
-        return 2
+    H, _, swapped = transforms.schrodinger_to_canonical(P)
     phi = extract_phi(H)
-    emit(
-        {
-            "inputs": {"e0": args.e0, "x_max": float(xs[-1])},
-            "X_max": H.x_max,
-            "swapped": swapped,
-            "phi_start": phi.phi_start,
-            "phi_end": phi.pieces[-1].phi1,
-        }
-    )
-    if args.csv:
-        pts = H.segments[0].kind.points
-        write_csv(args.csv, ["X", "phi"], pts)
-    return 0
+    out = {
+        "inputs": {"e0": args.e0, "x_max": float(xs[-1])},
+        "X_max": H.x_max,
+        "swapped": swapped,
+        "phi_start": phi.phi_start,
+        "phi_end": phi.pieces[-1].phi1,
+    }
+    return out, (["X", "phi"], H.segments[0].kind.points), False
 
 
-def cmd_molchanov(args) -> int:
+def cmd_molchanov(args):
     xs, vs = _load_potential(args.potential)
     x_grid = np.linspace(args.x_grid[0], args.x_grid[1], int(args.x_grid[2]))
     if args.mode == "classic":
         res = transforms.molchanov_classic(xs, vs, args.d_list, x_grid)
-        emit(
-            {
-                "mode": "classic",
-                "d_list": res.d_list,
-                "verdict": res.verdict,
-            }
-        )
-        if args.csv:
-            rows = [
-                [x] + [res.W[j, i] for j in range(len(res.d_list))]
-                for i, x in enumerate(res.x_grid)
-            ]
-            write_csv(args.csv, ["x"] + [f"W_d{d:g}" for d in res.d_list], rows)
-    else:
-        P = transforms.SchrodingerProblem(grid=xs, values=vs, E0=args.e0)
-        try:
-            res = transforms.molchanov_new(P, x_grid)
-        except transforms.AssumptionViolated as exc:
-            emit({"error": str(exc)})
-            return 2
-        emit(
-            {
-                "mode": "new",
-                "e0": args.e0,
-                "verdict": res.verdict,
-                "G_last": float(res.G[-1]),
-            }
-        )
-        if args.csv:
-            write_csv(args.csv, ["x", "G"], zip(res.x_grid, res.G))
-    return 0
+        out = {
+            "mode": "classic",
+            "d_list": res.d_list,
+            "verdict": res.verdict,
+        }
+        rows = [
+            [x] + [res.W[j, i] for j in range(len(res.d_list))]
+            for i, x in enumerate(res.x_grid)
+        ]
+        return out, (["x"] + [f"W_d{d:g}" for d in res.d_list], rows), False
+    P = transforms.SchrodingerProblem(grid=xs, values=vs, E0=args.e0)
+    res = transforms.molchanov_new(P, x_grid)
+    out = {
+        "mode": "new",
+        "e0": args.e0,
+        "verdict": res.verdict,
+        "G_last": float(res.G[-1]),
+    }
+    return out, (["x", "G"], zip(res.x_grid, res.G)), False
 
 
-def cmd_hadamard(args) -> int:
+def cmd_hadamard(args):
     z = complex(args.z[0], args.z[1] if len(args.z) > 1 else 0.0)
     fam = entire.hadamard_a if args.family == "a" else entire.hadamard_c
     fam_log = entire.hadamard_a_log if args.family == "a" else entire.hadamard_c_log
@@ -448,8 +386,7 @@ def cmd_hadamard(args) -> int:
         )
         out["fitted_order"] = fit.order
         out["expected_order"] = 1.0 / args.alpha
-    emit(out)
-    return 0
+    return out, None, False
 
 
 # ---------------------------------------------------------------------------
@@ -463,121 +400,113 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p, config=True):
-    if config:
-        p.add_argument("--config", required=True, help="system JSON document")
-    p.add_argument("--degrees", action="store_true", help="angles given in degrees")
-    p.add_argument("--csv", help="write plot-ready columns to this path")
-    p.add_argument("--tol", type=float, help="integration tolerance override")
-    p.add_argument("--strict", action="store_true", help="exit 3 on inconclusive")
+def _checked(ok, message):
+    """argparse action storing the values when ok(values), else a usage error."""
+
+    class Checked(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            if not ok(values):
+                parser.error(f"{option_string}: {message}")
+            setattr(namespace, self.dest, values)
+
+    return Checked
+
+
+CONFIG = ("--config", dict(required=True, help="system JSON document"))
+DEGREES = ("--degrees", dict(action="store_true", help="angles given in degrees"))
+CSV = ("--csv", dict(help="write plot-ready columns to this path"))
+TOL = ("--tol", dict(type=float, help="integration tolerance override"))
+STRICT = ("--strict", dict(action="store_true", help="exit 3 on inconclusive"))
+BETA = ("--beta", dict(type=float, default=0.0))
+WINDOW = ("--window", dict(type=float, nargs=2, required=True, metavar=("S", "T")))
+POTENTIAL = ("--potential", dict(required=True, help="CSV with columns x,V"))
+
+#: subcommand -> (handler, help, the options it reads)
+COMMANDS = {
+    "validate": (cmd_validate, "check a config document", [CONFIG, DEGREES]),
+    "theta": (cmd_theta, "Pruefer-angle trajectory", [
+        CONFIG, DEGREES, CSV, TOL,
+        ("--t", dict(type=float, required=True)),
+        ("--theta0", dict(type=float, default=0.0)),
+        ("--L", dict(type=float, required=True)),
+    ]),
+    "count": (cmd_count, "eigenvalue count in a window", [
+        CONFIG, DEGREES, CSV, TOL, STRICT,
+        ("--L", dict(type=float, help="truncation (omit for half-line)")),
+        BETA, WINDOW,
+        ("--schedule", dict(type=float, nargs="+", help="half-line L schedule")),
+    ]),
+    "locate": (cmd_locate, "eigenvalues in a window", [
+        CONFIG, DEGREES, CSV, TOL,
+        ("--L", dict(type=float, required=True)),
+        BETA, WINDOW,
+    ]),
+    "classify": (cmd_classify, "semiboundedness classification", [CONFIG, DEGREES]),
+    "wholeline": (cmd_wholeline, "whole-line nonnegativity", [
+        ("--config-left", dict(required=True)),
+        ("--config-right", dict(required=True)),
+        DEGREES,
+    ]),
+    "ess-bounds": (cmd_ess_bounds, "bottom-of-essential-spectrum bounds", [
+        CONFIG, DEGREES, STRICT,
+        ("--tail-fraction", dict(type=float, default=0.5)),
+    ]),
+    "m-endpoints": (cmd_m_endpoints, "m-function endpoint values", [
+        CONFIG, DEGREES,
+        ("--minus-t", dict(type=float, help="also evaluate m at this t < 0")),
+    ]),
+    "zero-eig": (cmd_zero_eig, "is zero an eigenvalue", [CONFIG, DEGREES]),
+    "to-diagonal": (cmd_to_diagonal, "diagonal transform of the profile", [CONFIG, DEGREES, CSV]),
+    "type": (cmd_type, "de Branges type", [
+        CONFIG, DEGREES,
+        ("--measure", dict(action="store_true", help="also fit growth rate")),
+        ("--y-max", dict(type=float)),
+    ]),
+    "order": (cmd_order, "growth-order fit of the transfer matrix", [
+        CONFIG, DEGREES, CSV, TOL,
+        ("--L", dict(type=float)),
+        ("--r-min", dict(type=float, default=1.0)),
+        ("--r-max", dict(type=float, default=1e6)),
+        ("--n-radii", dict(type=int, default=10)),
+    ]),
+    "schrodinger-import": (cmd_schrodinger_import, "potential CSV to canonical system", [
+        POTENTIAL,
+        ("--e0", dict(type=float, required=True)),
+        CSV,
+    ]),
+    "molchanov": (cmd_molchanov, "discreteness criteria for potentials", [
+        POTENTIAL,
+        ("--mode", dict(choices=["classic", "new"], default="classic")),
+        ("--e0", dict(type=float, default=-1.0)),
+        ("--d-list", dict(type=float, nargs="+", default=[1.0])),
+        ("--x-grid", dict(
+            type=float, nargs=3, default=[1.0, 10.0, 50], metavar=("START", "STOP", "N"),
+            action=_checked(
+                lambda v: v[2] >= 1 and v[2].is_integer(), "N must be a positive integer"
+            ),
+        )),
+        CSV,
+    ]),
+    "hadamard": (cmd_hadamard, "evaluate model zero-products", [
+        ("--family", dict(choices=["a", "c"], default="a")),
+        ("--alpha", dict(type=float, required=True)),
+        ("--z", dict(
+            type=float, nargs="+", default=[1.0], metavar="RE [IM]",
+            action=_checked(lambda v: len(v) <= 2, "takes RE and at most one IM"),
+        )),
+        ("--fit-order", dict(action="store_true")),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="canosc", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a config document")
-    _add_common(p)
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("theta", help="Pruefer-angle trajectory")
-    _add_common(p)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--theta0", type=float, default=0.0)
-    p.add_argument("--L", type=float, required=True)
-    p.set_defaults(fn=cmd_theta)
-
-    p = sub.add_parser("count", help="eigenvalue count in a window")
-    _add_common(p)
-    p.add_argument("--L", type=float, help="truncation (omit for half-line)")
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--window", type=float, nargs=2, required=True, metavar=("S", "T"))
-    p.add_argument("--schedule", type=float, nargs="+", help="half-line L schedule")
-    p.set_defaults(fn=cmd_count)
-
-    p = sub.add_parser("locate", help="eigenvalues in a window")
-    _add_common(p)
-    p.add_argument("--L", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--window", type=float, nargs=2, required=True, metavar=("S", "T"))
-    p.set_defaults(fn=cmd_locate)
-
-    p = sub.add_parser("classify", help="semiboundedness classification")
-    _add_common(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("wholeline", help="whole-line nonnegativity")
-    p.add_argument("--config-left", required=True)
-    p.add_argument("--config-right", required=True)
-    p.add_argument("--degrees", action="store_true")
-    p.add_argument("--csv")
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(fn=cmd_wholeline)
-
-    p = sub.add_parser("ess-bounds", help="bottom-of-essential-spectrum bounds")
-    _add_common(p)
-    p.add_argument("--tail-fraction", type=float, default=0.5)
-    p.set_defaults(fn=cmd_ess_bounds)
-
-    p = sub.add_parser("m-endpoints", help="m-function endpoint values")
-    _add_common(p)
-    p.add_argument("--minus-t", type=float, help="also evaluate m at this t < 0")
-    p.set_defaults(fn=cmd_m_endpoints)
-
-    p = sub.add_parser("zero-eig", help="is zero an eigenvalue")
-    _add_common(p)
-    p.set_defaults(fn=cmd_zero_eig)
-
-    p = sub.add_parser("to-diagonal", help="diagonal transform of the profile")
-    _add_common(p)
-    p.set_defaults(fn=cmd_to_diagonal)
-
-    p = sub.add_parser("type", help="de Branges type")
-    _add_common(p)
-    p.add_argument("--measure", action="store_true", help="also fit growth rate")
-    p.add_argument("--y-max", type=float)
-    p.set_defaults(fn=cmd_type)
-
-    p = sub.add_parser("order", help="growth-order fit of the transfer matrix")
-    _add_common(p)
-    p.add_argument("--L", type=float)
-    p.add_argument("--r-min", type=float, default=1.0)
-    p.add_argument("--r-max", type=float, default=1e6)
-    p.add_argument("--n-radii", type=int, default=10)
-    p.set_defaults(fn=cmd_order)
-
-    p = sub.add_parser("schrodinger-import", help="potential CSV to canonical system")
-    p.add_argument("--potential", required=True, help="CSV with columns x,V")
-    p.add_argument("--e0", type=float, required=True)
-    p.add_argument("--degrees", action="store_true")
-    p.add_argument("--csv")
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(fn=cmd_schrodinger_import)
-
-    p = sub.add_parser("molchanov", help="discreteness criteria for potentials")
-    p.add_argument("--potential", required=True, help="CSV with columns x,V")
-    p.add_argument("--mode", choices=["classic", "new"], default="classic")
-    p.add_argument("--e0", type=float, default=-1.0)
-    p.add_argument("--d-list", type=float, nargs="+", default=[1.0])
-    p.add_argument(
-        "--x-grid", type=float, nargs=3, default=[1.0, 10.0, 50],
-        metavar=("START", "STOP", "N"),
-    )
-    p.add_argument("--degrees", action="store_true")
-    p.add_argument("--csv")
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(fn=cmd_molchanov)
-
-    p = sub.add_parser("hadamard", help="evaluate model zero-products")
-    p.add_argument("--family", choices=["a", "c"], default="a")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--z", type=float, nargs="+", default=[1.0], metavar="RE [IM]")
-    p.add_argument("--fit-order", action="store_true")
-    p.add_argument("--degrees", action="store_true")
-    p.add_argument("--csv")
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(fn=cmd_hadamard)
-
+    for name, (fn, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return ap
 
 
@@ -588,13 +517,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.fn(args)
-    except ConfigError as exc:
-        print(json.dumps({"error": str(exc)}))
+        doc, columns, inconclusive = args.fn(args)
+    except (
+        ConfigError, ValueError, NotRankOne, spectra.NoUniqueRoot,
+        transforms.SplitRequired, transforms.AssumptionViolated,
+    ) as exc:
+        emit({"error": str(exc)})
         return 2
-    except (ValueError, spectra.NoUniqueRoot) as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 2
+    emit(doc)
+    if columns is not None and args.csv:
+        write_csv(args.csv, *columns)
+    return 3 if inconclusive and args.strict else 0
 
 
 if __name__ == "__main__":

@@ -86,6 +86,11 @@ class MatrixH:
 
 # ---------------------------------------------------------------------------
 # segment kinds
+#
+# Every kind answers the same four questions about a segment of the given
+# length: H at an offset (h_at), its closed-form pieces (pieces), the two
+# kinds left and right of an interior cut (split), and the kind of the
+# conjugated system R_gamma H R_{-gamma} (rotated).
 
 
 @dataclass(frozen=True)
@@ -94,12 +99,41 @@ class ConstantAngle:
 
     alpha: float
 
+    def h_at(self, offset: float, length: float) -> np.ndarray:
+        return p_alpha(self.alpha)
+
+    def pieces(self, length: float) -> tuple[Piece, ...]:
+        return (Piece(0.0, length, self.alpha, self.alpha),)
+
+    def split(self, at: float, length: float) -> tuple["ConstantAngle", "ConstantAngle"]:
+        return self, self
+
+    def rotated(self, gamma: float) -> "ConstantAngle":
+        return ConstantAngle(self.alpha + gamma)
+
 
 @dataclass(frozen=True)
 class ConstantMatrix:
     """H constant, possibly of full rank."""
 
     matrix: MatrixH
+
+    def h_at(self, offset: float, length: float) -> np.ndarray:
+        return self.matrix.as_array()
+
+    def pieces(self, length: float) -> tuple[Piece, ...]:
+        """One piece in the eigenbasis: lam1 the larger eigenvalue."""
+        m, phi = self.matrix, self.matrix.angle()
+        lam1 = 0.5 * float(m.trace + math.hypot(m.h11 - m.h22, 2.0 * m.h12))
+        return (Piece(0.0, length, phi, phi, lam1, float(m.det) / lam1),)
+
+    def split(self, at: float, length: float) -> tuple["ConstantMatrix", "ConstantMatrix"]:
+        return self, self
+
+    def rotated(self, gamma: float) -> "ConstantMatrix":
+        r = rotation(gamma)
+        m = r @ self.matrix.as_array() @ r.T
+        return ConstantMatrix(MatrixH(m[0, 0], m[0, 1], m[1, 1]))
 
 
 @dataclass(frozen=True)
@@ -112,6 +146,22 @@ class PhiRamp:
     def __post_init__(self):
         if self.phi_end > self.phi_start + 1e-15:
             raise ValueError("PhiRamp requires phi_end <= phi_start")
+
+    def _phi_at(self, offset: float, length: float) -> float:
+        return self.phi_start + (self.phi_end - self.phi_start) * offset / length
+
+    def h_at(self, offset: float, length: float) -> np.ndarray:
+        return p_alpha(self._phi_at(offset, length))
+
+    def pieces(self, length: float) -> tuple[Piece, ...]:
+        return (Piece(0.0, length, self.phi_start, self.phi_end),)
+
+    def split(self, at: float, length: float) -> tuple["PhiRamp", "PhiRamp"]:
+        mid = self._phi_at(at, length)
+        return PhiRamp(self.phi_start, mid), PhiRamp(mid, self.phi_end)
+
+    def rotated(self, gamma: float) -> "PhiRamp":
+        return PhiRamp(self.phi_start + gamma, self.phi_end + gamma)
 
 
 @dataclass(frozen=True)
@@ -142,6 +192,28 @@ class PhiTable:
 
     def phi_at(self, offset: float) -> float:
         return float(np.interp(offset, self._offs, self._phis))
+
+    def h_at(self, offset: float, length: float) -> np.ndarray:
+        return p_alpha(self.phi_at(offset))
+
+    def pieces(self, length: float) -> tuple[Piece, ...]:
+        """One piece per table interval."""
+        pts = self.points
+        return tuple(Piece(o0, o1, p0, p1) for (o0, p0), (o1, p1) in zip(pts, pts[1:]))
+
+    def split(self, at: float, length: float) -> tuple["PhiTable", "PhiTable"]:
+        """Cut the sample list, interpolating at the split point."""
+        left = [(o, p) for o, p in self.points if o < at]
+        right = [(o - at, p) for o, p in self.points if o > at]
+        mid = self.phi_at(at)
+        left.append((at, mid))
+        right.insert(0, (0.0, mid))
+        if abs(right[-1][0] - (length - at)) > 1e-12:
+            right[-1] = (length - at, right[-1][1])
+        return PhiTable(tuple(left)), PhiTable(tuple(right))
+
+    def rotated(self, gamma: float) -> "PhiTable":
+        return PhiTable(tuple((o, p + gamma) for o, p in self.points))
 
 
 SegmentKind = Union[ConstantAngle, ConstantMatrix, PhiRamp, PhiTable]
@@ -195,54 +267,18 @@ class Segment:
         return isinstance(self.kind, ConstantAngle)
 
     def h_at(self, offset: float) -> np.ndarray:
-        k = self.kind
-        if isinstance(k, ConstantMatrix):
-            return k.matrix.as_array()
-        if isinstance(k, ConstantAngle):
-            return p_alpha(k.alpha)
-        if isinstance(k, PhiRamp):
-            return p_alpha(k.phi_start + (k.phi_end - k.phi_start) * offset / self.length)
-        return p_alpha(k.phi_at(offset))
+        return self.kind.h_at(offset, self.length)
 
     def pieces(self) -> tuple[Piece, ...]:
         """One :class:`Piece` per constant angle, ramp, matrix or table interval."""
-        k = self.kind
-        if isinstance(k, ConstantAngle):
-            return (Piece(0.0, self.length, k.alpha, k.alpha),)
-        if isinstance(k, PhiRamp):
-            return (Piece(0.0, self.length, k.phi_start, k.phi_end),)
-        if isinstance(k, ConstantMatrix):
-            m, phi = k.matrix, k.matrix.angle()
-            lam1 = 0.5 * float(m.trace + math.hypot(m.h11 - m.h22, 2.0 * m.h12))
-            return (Piece(0.0, self.length, phi, phi, lam1, float(m.det) / lam1),)
-        pts = k.points
-        return tuple(Piece(o0, o1, p0, p1) for (o0, p0), (o1, p1) in zip(pts, pts[1:]))
+        return self.kind.pieces(self.length)
 
     def split(self, at: float) -> tuple["Segment", "Segment"]:
         """Split into two segments with lengths (at, length - at)."""
         if not (0.0 < at < self.length):
             raise ValueError("split point must be interior")
-        k = self.kind
-        if isinstance(k, (ConstantAngle, ConstantMatrix)):
-            return Segment(at, k), Segment(self.length - at, k)
-        if isinstance(k, PhiRamp):
-            mid = k.phi_start + (k.phi_end - k.phi_start) * at / self.length
-            return (
-                Segment(at, PhiRamp(k.phi_start, mid)),
-                Segment(self.length - at, PhiRamp(mid, k.phi_end)),
-            )
-        # PhiTable: cut the sample list, interpolating at the split point
-        left = [(o, p) for o, p in k.points if o < at]
-        right = [(o - at, p) for o, p in k.points if o > at]
-        mid = k.phi_at(at)
-        left.append((at, mid))
-        right.insert(0, (0.0, mid))
-        if abs(right[-1][0] - (self.length - at)) > 1e-12:
-            right[-1] = (self.length - at, right[-1][1])
-        return (
-            Segment(at, PhiTable(tuple(left))),
-            Segment(self.length - at, PhiTable(tuple(right))),
-        )
+        left, right = self.kind.split(at, self.length)
+        return Segment(at, left), Segment(self.length - at, right)
 
 
 @dataclass(frozen=True)
@@ -556,22 +592,9 @@ def extract_phi(H: Hamiltonian, tol: float = RANK_ONE_TOL) -> PhiProfile:
 
 def rotate(H: Hamiltonian, gamma: float) -> Hamiltonian:
     """Conjugate the coefficient function, H_gamma = R_gamma H R_{-gamma}."""
-    segs = []
-    for seg in H.segments:
-        k = seg.kind
-        if isinstance(k, ConstantAngle):
-            nk: SegmentKind = ConstantAngle(k.alpha + gamma)
-        elif isinstance(k, PhiRamp):
-            nk = PhiRamp(k.phi_start + gamma, k.phi_end + gamma)
-        elif isinstance(k, PhiTable):
-            nk = PhiTable(tuple((o, p + gamma) for o, p in k.points))
-        else:
-            r = rotation(gamma)
-            m = r @ k.matrix.as_array() @ r.T
-            nk = ConstantMatrix(MatrixH(m[0, 0], m[0, 1], m[1, 1]))
-        segs.append(Segment(seg.length, nk))
+    segs = tuple(Segment(seg.length, seg.kind.rotated(gamma)) for seg in H.segments)
     tail = None if H.tail is None else SingularHalfLine(H.tail.gamma + gamma)
-    return Hamiltonian(tuple(segs), tail=tail)
+    return Hamiltonian(segs, tail=tail)
 
 
 def truncate_with_tail(H: Hamiltonian, L: float, gamma: float) -> Hamiltonian:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -29,6 +30,21 @@ TWO_ANGLES = {
     "segments": [
         {"length": 1.0, "kind": "angle", "alpha": 0.0},
         {"length": 1.0, "kind": "angle", "alpha": -0.7},
+    ]
+}
+
+RAMP = {
+    "segments": [
+        {"length": 4.0, "kind": "ramp", "phi_start": PI / 2, "phi_end": -PI / 2},
+    ]
+}
+
+#: total drop 3.5 > pi: the diagonal transformation needs a split
+BIG_DROP = {
+    "segments": [
+        {"length": 1.0, "kind": "angle", "alpha": 1.5},
+        {"length": 1.0, "kind": "angle", "alpha": -1.0},
+        {"length": 1.0, "kind": "angle", "alpha": -2.0},
     ]
 }
 
@@ -74,6 +90,12 @@ class TestValidate:
         code, _ = run("frobnicate")
         assert code == 1
 
+    def test_invalid_matrix_exits_two(self, run, tmp_path):
+        doc = {"segments": [{"length": 1.0, "kind": "matrix", "h11": 0.7, "h12": 0.0, "h22": 0.7}]}
+        code, out = run("validate", "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert "trace" in out
+
 
 class TestTheta:
     def test_closed_form_single_interval(self, run, tmp_path):
@@ -113,6 +135,17 @@ class TestTheta:
         a = json.loads(out1)["theta_end"]
         b = json.loads(out2)["theta_end"]
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_degrees_converts_theta0(self, run, tmp_path):
+        # at t = 0 theta stays where it starts: 90 degrees is pi/2
+        p = write_config(
+            tmp_path, {"segments": [{"length": 1.0, "kind": "angle", "alpha": 0.0}]}
+        )
+        code, out = run(
+            "theta", "--config", p, "--degrees", "--theta0", "90", "--t", "0", "--L", "1"
+        )
+        assert code == 0
+        assert json.loads(out)["theta_end"] == pytest.approx(PI / 2, abs=1e-15)
 
 
 class TestCount:
@@ -156,19 +189,25 @@ class TestCount:
         assert doc["witness"]["p"] == pytest.approx(1.0, abs=1e-5)
 
     def test_strict_inconclusive_exits_three(self, run, tmp_path):
-        p = write_config(tmp_path, C_PLUS_TAIL)
+        # two schedule points cannot agree on three floors: inconclusive
+        p = write_config(tmp_path, RAMP)
+        argv = ["count", "--config", p, "--window", "0.0", "100.0", "--schedule", "2", "4"]
+        code, out = run(*argv)
+        assert json.loads(out)["status"] == "inconclusive"
+        assert code == 0
+        code, out = run(*argv, "--strict")
+        assert code == 3
+        assert json.loads(out)["status"] == "inconclusive"
+
+    def test_halfline_csv(self, run, tmp_path):
+        csv_path = tmp_path / "F.csv"
         code, out = run(
-            "count",
-            "--config", p,
-            "--window", "-5.0", "-0.1",
-            "--schedule", "0.5", "1.0",
-            "--strict",
+            "count", "--config", write_config(tmp_path, RAMP),
+            "--window", "0.0", "100.0", "--schedule", "2", "4", "--csv", str(csv_path),
         )
-        doc = json.loads(out)
-        if doc["status"] == "inconclusive":
-            assert code == 3
-        else:
-            assert code == 0
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0] == "L,F"
+        assert [float(v) for v in lines[2].split(",")] == [4.0, json.loads(out)["F_values"][1]]
 
 
 class TestLocate:
@@ -187,6 +226,27 @@ class TestLocate:
         doc = json.loads(out)
         assert doc["count"] == 1
         assert doc["result"][0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_flat_map_exits_two(self, run, tmp_path):
+        # H = P_{pi/2} given as a matrix: theta(1; t) = 0 = beta for every t
+        doc = {"segments": [{"length": 1.0, "kind": "matrix", "h11": 0.0, "h12": 0.0, "h22": 1.0}]}
+        code, out = run(
+            "locate", "--config", write_config(tmp_path, doc),
+            "--L", "1.0", "--window", "0.5", "2.0",
+        )
+        assert code == 2
+        assert "flat" in json.loads(out)["error"]
+
+    def test_csv(self, run, tmp_path):
+        csv_path = tmp_path / "eigs.csv"
+        code, out = run(
+            "locate", "--config", write_config(tmp_path, C_PLUS_TAIL),
+            "--L", "3.0", "--window", "-5.0", "5.0", "--csv", str(csv_path),
+        )
+        assert code == 0
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0] == "eigenvalue"
+        assert [float(v) for v in lines[1:]] == json.loads(out)["result"]
 
 
 class TestClassify:
@@ -217,6 +277,12 @@ class TestToDiagonal:
             assert dT == cell["deltaT"]  # repr floats survive the round trip
             assert h == cell["h"]
 
+    @pytest.mark.parametrize("command", ["to-diagonal", "type"])
+    def test_drop_of_pi_exits_two(self, run, tmp_path, command):
+        code, out = run(command, "--config", write_config(tmp_path, BIG_DROP))
+        assert code == 2
+        assert "drop" in json.loads(out)["error"]
+
 
 class TestHadamard:
     def test_value_and_order(self, run):
@@ -228,6 +294,11 @@ class TestHadamard:
         assert doc["value"][0] == pytest.approx(2.428189792098565, abs=1e-9)
         assert doc["expected_order"] == pytest.approx(1.0 / 3.0)
         assert abs(doc["fitted_order"] - 1.0 / 3.0) < 0.15
+
+    def test_z_takes_at_most_two_values(self, run):
+        code, out = run("hadamard", "--alpha", "3.0", "--z", "1", "2", "3")
+        assert code == 1
+        assert out == ""
 
 
 class TestPotentialCommands:
@@ -268,6 +339,33 @@ class TestPotentialCommands:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "diverges_likely"
+
+    @pytest.mark.parametrize("argv", [["schrodinger-import"], ["molchanov", "--mode", "new"]])
+    def test_e0_in_the_spectrum_exits_two(self, run, free_csv, argv):
+        # E0 = 1 lies in the free spectrum [0, inf): the solutions oscillate
+        code, out = run(*argv, "--potential", free_csv, "--e0", "1.0")
+        assert code == 2
+        assert json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["schrodinger-import", "--e0", "-1.0"], "X,phi"),
+            (["molchanov", "--d-list", "1", "2", "--x-grid", "1", "5", "5"], "x,W_d1,W_d2"),
+            (["molchanov", "--mode", "new", "--x-grid", "1", "5", "5"], "x,G"),
+        ],
+    )
+    def test_csv_header(self, run, free_csv, tmp_path, argv, header):
+        csv_path = tmp_path / "out.csv"
+        code, _ = run(*argv, "--potential", free_csv, "--csv", str(csv_path))
+        assert code == 0
+        assert csv_path.read_text().splitlines()[0] == header
+
+    @pytest.mark.parametrize("n", ["0", "2.7"])
+    def test_x_grid_count_must_be_a_positive_integer(self, run, free_csv, n):
+        code, out = run("molchanov", "--potential", free_csv, "--x-grid", "1", "5", n)
+        assert code == 1
+        assert out == ""
 
 
 def _c_over_x_doc(tail):
@@ -369,3 +467,149 @@ class TestMiscSubcommands:
         code, out = run("wholeline", "--config-left", left, "--config-right", right)
         assert code == 0
         assert "nonnegative" in json.loads(out)
+
+    def test_ess_bounds_strict_exits_three_on_a_warning(self, run, tmp_path):
+        # phi = (x + 1)^(-1/2) -> 0: g(x) = x phi(x) still grows at the window end
+        xs = np.linspace(0.0, 99.0, 100)
+        doc = {
+            "segments": [
+                {"length": 99.0, "kind": "table",
+                 "points": [[float(x), float(1.0 / np.sqrt(x + 1.0))] for x in xs]},
+            ],
+            "tail": {"type": "singular", "gamma": 0.0},
+        }
+        p = write_config(tmp_path, doc)
+        code, out = run("ess-bounds", "--config", p)
+        assert code == 0
+        assert json.loads(out)["warnings"]
+        code, _ = run("ess-bounds", "--config", p, "--strict")
+        assert code == 3
+
+    def test_m_endpoints_minus_t(self, run, tmp_path):
+        # m increases on (-inf, 0), so m(-1) lies between its endpoint values
+        p = write_config(tmp_path, C_PLUS_TAIL)
+        code, out = run("m-endpoints", "--config", p, "--minus-t", "-1.0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["minus_t"] == -1.0
+        assert doc["m_at_minus_infinity"] < doc["m_numeric"] < doc["m_at_zero_minus"]
+
+    def test_type_measure(self, run, tmp_path):
+        doc = {
+            "segments": [{"length": 2.0, "kind": "ramp", "phi_start": 0.5, "phi_end": -0.5}],
+            "tail": {"type": "singular", "gamma": -0.5},
+        }
+        code, out = run("type", "--config", write_config(tmp_path, doc), "--measure")
+        assert code == 0
+        res = json.loads(out)
+        assert res["type"] > 1.0
+        assert res["measured_rate"] == pytest.approx(res["type"], rel=1e-3)
+
+    def test_order_csv(self, run, tmp_path):
+        csv_path = tmp_path / "order.csv"
+        code, _ = run(
+            "order", "--config", write_config(tmp_path, TWO_ANGLES),
+            "--n-radii", "8", "--csv", str(csv_path),
+        )
+        assert code == 0
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0] == "r,log_max"
+        assert len(lines) == 9
+
+    def test_full_rank_matrix_exits_two(self, run, tmp_path):
+        doc = {"segments": [{"length": 1.0, "kind": "matrix", "h11": 0.5, "h12": 0.0, "h22": 0.5}]}
+        code, out = run("zero-eig", "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert "det H" in json.loads(out)["error"]
+
+
+class TestEveryOptionIsRead:
+    """A flag its handler never reads does nothing: every option of every
+    subcommand must be read when the subcommand runs with all of them set."""
+
+    def runs(self, tmp_path):
+        sys_ = write_config(tmp_path, C_PLUS_TAIL)
+        # the ramp of RAMP in degrees: two schedule points leave it inconclusive
+        ramp = write_config(
+            tmp_path,
+            {"segments": [{"length": 4.0, "kind": "ramp", "phi_start": 90, "phi_end": -90}]},
+            name="ramp.json",
+        )
+        xs = np.linspace(0.0, 99.0, 100)
+        warns = write_config(
+            tmp_path,
+            {
+                "segments": [{"length": 99.0, "kind": "table",
+                              "points": [[float(x), float(1.0 / np.sqrt(x + 1.0))] for x in xs]}],
+                "tail": {"type": "singular", "gamma": 0.0},
+            },
+            name="warns.json",
+        )
+        pot = tmp_path / "pot.csv"
+        grid = np.linspace(0.0, 8.0, 161)
+        np.savetxt(pot, np.column_stack([grid, np.zeros_like(grid)]), delimiter=",")
+        out = str(tmp_path / "out.csv")
+        cfg = ["--degrees", "--config", sys_]
+        return [
+            ["validate", *cfg],
+            ["theta", *cfg, "--csv", out, "--tol", "1e-9", "--t", "1", "--theta0", "10",
+             "--L", "2"],
+            # --L selects the bounded count, which has no CSV and is never inconclusive
+            ["count", *cfg, "--csv", out, "--tol", "1e-9", "--strict", "--L", "3",
+             "--beta", "45", "--window", "-5", "5", "--schedule", "1", "2"],
+            ["count", "--degrees", "--config", ramp, "--csv", out, "--tol", "1e-9", "--strict",
+             "--beta", "45", "--window", "0", "100", "--schedule", "2", "4"],
+            ["locate", *cfg, "--csv", out, "--tol", "1e-9", "--L", "3", "--beta", "0",
+             "--window", "-5", "5"],
+            ["classify", *cfg],
+            ["wholeline", "--degrees", "--config-left", sys_, "--config-right", sys_],
+            ["ess-bounds", "--degrees", "--config", warns, "--strict", "--tail-fraction", "0.5"],
+            ["m-endpoints", *cfg, "--minus-t", "-1"],
+            ["zero-eig", *cfg],
+            ["to-diagonal", *cfg, "--csv", out],
+            ["type", *cfg, "--measure", "--y-max", "100"],
+            ["order", *cfg, "--csv", out, "--tol", "1e-9", "--L", "3", "--r-min", "1",
+             "--r-max", "1e3", "--n-radii", "8"],
+            ["schrodinger-import", "--potential", str(pot), "--e0", "-1", "--csv", out],
+            # --mode picks which of --d-list (classic) and --e0 (new) is read
+            ["molchanov", "--potential", str(pot), "--mode", "classic", "--e0", "-1",
+             "--d-list", "1", "--x-grid", "1", "5", "5", "--csv", out],
+            ["molchanov", "--potential", str(pot), "--mode", "new", "--e0", "-1",
+             "--d-list", "1", "--x-grid", "1", "5", "5", "--csv", out],
+            ["hadamard", "--family", "a", "--alpha", "3", "--z", "-1", "0", "--fit-order"],
+        ]
+
+    def test_every_option_is_read(self, monkeypatch, capsys, tmp_path):
+        reads: dict[str, set] = {}
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads[super().__getattribute__("command")].add(name)
+                return super().__getattribute__(name)
+
+        build = cli.build_parser
+
+        def recording_parser():
+            ap = build()
+            parse = ap.parse_args
+
+            def parse_args(argv):
+                ns = parse(argv)
+                reads.setdefault(ns.command, set())
+                return Recording(**vars(ns))
+
+            ap.parse_args = parse_args
+            return ap
+
+        monkeypatch.setattr(cli, "build_parser", recording_parser)
+        runs = self.runs(tmp_path)
+        for argv in runs:
+            assert cli.main(argv) in (0, 3), (argv, capsys.readouterr().out)
+        subparsers = next(a for a in build()._actions if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            options = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+            given = {a for argv in runs if argv[0] == name for a in argv}
+            unset = [a.option_strings[0] for a in options if a.option_strings[0] not in given]
+            assert not unset, f"{name}: no run sets {unset}"
+            unread = [a.option_strings[0] for a in options if a.dest not in reads[name]]
+            assert not unread, f"{name}: {unread} never read"

@@ -68,12 +68,12 @@ def tables(draw):
     return Segment(pts[-1][0], PhiTable(pts))
 
 
-segments = st.one_of(ramps(), matrices(), tables())
-systems = st.lists(segments, min_size=1, max_size=3).map(lambda s: Hamiltonian(tuple(s)))
 constant_angles = st.builds(Segment, lengths, st.builds(ConstantAngle, angles))
+segments = st.one_of(ramps(), matrices(), tables(), constant_angles)
+systems = st.lists(segments, min_size=1, max_size=3).map(lambda s: Hamiltonian(tuple(s)))
 tailed = st.builds(
     Hamiltonian,
-    st.lists(st.one_of(segments, constant_angles), min_size=1, max_size=4).map(tuple),
+    st.lists(segments, min_size=1, max_size=4).map(tuple),
     st.one_of(st.none(), st.builds(SingularHalfLine, angles)),
 )
 
