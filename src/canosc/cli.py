@@ -49,6 +49,14 @@ class ConfigError(Exception):
     """Config document rejected; message carries location information."""
 
 
+class Rejected(Exception):
+    """A handler's answer is a failure document: main emits it and exits 2."""
+
+    def __init__(self, doc: dict):
+        super().__init__(doc)
+        self.doc = doc
+
+
 def _angle(v: float, degrees: bool) -> float:
     return math.radians(v) if degrees else float(v)
 
@@ -138,15 +146,20 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns (JSON document, CSV (header, rows) or None,
-# whether the answer is inconclusive); main does the output and exit codes
+# whether the answer is inconclusive), or raises Rejected with a failure
+# document; main does the output and exit codes
 
 
 def cmd_validate(args):
-    H, _ = load_config(args.config, args.degrees)
+    try:
+        H, _ = load_config(args.config, args.degrees)
+    except ConfigError as exc:
+        raise Rejected({"valid": False, "error": str(exc)}) from exc
     rep = validate(H)
+    doc = {"valid": rep.ok, "issues": rep.issues, "x_max": H.x_max}
     if not rep.ok:
-        raise ConfigError("; ".join(f"segment {i}: {m}" for i, m in rep.issues))
-    return {"valid": True, "issues": [], "x_max": H.x_max}, None, False
+        raise Rejected(doc)
+    return doc, None, False
 
 
 def cmd_theta(args):
@@ -523,6 +536,9 @@ def main(argv=None) -> int:
         transforms.SplitRequired, transforms.AssumptionViolated,
     ) as exc:
         emit({"error": str(exc)})
+        return 2
+    except Rejected as exc:
+        emit(exc.doc)
         return 2
     emit(doc)
     if columns is not None and args.csv:

@@ -80,7 +80,9 @@ class TestValidate:
         p = write_config(tmp_path, {"segments": [{"length": 1, "kind": "spline"}]})
         code, out = run("validate", "--config", p)
         assert code == 2
-        assert "segments[0]" in json.loads(out)["error"]
+        doc = json.loads(out)
+        assert doc["valid"] is False
+        assert "segments[0]" in doc["error"]
 
     def test_usage_error_exits_one(self, run):
         code, _ = run("validate")  # --config missing
@@ -94,7 +96,11 @@ class TestValidate:
         doc = {"segments": [{"length": 1.0, "kind": "matrix", "h11": 0.7, "h12": 0.0, "h22": 0.7}]}
         code, out = run("validate", "--config", write_config(tmp_path, doc))
         assert code == 2
-        assert "trace" in out
+        doc = json.loads(out)
+        assert doc["valid"] is False
+        assert doc["issues"][0][0] == 0
+        assert "trace" in doc["issues"][0][1]
+        assert doc["x_max"] == 1.0
 
 
 class TestTheta:
@@ -198,6 +204,15 @@ class TestCount:
         code, out = run(*argv, "--strict")
         assert code == 3
         assert json.loads(out)["status"] == "inconclusive"
+
+    def test_strict_conclusive_exits_zero(self, run, tmp_path):
+        p = write_config(tmp_path, C_PLUS_TAIL)
+        code, out = run(
+            "count", "--config", p, "--window", "-5.0", "-0.1",
+            "--schedule", "0.5", "1.0", "--strict",
+        )
+        assert json.loads(out)["status"] == "stabilized"
+        assert code == 0
 
     def test_halfline_csv(self, run, tmp_path):
         csv_path = tmp_path / "F.csv"
@@ -484,6 +499,12 @@ class TestMiscSubcommands:
         assert json.loads(out)["warnings"]
         code, _ = run("ess-bounds", "--config", p, "--strict")
         assert code == 3
+
+    def test_ess_bounds_strict_exits_zero_without_a_warning(self, run, tmp_path):
+        p = write_config(tmp_path, C_PLUS_TAIL)
+        code, out = run("ess-bounds", "--config", p, "--strict")
+        assert json.loads(out)["warnings"] == []
+        assert code == 0
 
     def test_m_endpoints_minus_t(self, run, tmp_path):
         # m increases on (-inf, 0), so m(-1) lies between its endpoint values
