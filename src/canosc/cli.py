@@ -177,11 +177,15 @@ def cmd_theta(args):
 
 
 def cmd_count(args):
+    if args.L is not None and args.schedule is not None:
+        raise argparse.ArgumentError(None, "count: --schedule is for the half-line count, not --L")
+    if args.L is None and args.beta is not None:
+        raise argparse.ArgumentError(None, "count: --beta is the boundary angle at --L")
     H, doc = load_config(args.config, args.degrees)
     tol = _tolerances(doc, args)
     w = spectra.SpectralWindow(args.window[0], args.window[1])
     if args.L is not None:
-        beta = _angle(args.beta, args.degrees)
+        beta = _angle(0.0 if args.beta is None else args.beta, args.degrees)
         res = spectra.count_bounded(H, args.L, beta, w, tol)
         out = {
             "inputs": {"L": args.L, "beta": beta, "window": [w.s, w.t], "tol": tol},
@@ -430,7 +434,6 @@ DEGREES = ("--degrees", dict(action="store_true", help="angles given in degrees"
 CSV = ("--csv", dict(help="write plot-ready columns to this path"))
 TOL = ("--tol", dict(type=float, help="integration tolerance override"))
 STRICT = ("--strict", dict(action="store_true", help="exit 3 on inconclusive"))
-BETA = ("--beta", dict(type=float, default=0.0))
 WINDOW = ("--window", dict(type=float, nargs=2, required=True, metavar=("S", "T")))
 POTENTIAL = ("--potential", dict(required=True, help="CSV with columns x,V"))
 
@@ -446,13 +449,15 @@ COMMANDS = {
     "count": (cmd_count, "eigenvalue count in a window", [
         CONFIG, DEGREES, CSV, TOL, STRICT,
         ("--L", dict(type=float, help="truncation (omit for half-line)")),
-        BETA, WINDOW,
-        ("--schedule", dict(type=float, nargs="+", help="half-line L schedule")),
+        ("--beta", dict(type=float, help="boundary angle at L (with --L only; default 0)")),
+        WINDOW,
+        ("--schedule", dict(type=float, nargs="+", help="half-line L schedule (without --L only)")),
     ]),
     "locate": (cmd_locate, "eigenvalues in a window", [
         CONFIG, DEGREES, CSV, TOL,
         ("--L", dict(type=float, required=True)),
-        BETA, WINDOW,
+        ("--beta", dict(type=float, default=0.0)),
+        WINDOW,
     ]),
     "classify": (cmd_classify, "semiboundedness classification", [CONFIG, DEGREES]),
     "wholeline": (cmd_wholeline, "whole-line nonnegativity", [
@@ -540,6 +545,9 @@ def main(argv=None) -> int:
     except Rejected as exc:
         emit(exc.doc)
         return 2
+    except argparse.ArgumentError as exc:  # options that parse but do not go together
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     emit(doc)
     if columns is not None and args.csv:
         write_csv(args.csv, *columns)

@@ -14,6 +14,7 @@ diagonal transformation.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
@@ -164,56 +165,68 @@ class PhiRamp:
         return PhiRamp(self.phi_start + gamma, self.phi_end + gamma)
 
 
-@dataclass(frozen=True)
 class PhiTable:
     """H = P_phi(x) with phi piecewise linear through (offset, phi) samples.
 
     Offsets are relative to the segment start, strictly increasing, starting
-    at 0; phi values are nonincreasing.
+    at 0; phi values are nonincreasing.  The samples are kept only as the
+    table's pieces, one per interval; :attr:`points` reads them back.
     """
 
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ("_pieces",)
 
-    def __post_init__(self):
-        pts = tuple((float(o), float(p)) for o, p in self.points)
-        object.__setattr__(self, "points", pts)
+    def __init__(self, points):
+        pts = [(float(o), float(p)) for o, p in points]
         if len(pts) < 2:
             raise ValueError("PhiTable needs at least two samples")
         if pts[0][0] != 0.0:
             raise ValueError("PhiTable offsets must start at 0")
-        offs = [o for o, _ in pts]
-        if any(b <= a for a, b in zip(offs, offs[1:])):
+        if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
             raise ValueError("PhiTable offsets must be strictly increasing")
-        phis = [p for _, p in pts]
-        if any(b > a + 1e-15 for a, b in zip(phis, phis[1:])):
+        if any(b[1] > a[1] + 1e-15 for a, b in zip(pts, pts[1:])):
             raise ValueError("PhiTable phi values must be nonincreasing")
-        object.__setattr__(self, "_offs", np.array(offs))
-        object.__setattr__(self, "_phis", np.array(phis))
+        self._pieces = tuple(Piece(o0, o1, p0, p1) for (o0, p0), (o1, p1) in zip(pts, pts[1:]))
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        ps = self._pieces
+        return tuple((p.offset, p.phi0) for p in ps) + ((ps[-1].end, ps[-1].phi1),)
+
+    def __eq__(self, other):
+        return isinstance(other, PhiTable) and self._pieces == other._pieces
+
+    def __hash__(self) -> int:
+        return hash(self._pieces)
+
+    def __repr__(self) -> str:
+        return f"PhiTable(points={self.points!r})"
 
     def phi_at(self, offset: float) -> float:
-        return float(np.interp(offset, self._offs, self._phis))
+        """phi at offset, with the bits np.interp gives on the samples."""
+        i = bisect.bisect_right(self._pieces, offset, key=lambda p: p.offset)
+        p = self._pieces[max(i - 1, 0)]
+        if offset <= p.offset or offset >= p.end:
+            return p.phi0 if offset <= p.offset else p.phi1
+        return (p.phi1 - p.phi0) / (p.end - p.offset) * (offset - p.offset) + p.phi0
 
     def h_at(self, offset: float, length: float) -> np.ndarray:
         return p_alpha(self.phi_at(offset))
 
     def pieces(self, length: float) -> tuple[Piece, ...]:
-        """One piece per table interval."""
-        pts = self.points
-        return tuple(Piece(o0, o1, p0, p1) for (o0, p0), (o1, p1) in zip(pts, pts[1:]))
+        """One piece per table interval: the stored tuple itself."""
+        return self._pieces
 
     def split(self, at: float, length: float) -> tuple["PhiTable", "PhiTable"]:
         """Cut the sample list, interpolating at the split point."""
-        left = [(o, p) for o, p in self.points if o < at]
-        right = [(o - at, p) for o, p in self.points if o > at]
         mid = self.phi_at(at)
-        left.append((at, mid))
-        right.insert(0, (0.0, mid))
+        left = [(p.offset, p.phi0) for p in self._pieces if p.offset < at] + [(at, mid)]
+        right = [(0.0, mid)] + [(p.end - at, p.phi1) for p in self._pieces if p.end > at]
         if abs(right[-1][0] - (length - at)) > 1e-12:
             right[-1] = (length - at, right[-1][1])
-        return PhiTable(tuple(left)), PhiTable(tuple(right))
+        return PhiTable(left), PhiTable(right)
 
     def rotated(self, gamma: float) -> "PhiTable":
-        return PhiTable(tuple((o, p + gamma) for o, p in self.points))
+        return PhiTable((o, p + gamma) for o, p in self.points)
 
 
 SegmentKind = Union[ConstantAngle, ConstantMatrix, PhiRamp, PhiTable]
@@ -225,7 +238,8 @@ class Piece(NamedTuple):
     phi runs linearly from phi0 to phi1; with kappa = -phi' the frame
     v = R(phi)^T u turns u' = z J H u into v' = [[0, -b], [a, 0]] v with the
     constants (a, b) = :meth:`rates`.  Angle pieces have (lam1, lam2) = (1, 0);
-    a constant matrix is one piece in its eigenbasis (phi0 = phi1).
+    a constant matrix is one piece in its eigenbasis (phi0 = phi1).  A
+    singular tail is the piece [0, inf) past X_max.
     """
 
     offset: float
@@ -253,14 +267,17 @@ class Piece(NamedTuple):
 class Segment:
     length: float
     kind: SegmentKind
+    #: the kind's pieces at this length, built once
+    _pieces: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.length > 0.0):
             raise ValueError("segment length must be positive")
-        if isinstance(self.kind, PhiTable):
-            last = self.kind.points[-1][0]
-            if abs(last - self.length) > 1e-12 * max(1.0, self.length):
-                raise ValueError("PhiTable last offset must equal segment length")
+        pieces = self.kind.pieces(self.length)
+        # only a table's pieces can end elsewhere
+        if abs(pieces[-1].end - self.length) > 1e-12 * max(1.0, self.length):
+            raise ValueError("PhiTable last offset must equal segment length")
+        object.__setattr__(self, "_pieces", pieces)
 
     @property
     def is_singular(self) -> bool:
@@ -271,7 +288,7 @@ class Segment:
 
     def pieces(self) -> tuple[Piece, ...]:
         """One :class:`Piece` per constant angle, ramp, matrix or table interval."""
-        return self.kind.pieces(self.length)
+        return self._pieces
 
     def split(self, at: float) -> tuple["Segment", "Segment"]:
         """Split into two segments with lengths (at, length - at)."""
@@ -292,6 +309,9 @@ class SingularHalfLine:
 class Hamiltonian:
     segments: tuple[Segment, ...]
     tail: Optional[SingularHalfLine] = None
+    #: the tail as one piece on [X_max, infinity)
+    _tail_piece: Optional[Piece] = field(init=False, repr=False, compare=False)
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -311,6 +331,8 @@ class Hamiltonian:
             else:
                 merged.append(seg)
         object.__setattr__(self, "segments", tuple(merged))
+        tail = None if self.tail is None else Piece(0.0, math.inf, self.tail.gamma, self.tail.gamma)
+        object.__setattr__(self, "_tail_piece", tail)
 
     @property
     def x_max(self) -> float:
@@ -349,15 +371,15 @@ class Hamiltonian:
         for seg in self.segments:
             if acc >= L:
                 return
-            for p in seg.pieces():
+            for p in seg._pieces:
                 x = acc + p.offset
                 if x >= L:
                     break
                 yield x, p, min(p.end - p.offset, L - x)
             acc += seg.length
         if L > acc:
-            if self.tail is not None:
-                yield acc, Piece(0.0, L - acc, self.tail.gamma, self.tail.gamma), L - acc
+            if self._tail_piece is not None:
+                yield acc, self._tail_piece, L - acc
             elif L > acc + 1e-12 * max(1.0, acc):
                 raise ValueError(f"L = {L} beyond X_max = {acc} and no tail attached")
 
@@ -398,11 +420,15 @@ def validate(H: Hamiltonian, tol: float = CONSTRUCTION_TOL) -> ValidationReport:
     return ValidationReport(ok=not issues, issues=issues)
 
 
-def require_valid(H: Hamiltonian, tol: float = CONSTRUCTION_TOL) -> None:
-    rep = validate(H, tol)
+def require_valid(H: Hamiltonian) -> None:
+    """ValueError unless H passes :func:`validate`; a pass is kept on the frozen H."""
+    if H._valid:
+        return
+    rep = validate(H)
     if not rep.ok:
         detail = "; ".join(f"segment {i}: {m}" for i, m in rep.issues)
         raise ValueError(f"invalid Hamiltonian: {detail}")
+    object.__setattr__(H, "_valid", True)
 
 
 # ---------------------------------------------------------------------------

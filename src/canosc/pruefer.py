@@ -13,6 +13,7 @@ can apply ceil/floor directly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -108,12 +109,13 @@ def integrate(
     tol: float = 1e-9,
     x_eval=(),
 ) -> PrueferTrajectory:
-    """Pruefer trajectory on [0, L] with err_bound <= tol.
+    """Pruefer trajectory on [0, L].
 
-    Every piece advances in closed form (see :func:`advance`).  Every piece
-    boundary and every requested x_eval point appears among the samples; an
-    x_eval point inside a piece is reached from the piece start.  L may
-    exceed X_max when a singular tail is attached.
+    Every piece advances in closed form (see :func:`advance`), so err_bound
+    is 0 and tol is only checked to be positive.  Every piece boundary and
+    every requested x_eval point appears among the samples; an x_eval point
+    inside a piece is reached from the piece start.  L may exceed X_max when
+    a singular tail is attached.
     """
     _check_args(H, tol, L)
     eval_pts = sorted({float(x) for x in x_eval if 0.0 < float(x) < L})
@@ -121,7 +123,8 @@ def integrate(
     thetas = [float(theta0)]
     theta = float(theta0)
     for x, piece, span in H.walk(L):
-        for off in [p - x for p in eval_pts if x < p < x + span]:
+        for p in eval_pts[bisect.bisect_right(eval_pts, x):bisect.bisect_left(eval_pts, x + span)]:
+            off = p - x
             xs.append(x + off)
             thetas.append(advance(theta, piece, off, t))
         theta = advance(theta, piece, span, t)

@@ -30,7 +30,6 @@ from .hamiltonian import (
     PhiProfile,
     extract_phi,
     require_valid,
-    truncate_with_tail,
 )
 
 
@@ -80,9 +79,10 @@ def count_bounded(
 ) -> CountResult:
     """Number of eigenvalues of the [0, L] problem in [s, t).
 
-    Ceil formula on the Pruefer angle with theta(0) = 0.  The result is
-    certified when both endpoint angles are farther than the integration
-    error bound from the counting discontinuities.
+    Ceil formula on the Pruefer angle with theta(0) = 0.  The steps are
+    closed forms (err_bound 0), so the result is certified when both
+    endpoint angles are farther than a fixed 1e-15, not a rounding bound,
+    from the counting discontinuities.
     """
     if not (0.0 <= beta < PI):
         raise ValueError("beta must lie in [0, pi)")

@@ -178,12 +178,14 @@ def molchanov_classic(
 ) -> MolchanovTable:
     """Window integrals W(x, d) = int_x^{x+d} V for the classical criterion.
 
-    Verdict "diverges_likely" when every d-row is increasing across the last
-    half of x_grid.  V must be sampled beyond max(x_grid) + max(d_list).
+    Verdict "diverges_likely" when every d-row rises across the last half of
+    x_grid (N >= 3).  V must be sampled beyond max(x_grid) + max(d_list).
     """
     v_grid = np.asarray(v_grid, dtype=float)
     v_values = np.asarray(v_values, dtype=float)
     x_grid = np.asarray(sorted(float(x) for x in x_grid))
+    if len(x_grid) < 3:
+        raise ValueError(f"x_grid has {len(x_grid)} points; its last half needs two to rise")
     d_list = [float(d) for d in d_list]
     if x_grid[-1] + max(d_list) > v_grid[-1] + 1e-12:
         raise ValueError("potential must be sampled beyond max(x_grid) + max(d)")

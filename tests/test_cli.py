@@ -214,6 +214,23 @@ class TestCount:
         assert json.loads(out)["status"] == "stabilized"
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--L", "3", "--schedule", "1", "2"], ["--beta", "0.5"]],
+        ids=["schedule_with_L", "beta_without_L"],
+    )
+    def test_mixed_forms_are_usage_errors(self, tmp_path, capsys, extra):
+        p = write_config(tmp_path, C_PLUS_TAIL)
+        assert cli.main(["count", "--config", p, "--window", "-5", "5", *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: count:" in err
+
+    def test_bounded_beta_defaults_to_zero(self, run, tmp_path):
+        p = write_config(tmp_path, TWO_ANGLES)
+        argv = ["count", "--config", p, "--L", "2", "--window", "-5", "5"]
+        assert run(*argv) == run(*argv, "--beta", "0")
+
     def test_halfline_csv(self, run, tmp_path):
         csv_path = tmp_path / "F.csv"
         code, out = run(
@@ -375,6 +392,13 @@ class TestPotentialCommands:
         code, _ = run(*argv, "--potential", free_csv, "--csv", str(csv_path))
         assert code == 0
         assert csv_path.read_text().splitlines()[0] == header
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_classic_grid_too_short_exits_two(self, run, free_csv, n):
+        # V = 0 must not read diverges_likely from an empty rising test
+        code, out = run("molchanov", "--potential", free_csv, "--x-grid", "1", "5", n)
+        assert code == 2
+        assert "last half" in json.loads(out)["error"]
 
     @pytest.mark.parametrize("n", ["0", "2.7"])
     def test_x_grid_count_must_be_a_positive_integer(self, run, free_csv, n):
@@ -577,9 +601,9 @@ class TestEveryOptionIsRead:
              "--L", "2"],
             # --L selects the bounded count, which has no CSV and is never inconclusive
             ["count", *cfg, "--csv", out, "--tol", "1e-9", "--strict", "--L", "3",
-             "--beta", "45", "--window", "-5", "5", "--schedule", "1", "2"],
+             "--beta", "45", "--window", "-5", "5"],
             ["count", "--degrees", "--config", ramp, "--csv", out, "--tol", "1e-9", "--strict",
-             "--beta", "45", "--window", "0", "100", "--schedule", "2", "4"],
+             "--window", "0", "100", "--schedule", "2", "4"],
             ["locate", *cfg, "--csv", out, "--tol", "1e-9", "--L", "3", "--beta", "0",
              "--window", "-5", "5"],
             ["classify", *cfg],

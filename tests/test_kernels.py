@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from canosc import entire, pruefer, rk
+from canosc import entire, hamiltonian, pruefer, rk, spectra
 from canosc.hamiltonian import (
     ConstantAngle,
     ConstantMatrix,
@@ -58,14 +58,17 @@ def matrices(draw):
 
 
 @st.composite
-def tables(draw):
+def table_points(draw):
     n = draw(st.integers(2, 5))
     steps = draw(st.lists(st.floats(0.05, 0.6), min_size=n, max_size=n))
     offs = np.concatenate(([0.0], np.cumsum(steps)))
     drops = draw(st.lists(st.sampled_from([0.0, 0.1, 0.4, 1.0]), min_size=n, max_size=n))
     phis = draw(angles) - np.concatenate(([0.0], np.cumsum(drops)))
-    pts = tuple(zip(offs.tolist(), phis.tolist()))
-    return Segment(pts[-1][0], PhiTable(pts))
+    return tuple(zip(offs.tolist(), phis.tolist()))
+
+
+def tables():
+    return table_points().map(lambda pts: Segment(pts[-1][0], PhiTable(pts)))
 
 
 constant_angles = st.builds(Segment, lengths, st.builds(ConstantAngle, angles))
@@ -268,3 +271,91 @@ class TestBatched:
                 F1, s1 = entire._piece_factor(piece, span, z[k])
                 assert np.max(np.abs(F[k] - F1)) <= 1e-13 * max(1.0, np.max(np.abs(F1)))
                 assert np.broadcast_to(s, (4,))[k] == s1
+
+
+class TestStoredPieces:
+    """Each segment builds its pieces once; a table keeps its samples only
+    as its pieces and answers as np.interp on the samples would."""
+
+    @given(tailed, st.floats(0.5, 1.5))
+    @settings(max_examples=40, deadline=None)
+    def test_walk_yields_the_stored_pieces(self, H, beyond):
+        assert all(seg.pieces() is seg.pieces() for seg in H.segments)
+        stored = [p for seg in H.segments for p in seg.pieces()]
+        walked = [p for _, p, _ in H.walk(H.x_max)]
+        assert len(walked) == len(stored) and all(a is b for a, b in zip(walked, stored))
+        if H.tail is not None:
+            x = H.x_max * (1.0 + beyond)
+            assert list(H.walk(x))[-1][1] is list(H.walk(x))[-1][1]
+
+    @given(table_points())
+    @settings(max_examples=60, deadline=None)
+    def test_points_read_back(self, pts):
+        table = PhiTable(pts)
+        assert table.points == pts
+        assert all(type(v) is float for pair in table.points for v in pair)
+        assert PhiTable(list(pts)) == table and hash(PhiTable(list(pts))) == hash(table)
+        assert hash(Segment(pts[-1][0], PhiTable(pts))) == hash(Segment(pts[-1][0], table))
+        assert table.rotated(0.25) != table
+
+    @given(table_points(), st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_phi_at_split_rotated_as_interp_on_points(self, pts, fracs):
+        table = PhiTable(pts)
+        offs = np.array([o for o, _ in pts])
+        phis = np.array([p for _, p in pts])
+        length = pts[-1][0]
+
+        def interp(x):
+            return float(np.interp(x, offs, phis))
+
+        for x in [f * length for f in fracs] + offs.tolist():
+            assert table.phi_at(x) == interp(x)
+        for at in [f * length for f in fracs if 0.0 < f * length < length]:
+            mid = interp(at)
+            left = [(o, p) for o, p in pts if o < at] + [(at, mid)]
+            right = [(0.0, mid)] + [(o - at, p) for o, p in pts if o > at]
+            if abs(right[-1][0] - (length - at)) > 1e-12:
+                right[-1] = (length - at, right[-1][1])
+            a, b = table.split(at, length)
+            assert a.points == tuple(left) and b.points == tuple(right)
+        assert table.rotated(0.3).points == tuple((o, p + 0.3) for o, p in pts)
+
+    @given(tailed, st.floats(-20.0, 20.0), angles, st.floats(0.0, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_theta_at_is_integrate_end(self, H, t, theta0, frac):
+        L = H.x_max * (frac if H.tail is not None else min(frac, 1.0))
+        th = pruefer.theta_at(H, t, theta0, L)
+        assert th == pruefer.integrate(H, t, theta0, L).theta_end()
+        assert th == pruefer.theta_at(H, t, theta0, L)
+
+
+class TestInvalidStillRaises:
+    """Validation runs once per Hamiltonian; a failure is not kept, so every
+    entry point raises on every call."""
+
+    BAD = Hamiltonian((Segment(1.0, ConstantAngle(0.2)), Segment(1.0, ConstantMatrix(MatrixH(0.7, 0.0, 0.7)))))
+    W = spectra.SpectralWindow(-2.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda H, w: pruefer.theta_at(H, 1.0, 0.0, 2.0),
+            lambda H, w: pruefer.integrate(H, 1.0, 0.0, 2.0),
+            lambda H, w: spectra.count_bounded(H, 2.0, 0.0, w),
+            lambda H, w: spectra.locate_eigenvalues(H, 2.0, 0.0, w),
+            lambda H, w: spectra.halfline_count(H, w, [0.5, 1.0, 1.5, 2.0]),
+        ],
+        ids=["theta_at", "integrate", "count_bounded", "locate_eigenvalues", "halfline_count"],
+    )
+    def test_every_entry_point_raises(self, call):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invalid Hamiltonian"):
+                call(self.BAD, self.W)
+
+    def test_a_valid_system_is_checked_once(self):
+        H = Hamiltonian((Segment(1.0, ConstantAngle(0.2)), Segment(1.0, matrix(0.3, 0.1))))
+        with mock.patch.object(hamiltonian, "validate", wraps=hamiltonian.validate) as v:
+            spectra.locate_eigenvalues(H, 2.0, 0.0, self.W)
+            pruefer.theta_at(H, 1.0, 0.0, 2.0)
+        assert v.call_count == 1

@@ -108,6 +108,14 @@ class TestMolchanovClassic:
         with pytest.raises(ValueError):
             molchanov_classic(xs, xs.copy(), [2.0], np.linspace(1, 4.5, 10))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_grid_without_a_rise_in_its_last_half_rejected(self, n):
+        # the last half of 1 or 2 points has no difference to call rising
+        xs = np.linspace(0.0, 16.0, 801)
+        with pytest.raises(ValueError, match="last half"):
+            molchanov_classic(xs, np.zeros_like(xs), [1.0], np.linspace(1, 5, n))
+        assert molchanov_classic(xs, np.zeros_like(xs), [1.0], np.linspace(1, 5, 3)).verdict == "not_diverging"
+
 
 class TestMolchanovNew:
     def test_free_case_quarter_limit(self):
