@@ -115,7 +115,10 @@ def build_hamiltonian(doc: dict, degrees: bool = False) -> Hamiltonian:
 
 def _tolerances(doc: dict, args) -> float:
     tol = doc.get("tolerances", {}).get("integration", 1e-9)
-    return float(tol if args.tol is None else args.tol)
+    tol = float(tol if args.tol is None else args.tol)
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    return tol
 
 
 def _jsonable(obj):
@@ -166,11 +169,10 @@ def cmd_theta(args):
     H, doc = load_config(args.config, args.degrees)
     tol = _tolerances(doc, args)
     theta0 = _angle(args.theta0, args.degrees)
-    tr = pruefer.integrate(H, args.t, theta0, args.L, tol)
+    tr = pruefer.integrate(H, args.t, theta0, args.L)
     out = {
         "inputs": {"t": args.t, "theta0": theta0, "L": args.L, "tol": tol},
         "theta_end": tr.theta_end(),
-        "err_bound": tr.err_bound,
         "n_samples": len(tr.xs),
     }
     return out, (["x", "theta"], zip(tr.xs, tr.thetas)), False
@@ -432,7 +434,7 @@ def _checked(ok, message):
 CONFIG = ("--config", dict(required=True, help="system JSON document"))
 DEGREES = ("--degrees", dict(action="store_true", help="angles given in degrees"))
 CSV = ("--csv", dict(help="write plot-ready columns to this path"))
-TOL = ("--tol", dict(type=float, help="integration tolerance override"))
+TOL = ("--tol", dict(type=float, help="tolerance override (the stopping rule of locate)"))
 STRICT = ("--strict", dict(action="store_true", help="exit 3 on inconclusive"))
 WINDOW = ("--window", dict(type=float, nargs=2, required=True, metavar=("S", "T")))
 POTENTIAL = ("--potential", dict(required=True, help="CSV with columns x,V"))

@@ -22,7 +22,8 @@ so the result does not depend on where that happens.  This lets growth
 (order, exponential type) be estimated by regression on log M(r) over
 geometric radii far beyond the float range; :func:`order_fit` and
 :func:`type_fit_imaginary` pass their whole z-grid to the evaluated
-function in one call.
+function in one call.  Nothing is integrated numerically, so the transfer
+matrix takes no tolerance.
 """
 
 from __future__ import annotations
@@ -145,12 +146,7 @@ def _headroom(V: np.ndarray, exps: np.ndarray, bound: float, step: float) -> flo
     return bound + step
 
 
-def transfer_matrix_log(
-    H: Hamiltonian,
-    x: float,
-    z,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, np.ndarray]:
+def transfer_matrix_log(H: Hamiltonian, x: float, z) -> tuple[np.ndarray, np.ndarray]:
     """(U, s) with T(x; z) = exp(s) * U and max |U entry| = 1.
 
     z is a complex scalar or array; U has shape z.shape + (2, 2) and s shape
@@ -165,7 +161,6 @@ def transfer_matrix_log(
     scaled by a power of two, which is exact (see :func:`_headroom`), so
     where that happens does not change U or s.  Past X_max the singular tail
     contributes its factor; without a tail, x beyond X_max is a ValueError.
-    The factors are closed forms, so tol is unused.
     """
     require_valid(H)
     z = np.asarray(z, dtype=complex)
@@ -204,15 +199,10 @@ def transfer_matrix_log(
     return U, (s.reshape(z.shape) if z.ndim else float(s[0]))
 
 
-def transfer_matrix(
-    H: Hamiltonian,
-    x: float,
-    z: complex,
-    tol: float = 1e-10,
-) -> TransferMatrix:
+def transfer_matrix(H: Hamiltonian, x: float, z: complex) -> TransferMatrix:
     """T(x; z) = exp(s) * U from :func:`transfer_matrix_log` at a scalar z;
     raises OverflowError when exp(s) leaves the float range."""
-    U, s = transfer_matrix_log(H, x, z, tol)
+    U, s = transfer_matrix_log(H, x, z)
     try:
         return TransferMatrix(entries=math.exp(s) * U, x=x, z=z)
     except OverflowError:
@@ -222,8 +212,9 @@ def transfer_matrix(
 def log_max_entry(H: Hamiltonian, x: float, z, tol: float = 1e-10):
     """log of the largest |entry| of T(x; z), overflow safe; elementwise for
     an array z (a float for a scalar z).  This is the s of
-    :func:`transfer_matrix_log`, whose U has largest |entry| 1."""
-    return transfer_matrix_log(H, x, z, tol)[1]
+    :func:`transfer_matrix_log`, whose U has largest |entry| 1.  tol is
+    unused; it stays because the benchmark harness passes it positionally."""
+    return transfer_matrix_log(H, x, z)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +477,6 @@ def order_bound_check(
     r_max: Optional[float] = None,
     n_radii: int = 10,
     n_phases: int = 8,
-    tol: float = 1e-8,
 ) -> OrderBoundReport:
     """Growth-order report for a semibounded system's transfer matrix.
 
@@ -504,7 +494,7 @@ def order_bound_check(
     if r_max is None:
         r_max = 1e8 if all_singular else 1e3
     fit = order_fit(
-        lambda zz: log_max_entry(H, L, zz, tol),
+        lambda zz: log_max_entry(H, L, zz),
         r_min,
         r_max,
         n_radii=n_radii,
@@ -512,7 +502,7 @@ def order_bound_check(
         log_abs=True,
     )
     phi = extract_phi(H)
-    has_ramp = any(not p.is_plateau for p in phi.pieces if p.x0 < L)
+    has_ramp = any(not p.singular for p in phi.pieces if p.offset < L)
     tau = None
     resolvable = False
     lower_ok = None

@@ -239,7 +239,8 @@ class Piece(NamedTuple):
     v = R(phi)^T u turns u' = z J H u into v' = [[0, -b], [a, 0]] v with the
     constants (a, b) = :meth:`rates`.  Angle pieces have (lam1, lam2) = (1, 0);
     a constant matrix is one piece in its eigenbasis (phi0 = phi1).  A
-    singular tail is the piece [0, inf) past X_max.
+    singular tail is the piece [0, inf) past X_max.  The pieces of a
+    :class:`PhiProfile` are angle pieces in absolute coordinates.
     """
 
     offset: float
@@ -261,6 +262,17 @@ class Piece(NamedTuple):
         """(a, b) = (z lam1 + kappa, z lam2 + kappa)."""
         kappa = (self.phi0 - self.phi1) / (self.end - self.offset)
         return z * self.lam1 + kappa, z * self.lam2 + kappa
+
+    def int_cos2(self) -> float:
+        """Integral of cos^2(phi) over an angle piece, in closed form."""
+        dx = self.end - self.offset
+        a, b = self.phi0, self.phi1
+        d = a - b
+        if d == 0.0:
+            c = math.cos(a)
+            return dx * c * c
+        # (sin 2a - sin 2b) / 4 = cos(a + b) sin(d) / 2: no cancellation at small d
+        return dx * (0.5 + math.cos(a + b) * math.sin(d) / (2.0 * d))
 
 
 @dataclass(frozen=True)
@@ -436,37 +448,6 @@ def require_valid(H: Hamiltonian) -> None:
 
 
 @dataclass(frozen=True)
-class PhiPiece:
-    """phi linear on [x0, x1), from phi0 at x0 to phi1 at x1-."""
-
-    x0: float
-    x1: float
-    phi0: float
-    phi1: float
-
-    def value(self, x: float) -> float:
-        if self.x1 == self.x0:
-            return self.phi0
-        s = (x - self.x0) / (self.x1 - self.x0)
-        return self.phi0 + (self.phi1 - self.phi0) * s
-
-    @property
-    def is_plateau(self) -> bool:
-        return self.phi0 == self.phi1
-
-    def int_cos2(self) -> float:
-        """Integral of cos^2(phi) over the piece, in closed form."""
-        dx = self.x1 - self.x0
-        a, b = self.phi0, self.phi1
-        d = a - b
-        if d == 0.0:
-            c = math.cos(a)
-            return dx * c * c
-        # (sin 2a - sin 2b) / 4 = cos(a + b) sin(d) / 2: no cancellation at small d
-        return dx * (0.5 + math.cos(a + b) * math.sin(d) / (2.0 * d))
-
-
-@dataclass(frozen=True)
 class PhiProfile:
     """Right-continuous nonincreasing piecewise-linear angle function.
 
@@ -476,7 +457,7 @@ class PhiProfile:
     phi(0+) in (-pi/2, pi/2].
     """
 
-    pieces: tuple[PhiPiece, ...]
+    pieces: tuple[Piece, ...]
     phi_infinity: float
     normalization: int = 0
 
@@ -485,12 +466,12 @@ class PhiProfile:
         if not ps:
             raise ValueError("empty profile")
         for p in ps:
-            if p.x1 <= p.x0:
+            if p.end <= p.offset:
                 raise ValueError("degenerate piece")
             if p.phi1 > p.phi0 + 1e-12:
                 raise ValueError("increasing piece")
         for a, b in zip(ps, ps[1:]):
-            if abs(b.x0 - a.x1) > 1e-9 * max(1.0, abs(a.x1)):
+            if abs(b.offset - a.end) > 1e-9 * max(1.0, abs(a.end)):
                 raise ValueError("pieces must abut")
             if b.phi0 > a.phi1 + 1e-12:
                 raise ValueError("upward jump between pieces")
@@ -499,7 +480,7 @@ class PhiProfile:
 
     @property
     def x_max(self) -> float:
-        return self.pieces[-1].x1
+        return self.pieces[-1].end
 
     @property
     def phi_start(self) -> float:
@@ -514,20 +495,14 @@ class PhiProfile:
         """phi(x); the declared limit is used beyond the last piece."""
         if x >= self.x_max:
             return self.pieces[-1].phi1 if x == self.x_max else self.phi_infinity
-        lo, hi = 0, len(self.pieces) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if x < self.pieces[mid].x1:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self.pieces[lo].value(x)
+        p = self.pieces[bisect.bisect_right(self.pieces, x, key=lambda p: p.end)]
+        return p.phi(x - p.offset)
 
     def values(self, xs) -> np.ndarray:
         """phi at every x of xs: :meth:`value` elementwise, same bits."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         x0, x1, phi0, phi1 = np.array(
-            [(p.x0, p.x1, p.phi0, p.phi1) for p in self.pieces]
+            [(p.offset, p.end, p.phi0, p.phi1) for p in self.pieces]
         ).T
         i = np.minimum(np.searchsorted(x1, xs, side="right"), len(x1) - 1)
         s = (xs - x0[i]) / (x1[i] - x0[i])
@@ -538,9 +513,7 @@ class PhiProfile:
 
     def shifted(self, c: float, d_norm: int = 0) -> "PhiProfile":
         return PhiProfile(
-            tuple(
-                PhiPiece(p.x0, p.x1, p.phi0 + c, p.phi1 + c) for p in self.pieces
-            ),
+            tuple(Piece(p.offset, p.end, p.phi0 + c, p.phi1 + c) for p in self.pieces),
             self.phi_infinity + c,
             self.normalization + d_norm,
         )
@@ -550,18 +523,12 @@ class PhiProfile:
         n = math.ceil((self.phi_start - HALF_PI) / PI - 1e-12)
         return self.shifted(-n * PI, d_norm=-n) if n else self
 
-    def breakpoints(self) -> list[tuple[float, float]]:
-        """(x, phi(x)) at every piece start plus the final right endpoint."""
-        out = [(p.x0, p.phi0) for p in self.pieces]
-        out.append((self.pieces[-1].x1, self.pieces[-1].phi1))
-        return out
-
     def to_hamiltonian(self, tail: bool = True) -> Hamiltonian:
         """Encode P_phi back into segments (plateaus/ramps, jumps free)."""
         segs = []
         for p in self.pieces:
-            length = p.x1 - p.x0
-            if p.is_plateau:
+            length = p.end - p.offset
+            if p.singular:
                 segs.append(Segment(length, ConstantAngle(p.phi0)))
             else:
                 segs.append(Segment(length, PhiRamp(p.phi0, p.phi1)))
@@ -592,7 +559,7 @@ def extract_phi(H: Hamiltonian, tol: float = RANK_ONE_TOL) -> PhiProfile:
     :class:`NotRankOne` at the first segment whose determinant exceeds tol.
     """
     require_valid(H)
-    pieces: list[PhiPiece] = []
+    pieces: list[Piece] = []
     x = 0.0
     prev_end: Optional[float] = None
     for i, seg in enumerate(H.segments):
@@ -602,7 +569,7 @@ def extract_phi(H: Hamiltonian, tol: float = RANK_ONE_TOL) -> PhiProfile:
             raise NotRankOne(i, det)
         shift = 0.0 if prev_end is None else _align_below(ps[0].phi0, prev_end) - ps[0].phi0
         for p in ps:
-            pieces.append(PhiPiece(x + p.offset, x + p.end, p.phi0 + shift, p.phi1 + shift))
+            pieces.append(Piece(x + p.offset, x + p.end, p.phi0 + shift, p.phi1 + shift))
         prev_end = ps[-1].phi1 + shift
         x += seg.length
     if H.tail is not None:

@@ -8,7 +8,8 @@ so each step has a closed form: :func:`step_singular` when b = 0 (singular
 intervals), the linear angle chi with tan psi = sqrt(a/b) tan chi when
 ab > 0, and the angle of the tanh-scaled propagated vector when ab <= 0.  The
 angle is kept unwrapped (no mod-pi reduction) so that the counting formulas
-can apply ceil/floor directly.
+can apply ceil/floor directly.  Nothing is integrated numerically, so no
+function here takes a tolerance or reports an error bound.
 """
 
 from __future__ import annotations
@@ -77,13 +78,12 @@ def advance(theta: float, piece: Piece, length: float, t: float) -> float:
 
 @dataclass
 class PrueferTrajectory:
-    """Sampled (x, theta(x; t)); the steps are closed forms, so err_bound is 0."""
+    """Sampled (x, theta(x; t)), each sample a closed-form step from a piece start."""
 
     t: float
     theta0: float
     xs: np.ndarray
     thetas: np.ndarray
-    err_bound: float
 
     def theta_end(self) -> float:
         return float(self.thetas[-1])
@@ -93,10 +93,8 @@ class PrueferTrajectory:
         return float(np.interp(x, self.xs, self.thetas))
 
 
-def _check_args(H: Hamiltonian, tol: float, L: float) -> None:
+def _check_args(H: Hamiltonian, L: float) -> None:
     require_valid(H)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if L < 0.0:
         raise ValueError("L must be nonnegative")
 
@@ -106,18 +104,16 @@ def integrate(
     t: float,
     theta0: float,
     L: float,
-    tol: float = 1e-9,
     x_eval=(),
 ) -> PrueferTrajectory:
     """Pruefer trajectory on [0, L].
 
-    Every piece advances in closed form (see :func:`advance`), so err_bound
-    is 0 and tol is only checked to be positive.  Every piece boundary and
-    every requested x_eval point appears among the samples; an x_eval point
-    inside a piece is reached from the piece start.  L may exceed X_max when
-    a singular tail is attached.
+    Every piece advances in closed form (see :func:`advance`).  Every piece
+    boundary and every requested x_eval point appears among the samples; an
+    x_eval point inside a piece is reached from the piece start.  L may
+    exceed X_max when a singular tail is attached.
     """
-    _check_args(H, tol, L)
+    _check_args(H, L)
     eval_pts = sorted({float(x) for x in x_eval if 0.0 < float(x) < L})
     xs = [0.0]
     thetas = [float(theta0)]
@@ -137,36 +133,21 @@ def integrate(
         theta0=float(theta0),
         xs=np.asarray(xs),
         thetas=np.asarray(thetas),
-        err_bound=0.0,
     )
 
 
-def theta_at(H: Hamiltonian, t: float, theta0: float, L: float, tol: float = 1e-9) -> float:
+def theta_at(H: Hamiltonian, t: float, theta0: float, L: float) -> float:
     """theta(L; t) with initial angle theta0.
 
     Walks the pieces and keeps only the running angle: the same
     :func:`advance` calls as :func:`integrate` without x_eval, so the result
-    is ``integrate(H, t, theta0, L, tol).theta_end()`` bit for bit, without
+    is ``integrate(H, t, theta0, L).theta_end()`` bit for bit, without
     building the sampled trajectory.
     """
-    _check_args(H, tol, L)
+    _check_args(H, L)
     theta = float(theta0)
     for _, piece, span in H.walk(L):
         theta = advance(theta, piece, span, t)
     if not math.isfinite(theta):
         raise FloatingPointError("non-finite Pruefer angle")
     return theta
-
-
-def theta_of_t_sweep(
-    H: Hamiltonian,
-    theta0: float,
-    L: float,
-    t_grid,
-    tol: float = 1e-9,
-) -> list[tuple[float, float]]:
-    """(t, theta(L; t)) over a sorted grid; nondecreasing in t up to 2*tol."""
-    t_grid = list(t_grid)
-    if any(b < a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t_grid must be sorted")
-    return [(t, theta_at(H, t, theta0, L, tol)) for t in t_grid]

@@ -121,6 +121,7 @@ def schrodinger_to_canonical(
     the profile comes out increasing with the configured solution pair, the
     roles of p and q are swapped (and reported).  A profile that is monotone
     in neither assignment is evidence that E0 was not below the spectrum.
+    tol is the adaptive RK tolerance of the two Schroedinger solutions.
     """
     xs, p, dp, q, dq = _solve_pair(P, tol=tol)
     swapped = False
@@ -223,7 +224,8 @@ def molchanov_new(
     (The constant-Wronskian identity gives the remainder exactly but needs
     the decaying solution f = p - Mq, which cancels catastrophically once q
     is large; the direct quadrature is stable.)  x_grid must stay clear of
-    the at most one zero of q.
+    the at most one zero of q.  tol is the adaptive RK tolerance of the
+    Schroedinger solutions.
     """
     x_grid = np.asarray(sorted(float(x) for x in x_grid))
     x_end = pad_factor * x_grid[-1]
@@ -327,8 +329,8 @@ def canonical_to_diagonal(
     cells: list[DiagonalSegment] = []
     t0 = -math.tan(phi.phi_start)
     for piece in phi.pieces:
-        length = piece.x1 - piece.x0
-        if piece.is_plateau:
+        length = piece.end - piece.offset
+        if piece.singular:
             t = -math.tan(piece.phi0)
             w_mass = length / (1.0 + t * t)
             cells.append(DiagonalSegment(deltaT=w_mass, h=1.0))

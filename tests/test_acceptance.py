@@ -18,10 +18,10 @@ from canosc.hamiltonian import (
     ConstantMatrix,
     Hamiltonian,
     MatrixH,
-    PhiPiece,
     PhiProfile,
     PhiRamp,
     PhiTable,
+    Piece,
     Segment,
     SingularHalfLine,
     extract_phi,
@@ -110,7 +110,7 @@ class TestCriterion2:
             H = random_singular_system(rng, max_segs=8)
             theta0 = float(rng.uniform(-PI, PI))
             L = float(rng.uniform(0.2, 1.0)) * H.x_max
-            vals = [pruefer.theta_at(H, float(t), theta0, L, tol) for t in t_grid]
+            vals = [pruefer.theta_at(H, float(t), theta0, L) for t in t_grid]
             if np.min(np.diff(vals)) < -2.0 * tol:
                 violations += 1
         _report(2, violations == 0, f"1000 triples x 20 t-values, {violations} violations")
@@ -279,7 +279,7 @@ class TestCriterion9:
         notes = []
         # single plateau: one cell, h = 1, mass = l cos^2 alpha
         alpha, ell = 0.6, 2.0
-        prof = PhiProfile((PhiPiece(0.0, ell, alpha, alpha),), alpha)
+        prof = PhiProfile((Piece(0.0, ell, alpha, alpha),), alpha)
         D = transforms.canonical_to_diagonal(prof)
         plateau_ok = (
             len(D.segments) == 1
@@ -314,7 +314,7 @@ class TestCriterion9:
             spans = [(float(rng.uniform(0.2, 2.0)), float(p)) for p in phis]
             pieces, x = [], 0.0
             for length, p in spans:
-                pieces.append(PhiPiece(x, x + length, p, p))
+                pieces.append(Piece(x, x + length, p, p))
                 x += length
             Dn = transforms.canonical_to_diagonal(
                 PhiProfile(tuple(pieces), spans[-1][1])

@@ -568,6 +568,23 @@ class TestMiscSubcommands:
         assert "det H" in json.loads(out)["error"]
 
 
+class TestTol:
+    """--tol is outside input: every subcommand that takes it rejects a
+    nonpositive value, whether or not its answer depends on it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["theta", "--t", "1", "--L", "2"], ["count", "--L", "2", "--window", "-1", "1"],
+         ["locate", "--L", "2", "--window", "-1", "5"], ["order"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_nonpositive_tol_exits_two(self, run, tmp_path, argv):
+        p = write_config(tmp_path, TWO_ANGLES)
+        code, out = run(*argv, "--config", p, "--tol", "0")
+        assert code == 2
+        assert json.loads(out) == {"error": "tol must be positive"}
+
+
 class TestEveryOptionIsRead:
     """A flag its handler never reads does nothing: every option of every
     subcommand must be read when the subcommand runs with all of them set."""

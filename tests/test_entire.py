@@ -92,8 +92,12 @@ class TestTransferMatrix:
             )
         )
         for z in (2.0, -5.0 + 1.0j, 10.0j):
-            T = transfer_matrix(H, 1.5, z)
-            assert abs(T.det - 1.0) < 1e-9
+            # the determinant of the computed entries, not TransferMatrix.det,
+            # which is the constant 1
+            (e00, e01), (e10, e11) = transfer_matrix(H, 1.5, z).entries
+            det = e00 * e11 - e01 * e10
+            scale = max(abs(e00), abs(e01), abs(e10), abs(e11)) ** 2
+            assert abs(det - 1.0) <= 1e-12 * max(1.0, scale)
 
     def test_log_form_matches_plain(self):
         H = Hamiltonian(tuple(Segment(0.5, ConstantAngle(a)) for a in (0.2, -0.9, 0.6)))

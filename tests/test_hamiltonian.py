@@ -13,10 +13,10 @@ from canosc.hamiltonian import (
     Hamiltonian,
     MatrixH,
     NotRankOne,
-    PhiPiece,
     PhiProfile,
     PhiRamp,
     PhiTable,
+    Piece,
     Segment,
     SingularHalfLine,
     e_alpha,
@@ -146,7 +146,7 @@ class TestExtractPhi:
         pieces = []
         for length, val in raw:
             phi = min(phi, val)
-            pieces.append(PhiPiece(x, x + length, phi, phi))
+            pieces.append(Piece(x, x + length, phi, phi))
             x += length
             phi -= 0.01
         prof = PhiProfile(tuple(pieces), pieces[-1].phi1 - 0.5).normalized()
@@ -168,10 +168,10 @@ class TestExtractPhi:
         # ramps and jumps; samples at every breakpoint, inside and past X_max
         x, phi, pieces = 0.0, 0.7, []
         for length, drop, jump in raw:
-            pieces.append(PhiPiece(x, x + length, phi, phi - drop))
+            pieces.append(Piece(x, x + length, phi, phi - drop))
             x, phi = x + length, phi - drop - jump
         prof = PhiProfile(tuple(pieces), phi - 0.3)
-        xs = [p.x0 for p in pieces] + [p.x1 for p in pieces] + [f * x for f in fractions]
+        xs = [p.offset for p in pieces] + [p.end for p in pieces] + [f * x for f in fractions]
         assert prof.values(xs).tolist() == [prof.value(v) for v in xs]
 
 
@@ -251,8 +251,8 @@ class TestHelpers:
     def test_int_cos2_matches_quadrature(self, drop):
         import mpmath
 
-        piece = PhiPiece(0.5, 2.0, 0.3, 0.3 - drop)
-        ref = mpmath.quad(lambda x: mpmath.cos(piece.value(float(x))) ** 2, [0.5, 2.0])
+        piece = Piece(0.5, 2.0, 0.3, 0.3 - drop)
+        ref = mpmath.quad(lambda x: mpmath.cos(piece.phi(float(x) - 0.5)) ** 2, [0.5, 2.0])
         assert piece.int_cos2() == pytest.approx(float(ref), rel=1e-12)
 
 

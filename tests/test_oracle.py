@@ -131,8 +131,8 @@ class TestRiccatiBranches:
 
         C = 1.0
         H = tail(C, 1e6)
-        sub = pruefer.theta_at(H, 0.8 / (4 * C), 0.0, H.x_max, 1e-8)
-        sup = pruefer.theta_at(H, 1.25 / (4 * C), 0.0, H.x_max, 1e-8)
+        sub = pruefer.theta_at(H, 0.8 / (4 * C), 0.0, H.x_max)
+        sup = pruefer.theta_at(H, 1.25 / (4 * C), 0.0, H.x_max)
         assert sub < PI / 2
         assert sup > PI / 2
 

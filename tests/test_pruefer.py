@@ -11,7 +11,6 @@ from canosc.hamiltonian import (
     Hamiltonian,
     MatrixH,
     PhiRamp,
-    PhiTable,
     Segment,
     SingularHalfLine,
 )
@@ -76,7 +75,7 @@ class TestIntegrate:
 
     def test_ramp_frozen_value(self):
         H = single(PhiRamp(PI / 4, -PI / 4))
-        th = pruefer.theta_at(H, 1.0, 0.0, 1.0, tol=1e-10)
+        th = pruefer.theta_at(H, 1.0, 0.0, 1.0)
         assert 0.0 < th < 1.0
         assert th == pytest.approx(RAMP_THETA, abs=1e-8)
 
@@ -97,7 +96,7 @@ class TestIntegrate:
         H = Hamiltonian(
             (Segment(1.0, PhiRamp(0.5, -0.5)), Segment(1.0, ConstantAngle(-0.5)))
         )
-        tr = pruefer.integrate(H, 3.0, 0.0, 2.0, tol=1e-9)
+        tr = pruefer.integrate(H, 3.0, 0.0, 2.0)
         assert np.all(np.diff(tr.thetas) >= -1e-9)
 
     def test_beyond_x_max_requires_tail(self):
@@ -113,38 +112,18 @@ class TestIntegrate:
         H = single(ConstantMatrix(MatrixH(0.5, 0.0, 0.5)), length=2.0)
         assert pruefer.theta_at(H, 3.0, 0.0, 2.0) == pytest.approx(3.0, abs=1e-8)
 
-    def test_err_bound_within_tol(self):
-        H = single(PhiTable(((0.0, 0.5), (0.4, 0.1), (1.0, -0.6))))
-        tr = pruefer.integrate(H, 10.0, 0.0, 1.0, tol=1e-9)
-        assert tr.err_bound <= 1e-9
-
-    def test_tolerance_convergence(self):
-        H = single(PhiRamp(1.2, -1.2), length=3.0)
-        ref = pruefer.theta_at(H, 7.0, 0.0, 3.0, tol=1e-12)
-        prev = None
-        for tol in (1e-6, 1e-8, 1e-10):
-            dev = abs(pruefer.theta_at(H, 7.0, 0.0, 3.0, tol=tol) - ref)
-            if prev is not None:
-                assert dev <= prev + 1e-13
-            prev = dev
-
 
 class TestSweep:
+    """theta(L; t) as a function of the spectral parameter t."""
+
     def test_zero_parameter_returns_theta0(self):
         H = single(ConstantAngle(0.3))
-        out = pruefer.theta_of_t_sweep(H, 0.1, 1.0, [0.0])
-        assert out[0][1] == pytest.approx(0.1)
+        assert pruefer.theta_at(H, 0.0, 0.1, 1.0) == pytest.approx(0.1)
 
     def test_closed_form_pair(self):
         H = single(ConstantAngle(0.0))
-        out = pruefer.theta_of_t_sweep(H, 0.0, 1.0, [1.0, 2.0])
-        assert out[0][1] == pytest.approx(PI / 4)
-        assert out[1][1] == pytest.approx(math.atan(2.0))
-
-    def test_unsorted_grid_rejected(self):
-        H = single(ConstantAngle(0.0))
-        with pytest.raises(ValueError):
-            pruefer.theta_of_t_sweep(H, 0.0, 1.0, [2.0, 1.0])
+        assert pruefer.theta_at(H, 1.0, 0.0, 1.0) == pytest.approx(PI / 4)
+        assert pruefer.theta_at(H, 2.0, 0.0, 1.0) == pytest.approx(math.atan(2.0))
 
     @given(
         st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5),
@@ -156,6 +135,5 @@ class TestSweep:
             tuple(Segment(0.5, ConstantAngle(a)) for a in angles)
         )
         grid = [-5.0, -1.0, 0.0, 2.0, 8.0]
-        out = pruefer.theta_of_t_sweep(H, theta0, H.x_max, grid, tol=1e-9)
-        vals = [th for _, th in out]
+        vals = [pruefer.theta_at(H, t, theta0, H.x_max) for t in grid]
         assert all(b >= a - 2e-9 for a, b in zip(vals, vals[1:]))

@@ -11,10 +11,10 @@ from canosc.hamiltonian import (
     Hamiltonian,
     MatrixH,
     NotRankOne,
-    PhiPiece,
     PhiProfile,
     PhiRamp,
     PhiTable,
+    Piece,
     Segment,
     SingularHalfLine,
     extract_phi,
@@ -33,7 +33,7 @@ def plateau_profile(spans):
     pieces = []
     x = 0.0
     for length, phi in spans:
-        pieces.append(PhiPiece(x, x + length, phi, phi))
+        pieces.append(Piece(x, x + length, phi, phi))
         x += length
     return PhiProfile(tuple(pieces), spans[-1][1])
 
@@ -267,10 +267,10 @@ class TestHalfLine:
         # theta_t - theta_s = pi F at every schedule point
         schedule = [1.0, 2.0, 3.0]
 
-        def integrate(H, t, theta0, L, tol=1e-9, x_eval=()):
+        def integrate(H, t, theta0, L, x_eval=()):
             end = PI * F if t == w.t else 0.0
             xs, thetas = np.array([0.0, *schedule]), np.array([0.0, end, end, end])
-            return pruefer.PrueferTrajectory(t, theta0, xs, thetas, 0.0)
+            return pruefer.PrueferTrajectory(t, theta0, xs, thetas)
 
         w = SpectralWindow(-2.0, -1.0)
         monkeypatch.setattr(pruefer, "integrate", integrate)
@@ -495,9 +495,9 @@ class TestEssBounds:
     @staticmethod
     def tail_profile(g, x0, x1, phi_inf=0.0, n=400):
         xs = np.geomspace(x0, x1, n)
-        pieces = [PhiPiece(0.0, x0, phi_inf + g(x0), phi_inf + g(x0))]
+        pieces = [Piece(0.0, x0, phi_inf + g(x0), phi_inf + g(x0))]
         for a, b in zip(xs, xs[1:]):
-            pieces.append(PhiPiece(a, b, phi_inf + g(a), phi_inf + g(b)))
+            pieces.append(Piece(a, b, phi_inf + g(a), phi_inf + g(b)))
         return PhiProfile(tuple(pieces), phi_inf)
 
     def test_c_over_x_collapses(self):

@@ -8,8 +8,8 @@ from canosc import spectra, transforms
 from canosc.hamiltonian import (
     ConstantAngle,
     Hamiltonian,
-    PhiPiece,
     PhiProfile,
+    Piece,
     Segment,
     extract_phi,
     p_alpha,
@@ -153,7 +153,7 @@ def plateau_profile(spans, phi_inf=None):
     pieces = []
     x = 0.0
     for length, phi in spans:
-        pieces.append(PhiPiece(x, x + length, phi, phi))
+        pieces.append(Piece(x, x + length, phi, phi))
         x += length
     return PhiProfile(tuple(pieces), spans[-1][1] if phi_inf is None else phi_inf)
 
@@ -175,7 +175,7 @@ class TestDiagonal:
         assert D.total_T == pytest.approx(3.0 * math.cos(0.5) ** 2)
 
     def test_strict_ramp_interior_h(self):
-        prof = PhiProfile((PhiPiece(0.0, 1.0, 0.7, -0.7),), -0.7)
+        prof = PhiProfile((Piece(0.0, 1.0, 0.7, -0.7),), -0.7)
         D = canonical_to_diagonal(prof)
         assert all(0.0 < s.h < 1.0 for s in D.segments)
 
@@ -196,7 +196,7 @@ class TestDiagonal:
 
     def test_ramp_mass_and_range_split(self):
         a, b = 0.5, -0.5
-        prof = PhiProfile((PhiPiece(0.0, 1.0, a, b),), b)
+        prof = PhiProfile((Piece(0.0, 1.0, a, b),), b)
         D = canonical_to_diagonal(prof)
         w_mass = sum(s.deltaT * s.h for s in D.segments)
         t_range = sum(s.deltaT * (1.0 - s.h) for s in D.segments)
