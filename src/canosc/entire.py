@@ -34,14 +34,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian, Piece, require_valid, rotation
+from .hamiltonian import Hamiltonian, Piece, extract_phi, require_valid, rotation
 
 
 @dataclass
 class TransferMatrix:
     entries: np.ndarray  # 2x2 complex
-    x: float
-    z: complex
 
     @property
     def det(self) -> complex:
@@ -99,23 +97,6 @@ def _frame_factor(piece: Piece, span: float, z: np.ndarray):
 def _end_angle(piece: Piece, span: float) -> float:
     """phi at the end of `span` of the piece (phi1 exactly for the whole piece)."""
     return piece.phi1 if span == piece.end - piece.offset else piece.phi(span)
-
-
-def _piece_factor(piece: Piece, span: float, z) -> tuple[np.ndarray, np.ndarray]:
-    """(F, s): the factor of `span` of the piece is e^s * F, with F of shape
-    z.shape + (2, 2) and s of shape z.shape (0 on singular pieces).  F is
-    R(phi1) [[c, B], [A, c]] R(phi0)^T with the frame factor of
-    :func:`_frame_factor`, the one the product uses, computed over z
-    flattened as the product does it (numpy rounds a complex product of two
-    scalars differently from one inside an array)."""
-    z = np.asarray(z, dtype=complex)
-    c, A, B, s = _frame_factor(piece, span, z.reshape(-1))
-    F = np.empty((z.size, 2, 2), dtype=complex)
-    F[:, 0, 0] = F[:, 1, 1] = c
-    F[:, 0, 1] = B
-    F[:, 1, 0] = A
-    F = rotation(_end_angle(piece, span)) @ F @ rotation(piece.phi0).T
-    return F.reshape(z.shape + (2, 2)), (np.reshape(s, z.shape) if np.ndim(s) else s)
 
 
 # The running product is rescaled before the bound on log max |entry| would
@@ -204,7 +185,7 @@ def transfer_matrix(H: Hamiltonian, x: float, z: complex) -> TransferMatrix:
     raises OverflowError when exp(s) leaves the float range."""
     U, s = transfer_matrix_log(H, x, z)
     try:
-        return TransferMatrix(entries=math.exp(s) * U, x=x, z=z)
+        return TransferMatrix(entries=math.exp(s) * U)
     except OverflowError:
         raise OverflowError(f"|T({x}; {z})| = exp({s:.6g}); use transfer_matrix_log") from None
 
@@ -227,7 +208,6 @@ class GrowthFit:
     logmax: np.ndarray  # log M(r)
     order: float
     residual: float
-    n_phases: int
 
     def table(self) -> list[tuple[float, float]]:
         return list(zip(self.radii.tolist(), self.logmax.tolist()))
@@ -275,11 +255,11 @@ def order_fit(
     mask = upper & (logmax > 1e-9)
     if mask.sum() < 3:
         # essentially no growth: treat as order 0
-        return GrowthFit(radii, logmax, order=0.0, residual=0.0, n_phases=n_phases)
+        return GrowthFit(radii, logmax, order=0.0, residual=0.0)
     xs = np.log(radii[mask])
     ys = np.log(logmax[mask])
     slope, resid = _line_fit(xs, ys)
-    return GrowthFit(radii, logmax, order=slope, residual=resid, n_phases=n_phases)
+    return GrowthFit(radii, logmax, order=slope, residual=resid)
 
 
 def type_fit_imaginary(
@@ -306,10 +286,11 @@ def type_fit_imaginary(
 # Hadamard products
 
 
-def _auto_terms(z: complex, alpha: float, eps: float = 1e-12) -> int:
+def _auto_terms(z: complex, alpha: float) -> int:
+    """Terms that keep the neglected second-order tail below 1e-12."""
     r = abs(z)
     n1 = (2.0 * max(r, 1.0)) ** (1.0 / alpha)
-    n2 = (max(r, 1.0) ** 2 / (2.0 * (2.0 * alpha - 1.0) * eps)) ** (1.0 / (2.0 * alpha - 1.0))
+    n2 = (max(r, 1.0) ** 2 / (2.0 * (2.0 * alpha - 1.0) * 1e-12)) ** (1.0 / (2.0 * alpha - 1.0))
     return int(max(50, math.ceil(n1), math.ceil(n2)))
 
 
@@ -408,52 +389,6 @@ def hadamard_c_log(z: complex, alpha: float, N: Optional[int] = None) -> float:
     return _hadamard(z, alpha, N, hadamard_c_zeros, log=True, scaled=True)
 
 
-@dataclass
-class H2MembershipResult:
-    value: float
-    value_half_range: float
-    verdict: str  # "converges_likely" | "inconclusive"
-
-
-def h2_membership_integral(
-    alpha: float,
-    N: Optional[int] = None,
-    R: float = 1e3,
-) -> H2MembershipResult:
-    """int dt / ((1+t^2)(A^2 + C^2)) over [-R, R], refined near zeros of A.
-
-    Interlacing keeps A^2 + C^2 positive, so the integrand is bounded;
-    the verdict compares the value with the half-range integral and calls
-    convergence likely when the difference is below 1%.
-    """
-    from scipy.integrate import quad
-
-    def integrand(t):
-        a = hadamard_a(complex(t), alpha, N).real
-        c = hadamard_c(complex(t), alpha, N).real
-        return 1.0 / ((1.0 + t * t) * (a * a + c * c))
-
-    def run(upper):
-        pts = [0.0]
-        k = 1
-        while k**alpha < upper:
-            pts.append(k**alpha)
-            k += 1
-        pts.append(upper)
-        total = 0.0
-        for lo, hi in zip(pts, pts[1:]):
-            v, _ = quad(integrand, lo, hi, limit=200)
-            total += v
-        v_neg, _ = quad(integrand, -upper, 0.0, limit=200)
-        return total + v_neg
-
-    full = run(R)
-    half = run(R / 2.0)
-    rel = abs(full - half) / max(abs(full), 1e-300)
-    verdict = "converges_likely" if rel < 0.01 else "inconclusive"
-    return H2MembershipResult(value=full, value_half_range=half, verdict=verdict)
-
-
 # ---------------------------------------------------------------------------
 # order bound report
 
@@ -464,65 +399,29 @@ class OrderBoundReport:
     residual: float
     upper_ok: bool  # fitted order <= 0.55
     has_ramp_mass: bool
-    tau: Optional[float]
-    lower_resolvable: bool
-    lower_ok: Optional[bool]  # fitted order >= 0.45, when applicable
-    r_range: tuple[float, float]
 
 
-def order_bound_check(
-    H: Hamiltonian,
-    L: Optional[float] = None,
-    r_min: float = 1.0,
-    r_max: Optional[float] = None,
-    n_radii: int = 10,
-    n_phases: int = 8,
-) -> OrderBoundReport:
+def order_bound_check(H: Hamiltonian) -> OrderBoundReport:
     """Growth-order report for a semibounded system's transfer matrix.
 
-    Checks the fitted order against the 1/2 ceiling; when the profile
-    carries absolutely continuous mass (a ramp), the order must also reach
-    1/2, which is asserted only when the de Branges type is large enough to
-    be resolvable at the sampled radii.
+    Fits the order of T(X_max; z) over radii 1 to 1e8 (to 1e3 unless every
+    segment is a singular interval) and checks it against the 1/2 ceiling;
+    ``has_ramp_mass`` says whether the profile carries absolutely
+    continuous mass (a ramp), where the order reaches 1/2.
     """
-    from . import transforms
-    from .hamiltonian import extract_phi
-
-    if L is None:
-        L = H.x_max
     all_singular = all(s.is_singular for s in H.segments)
-    if r_max is None:
-        r_max = 1e8 if all_singular else 1e3
     fit = order_fit(
-        lambda zz: log_max_entry(H, L, zz),
-        r_min,
-        r_max,
-        n_radii=n_radii,
-        n_phases=n_phases,
+        lambda zz: log_max_entry(H, H.x_max, zz),
+        1.0,
+        1e8 if all_singular else 1e3,
+        n_radii=10,
+        n_phases=8,
         log_abs=True,
     )
-    phi = extract_phi(H)
-    has_ramp = any(not p.singular for p in phi.pieces if p.offset < L)
-    tau = None
-    resolvable = False
-    lower_ok = None
-    if has_ramp:
-        try:
-            diag = transforms.canonical_to_diagonal(phi)
-            tau = transforms.debranges_type(diag)
-        except transforms.SplitRequired:
-            tau = None
-        if tau is not None:
-            resolvable = tau * math.sqrt(r_max) >= 5.0
-        if resolvable:
-            lower_ok = fit.order >= 0.45
+    has_ramp = any(not p.singular for p in extract_phi(H).pieces)
     return OrderBoundReport(
         fitted_order=fit.order,
         residual=fit.residual,
         upper_ok=fit.order <= 0.55,
         has_ramp_mass=has_ramp,
-        tau=tau,
-        lower_resolvable=resolvable,
-        lower_ok=lower_ok,
-        r_range=(r_min, r_max),
     )

@@ -21,9 +21,9 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-#: default tolerance for trace / PSD checks at construction
+#: tolerance of the trace / PSD checks of :func:`validate`
 CONSTRUCTION_TOL = 1e-12
-#: default determinant threshold below which a matrix counts as rank one
+#: determinant threshold below which a matrix counts as rank one
 RANK_ONE_TOL = 1e-10
 
 PI = math.pi
@@ -74,13 +74,13 @@ class MatrixH:
         """Projection angle mod pi, meaningful when det ~ 0."""
         return 0.5 * math.atan2(2.0 * self.h12, self.h11 - self.h22)
 
-    def issues(self, tol: float = CONSTRUCTION_TOL) -> list[str]:
+    def issues(self) -> list[str]:
         out = []
-        if abs(self.trace - 1.0) > tol:
+        if abs(self.trace - 1.0) > CONSTRUCTION_TOL:
             out.append(f"trace = {self.trace!r}, expected 1")
-        if self.h11 < -tol or self.h22 < -tol:
+        if self.h11 < -CONSTRUCTION_TOL or self.h22 < -CONSTRUCTION_TOL:
             out.append("negative diagonal entry")
-        if self.h12 * self.h12 > self.h11 * self.h22 + tol:
+        if self.h12 * self.h12 > self.h11 * self.h22 + CONSTRUCTION_TOL:
             out.append("not positive semidefinite (h12^2 > h11*h22)")
         return out
 
@@ -402,9 +402,9 @@ class Hamiltonian:
         return None
 
 
-def _cong_mod_pi(a: float, b: float, tol: float = 1e-12) -> bool:
+def _cong_mod_pi(a: float, b: float) -> bool:
     d = (a - b) / PI
-    return abs(d - round(d)) < tol
+    return abs(d - round(d)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +420,13 @@ class ValidationReport:
         return self.ok
 
 
-def validate(H: Hamiltonian, tol: float = CONSTRUCTION_TOL) -> ValidationReport:
+def validate(H: Hamiltonian) -> ValidationReport:
     """Check every segment against the trace-normed PSD invariants."""
     issues: list[tuple[int, str]] = []
     for i, seg in enumerate(H.segments):
         k = seg.kind
         if isinstance(k, ConstantMatrix):
-            for msg in k.matrix.issues(tol):
+            for msg in k.matrix.issues():
                 issues.append((i, msg))
         # angle-based kinds are trace-normed PSD by construction
     return ValidationReport(ok=not issues, issues=issues)
@@ -453,13 +453,10 @@ class PhiProfile:
 
     Consecutive pieces may be discontinuous (a downward jump of phi);
     ``phi_infinity`` is the declared limit beyond the last piece.
-    ``normalization`` records the multiple of pi that was added to place
-    phi(0+) in (-pi/2, pi/2].
     """
 
     pieces: tuple[Piece, ...]
     phi_infinity: float
-    normalization: int = 0
 
     def __post_init__(self):
         ps = self.pieces
@@ -511,17 +508,16 @@ class PhiProfile:
         out[xs > x1[-1]] = self.phi_infinity
         return out
 
-    def shifted(self, c: float, d_norm: int = 0) -> "PhiProfile":
+    def shifted(self, c: float) -> "PhiProfile":
         return PhiProfile(
             tuple(Piece(p.offset, p.end, p.phi0 + c, p.phi1 + c) for p in self.pieces),
             self.phi_infinity + c,
-            self.normalization + d_norm,
         )
 
     def normalized(self) -> "PhiProfile":
         """Shift by a multiple of pi so that phi(0+) lies in (-pi/2, pi/2]."""
         n = math.ceil((self.phi_start - HALF_PI) / PI - 1e-12)
-        return self.shifted(-n * PI, d_norm=-n) if n else self
+        return self.shifted(-n * PI) if n else self
 
     def to_hamiltonian(self, tail: bool = True) -> Hamiltonian:
         """Encode P_phi back into segments (plateaus/ramps, jumps free)."""
@@ -551,12 +547,12 @@ def _align_below(value: float, ceiling: float) -> float:
     return value - n * PI
 
 
-def extract_phi(H: Hamiltonian, tol: float = RANK_ONE_TOL) -> PhiProfile:
+def extract_phi(H: Hamiltonian) -> PhiProfile:
     """Angle profile with H = P_phi, continuous nonincreasing branch.
 
     Across segment boundaries the branch with the smallest nonnegative drop
     (jump < pi) is chosen; ties resolve to drop zero.  Raises
-    :class:`NotRankOne` at the first segment whose determinant exceeds tol.
+    :class:`NotRankOne` at the first segment with det H > RANK_ONE_TOL.
     """
     require_valid(H)
     pieces: list[Piece] = []
@@ -565,7 +561,7 @@ def extract_phi(H: Hamiltonian, tol: float = RANK_ONE_TOL) -> PhiProfile:
     for i, seg in enumerate(H.segments):
         ps = seg.pieces()
         det = max(p.lam1 * p.lam2 for p in ps)
-        if det > tol:
+        if det > RANK_ONE_TOL:
             raise NotRankOne(i, det)
         shift = 0.0 if prev_end is None else _align_below(ps[0].phi0, prev_end) - ps[0].phi0
         for p in ps:

@@ -57,7 +57,6 @@ def boundary_functional(H: Hamiltonian, L: float, beta: float, lam: float) -> fl
 
 @dataclass
 class SignChangeScan:
-    lambda_grid: np.ndarray
     values: np.ndarray
     roots: list[tuple[float, float]]  # bracketing intervals after bisection
     suspicious: list[float]  # near-zero magnitude without a sign change
@@ -104,7 +103,7 @@ def scan(
             suspicious.append(float(a if abs(fa) < abs(fb) else b))
     # a root exactly at the right endpoint belongs to the next window
     roots = [r for r in roots if s <= 0.5 * (r[0] + r[1]) < t]
-    return SignChangeScan(grid, vals, roots, suspicious)
+    return SignChangeScan(vals, roots, suspicious)
 
 
 def count_by_sign_changes(

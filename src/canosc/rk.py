@@ -31,6 +31,7 @@ _B4 = np.array(
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_MAX_STEPS = 2_000_000
 
 
 class IntegrationError(RuntimeError):
@@ -41,7 +42,7 @@ def _err_norm(e):
     return float(np.max(np.abs(e))) if np.ndim(e) else abs(e)
 
 
-def integrate_adaptive(f, x0, x1, y0, tol, x_eval=(), max_steps=2_000_000):
+def integrate_adaptive(f, x0, x1, y0, tol, x_eval=()):
     """Integrate y' = f(x, y) from x0 to x1 (x1 >= x0).
 
     Returns (xs, ys, err_accum): sample points (always including x0, x1 and
@@ -68,7 +69,7 @@ def integrate_adaptive(f, x0, x1, y0, tol, x_eval=(), max_steps=2_000_000):
     steps = 0
     for target in checkpoints:
         while x < target - 1e-14 * max(1.0, abs(target)):
-            if steps >= max_steps:
+            if steps >= _MAX_STEPS:
                 raise IntegrationError("step limit exceeded")
             steps += 1
             h = min(h, target - x)

@@ -25,6 +25,7 @@ from . import pruefer
 from .hamiltonian import (
     HALF_PI,
     PI,
+    RANK_ONE_TOL,
     Hamiltonian,
     NotRankOne,
     PhiProfile,
@@ -53,7 +54,6 @@ CERTIFY_DIST = 1e-15
 @dataclass
 class CountResult:
     count: int
-    L_used: float
     certified: bool
 
 
@@ -92,12 +92,12 @@ def count_bounded(
         raise ValueError("beta must lie in [0, pi)")
     if _is_full_singular_pi_half(H, L):
         # Trivial case: all spectral projections vanish.
-        return CountResult(count=0, L_used=L, certified=True)
+        return CountResult(count=0, certified=True)
     th_t = pruefer.integrate(H, w.t, 0.0, L).theta_end()
     th_s = pruefer.integrate(H, w.s, 0.0, L).theta_end()
     count = _ceil_level(th_t, beta) - _ceil_level(th_s, beta)
     certified = all(_dist_to_grid(th - beta) > CERTIFY_DIST for th in (th_t, th_s))
-    return CountResult(count=count, L_used=L, certified=certified)
+    return CountResult(count=count, certified=certified)
 
 
 def _dist_to_grid(v: float) -> float:
@@ -193,6 +193,8 @@ class HalfLineCount:
 
 #: rounding allowance of one closed-form Pruefer step, in ulp of max(|theta|, pi)
 ANGLE_STEP_ULPS = 8
+#: F above this along a truncation schedule is a divergent half-line count
+DIVERGENCE_THRESHOLD = 50.0
 
 
 def _angle_rounding(tr: pruefer.PrueferTrajectory) -> float:
@@ -209,13 +211,12 @@ def halfline_count(
     w: SpectralWindow,
     L_schedule,
     tol: float = 1e-9,
-    divergence_threshold: float = 50.0,
 ) -> HalfLineCount:
     """dim E(s, t) of the half-line problem via floor((theta_t - theta_s)/pi).
 
     With a singular tail attached the problem is exactly the bounded one
     with boundary condition gamma + pi/2, and the count is final.  Otherwise
-    F(L) is evaluated along the schedule.  F above the divergence threshold
+    F(L) is evaluated along the schedule.  F above DIVERGENCE_THRESHOLD
     is divergent.  For t > 0 and no declared tail, a resolved tail model
     (:func:`implied_tail`) is consulted next: when its bounds on
     min sigma_ess satisfy s <= lower and upper < t the window holds
@@ -260,8 +261,8 @@ def halfline_count(
     th_t = np.interp(schedule, tr_t.xs, tr_t.thetas)
     th_s = np.interp(schedule, tr_s.xs, tr_s.thetas)
     F = ((th_t - th_s) / PI).tolist()
-    if max(F) > divergence_threshold:
-        witness = {"rule": "threshold", "F_max": max(F), "threshold": divergence_threshold}
+    if max(F) > DIVERGENCE_THRESHOLD:
+        witness = {"rule": "threshold", "F_max": max(F), "threshold": DIVERGENCE_THRESHOLD}
         return HalfLineCount("divergent", None, schedule, F, witness)
     model = implied_tail(H) if w.t > 0.0 else None
     if model is not None:
@@ -301,7 +302,7 @@ class Classification:
         return self.kind == "in_c_plus"
 
 
-def classify_semibounded(H: Hamiltonian, tol: float = 1e-10) -> Classification:
+def classify_semibounded(H: Hamiltonian) -> Classification:
     """Nonnegative spectrum / at-most-N negative eigenvalues / neither.
 
     A system is in C+ iff its normalized angle profile stays above -pi/2;
@@ -310,11 +311,11 @@ def classify_semibounded(H: Hamiltonian, tol: float = 1e-10) -> Classification:
     rank-one kind entirely.
     """
     try:
-        phi = extract_phi(H, tol)
+        phi = extract_phi(H)
     except NotRankOne as exc:
         return Classification(
             kind="not_semibounded",
-            witness=f"segment {exc.segment_index} has det H = {exc.det:g} > {tol:g}",
+            witness=f"segment {exc.segment_index} has det H = {exc.det:g} > {RANK_ONE_TOL:g}",
         )
     if phi.phi_infinity >= -HALF_PI - 1e-12:
         return Classification(kind="in_c_plus", phi=phi)
@@ -322,11 +323,7 @@ def classify_semibounded(H: Hamiltonian, tol: float = 1e-10) -> Classification:
     return Classification(kind="neg_eigs_at_most", phi=phi, n_bound=n)
 
 
-def classify_wholeline(
-    phi_left: PhiProfile,
-    phi_right: PhiProfile,
-    tol: float = 1e-9,
-) -> bool:
+def classify_wholeline(phi_left: PhiProfile, phi_right: PhiProfile) -> bool:
     """Whole-line nonnegativity: total drop phi(-inf) - phi(inf) <= pi.
 
     ``phi_left`` describes the left half line in reflected coordinates (the
@@ -335,10 +332,10 @@ def classify_wholeline(
     [0, pi) because each profile is only determined modulo pi.
     """
     joint = math.fmod(-phi_left.phi_start - phi_right.phi_start, PI)
-    if joint < -tol:
+    if joint < -1e-9:
         joint += PI
     total = phi_left.drop + phi_right.drop + max(joint, 0.0)
-    return total <= PI + tol
+    return total <= PI + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +356,8 @@ def m_endpoints(phi: PhiProfile) -> tuple[float, float]:
     return _neg_tan_extended(phi.phi_start), _neg_tan_extended(phi.phi_infinity)
 
 
-def m_halfline_real(
-    H: Hamiltonian,
-    minus_t: float,
-    L: Optional[float] = None,
-) -> float:
-    """m(minus_t) for minus_t < 0 via truncation at L with tail P_phi(L).
+def m_halfline_real(H: Hamiltonian, minus_t: float) -> float:
+    """m(minus_t) for minus_t < 0 via truncation at L = X_max with tail P_phi(L).
 
     The square-integrable direction of the tail, e_(phi(L)+pi/2), is pulled
     back to x = 0 through the transfer matrix; the result is f1(0)/f2(0) as
@@ -375,8 +368,7 @@ def m_halfline_real(
     from . import entire  # local import; entire depends on hamiltonian only
 
     phi = extract_phi(H)
-    if L is None:
-        L = H.x_max
+    L = H.x_max
     phi_L = phi.value(L) if L < phi.x_max else phi.pieces[-1].phi1
     T = entire.transfer_matrix(H, L, complex(minus_t)).entries.real
     f_L = np.array([math.cos(phi_L + HALF_PI), math.sin(phi_L + HALF_PI)])
@@ -404,20 +396,22 @@ class EssBounds:
     warnings: list[str] = field(default_factory=list)
 
 
-def ess_spectrum_bounds(
-    phi: PhiProfile,
-    tail_fraction: float = 0.5,
-    n_samples: int = 1000,
-    empty_threshold: float = 1e-8,
-) -> EssBounds:
+#: samples of g on the tail window and on each growth-diagnosis window
+ESS_SAMPLES = 1000
+#: A at most this reports an empty essential spectrum
+ESS_EMPTY_THRESHOLD = 1e-8
+
+
+def ess_spectrum_bounds(phi: PhiProfile, tail_fraction: float = 0.5) -> EssBounds:
     """Bottom-of-essential-spectrum bounds from g(x) = x (phi(x) - phi(inf)).
 
     A and B are the finite-window sup and inf of g over the declared tail
     window; the bounds are 1/(4A) <= min sigma_ess <= min(1/A, 1/(4B)).
     phi(inf) is the profile's ``phi_infinity``; for a system without a
     declared tail, :func:`tail_profile` supplies the fitted limit.
-    A ~ 0 reports an empty essential spectrum; a sup still growing at the
-    window end is flagged as divergent (0 in the essential spectrum).
+    A <= ESS_EMPTY_THRESHOLD reports an empty essential spectrum; a sup still
+    growing at the window end is flagged as divergent (0 in the essential
+    spectrum).
     """
     if not (0.0 < tail_fraction < 1.0):
         raise ValueError("tail_fraction must be in (0, 1)")
@@ -425,7 +419,7 @@ def ess_spectrum_bounds(
     x_hi = phi.x_max
     xs = np.array(sorted(
         {p.offset for p in phi.pieces if x_lo <= p.offset <= x_hi}
-        | set(np.linspace(x_lo, x_hi, n_samples))
+        | set(np.linspace(x_lo, x_hi, ESS_SAMPLES))
     ))
     g = np.maximum(xs * (phi.values(xs) - phi.phi_infinity), 0.0)
     A = float(np.max(g))
@@ -434,19 +428,19 @@ def ess_spectrum_bounds(
     # growth diagnosis: compare the sup of g over [X/4, X/2] with [X/2, X];
     # a bounded limsup gives ratio ~1, g ~ x^p growth gives ratio 2^p
     def window_sup(lo, hi):
-        ws = np.linspace(lo, hi, n_samples)
+        ws = np.linspace(lo, hi, ESS_SAMPLES)
         return float(np.max(ws * (phi.values(ws) - phi.phi_infinity)))
 
     sup1 = max(window_sup(0.25 * phi.x_max, 0.5 * phi.x_max), 0.0)
     sup2 = max(window_sup(0.5 * phi.x_max, phi.x_max), 0.0)
-    trending = sup2 > 1.1 * sup1 + empty_threshold
-    diverging = sup2 > 1.3 * sup1 + empty_threshold and sup2 > 1.0
+    trending = sup2 > 1.1 * sup1 + ESS_EMPTY_THRESHOLD
+    diverging = sup2 > 1.3 * sup1 + ESS_EMPTY_THRESHOLD and sup2 > 1.0
     if trending:
         warnings.append(
             "g(x) = x*(phi - phi_inf) still trending upward at the window end; "
             "the asymptotic limsup/liminf may differ from the finite-window values"
         )
-    empty = A <= empty_threshold
+    empty = A <= ESS_EMPTY_THRESHOLD
     lower = math.inf if A == 0.0 else 1.0 / (4.0 * A)
     upper = math.inf if A == 0.0 else 1.0 / A
     if B > 0.0:

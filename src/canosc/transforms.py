@@ -41,6 +41,12 @@ class SplitRequired(Exception):
     diagonal transformation applies."""
 
 
+#: angle differences below this are rounding noise in an imported profile
+MONOTONE_SLACK = 1e-8
+#: delta of the diagonal transform, which keeps phi at most pi/2 - delta
+DIAGONAL_MARGIN = 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Schroedinger import
 
@@ -111,9 +117,7 @@ class XMap:
 
 
 def schrodinger_to_canonical(
-    P: SchrodingerProblem,
-    tol: float = 1e-10,
-    monotone_slack: float = 1e-8,
+    P: SchrodingerProblem, tol: float = 1e-10
 ) -> tuple[Hamiltonian, XMap, bool]:
     """Rank-one canonical system equivalent to -y'' + V y at energy E0.
 
@@ -127,17 +131,17 @@ def schrodinger_to_canonical(
     swapped = False
     phi = _unwrapped_angle(p, q)
     d = np.diff(phi)
-    if np.any(d > monotone_slack) and not np.any(d < -monotone_slack):
+    if np.any(d > MONOTONE_SLACK) and not np.any(d < -MONOTONE_SLACK):
         # monotone the wrong way: swap the solution roles
         swapped = True
         phi = _unwrapped_angle(q, p)
         d = np.diff(phi)
-    if np.any(d > monotone_slack):
+    if np.any(d > MONOTONE_SLACK):
         raise AssumptionViolated(
             "angle profile not nonincreasing; E0 does not appear to be below "
             "the spectrum"
         )
-    phi = np.minimum.accumulate(phi)  # flatten monotone_slack-level noise
+    phi = np.minimum.accumulate(phi)  # flatten MONOTONE_SLACK-level noise
     # a semibounded import keeps the total drop within pi; a larger drop
     # means the solutions oscillate, i.e. E0 sits inside the spectrum
     if phi[0] - phi[-1] > PI + 1e-6:
@@ -209,18 +213,14 @@ class MolchanovNewResult:
     verdict: str  # "trends_to_zero" | "not_to_zero"
 
 
-def molchanov_new(
-    P: SchrodingerProblem,
-    x_grid,
-    pad_factor: float = 1.5,
-    tol: float = 1e-10,
-) -> MolchanovNewResult:
+def molchanov_new(P: SchrodingerProblem, x_grid, tol: float = 1e-10) -> MolchanovNewResult:
     """G(x) = int_0^x q^2 * int_x^inf q^(-2) for the generalized criterion.
 
     q is the non-L^2 solution of -y'' + (V - E0) y = 0.  The improper tail
-    integral is the cumulative integral of q^(-2) up to a padded endpoint b
-    plus the remainder 1/(2 q(b) q'(b)), which is exact for exponential
-    growth q ~ e^(kx) and within a factor 2p/(2p-1) for power growth x^p.
+    integral is the cumulative integral of q^(-2) up to the padded endpoint
+    b = 1.5 max(x_grid) plus the remainder 1/(2 q(b) q'(b)), which is exact
+    for exponential growth q ~ e^(kx) and within a factor 2p/(2p-1) for
+    power growth x^p.
     (The constant-Wronskian identity gives the remainder exactly but needs
     the decaying solution f = p - Mq, which cancels catastrophically once q
     is large; the direct quadrature is stable.)  x_grid must stay clear of
@@ -228,7 +228,7 @@ def molchanov_new(
     Schroedinger solutions.
     """
     x_grid = np.asarray(sorted(float(x) for x in x_grid))
-    x_end = pad_factor * x_grid[-1]
+    x_end = 1.5 * x_grid[-1]
     if x_end > P.grid[-1]:
         # extend the sampled potential by constant continuation
         P = SchrodingerProblem(
@@ -300,31 +300,28 @@ class DiagonalSystem:
         return sum(s.deltaT for s in self.segments)
 
 
-def canonical_to_diagonal(
-    phi: PhiProfile,
-    delta: float = 1e-6,
-) -> DiagonalSystem:
+def canonical_to_diagonal(phi: PhiProfile) -> DiagonalSystem:
     """Diagonal system of a rank-one profile via t = -tan(phi(x)).
 
     Plateaus of phi become dw point masses ((1+t^2) w({t}) = plateau length,
     emitted as h = 1 cells); strictly decreasing stretches contribute cells
     with dT = dw + dt and h = dw/dT, using exact per-piece integrals of
     cos^2(phi) dx; jumps of phi contribute nothing.  Profiles whose range
-    does not fit in (-pi/2, pi/2 - delta] are rotated first (recorded in
-    ``rotation_applied``); a total drop >= pi - delta cannot be
-    accommodated and raises SplitRequired.
+    does not fit in (-pi/2, pi/2 - delta], delta = DIAGONAL_MARGIN, are
+    rotated first (recorded in ``rotation_applied``); a total drop
+    >= pi - delta cannot be accommodated and raises SplitRequired.
     """
     drop = phi.drop
     gamma = 0.0
     hi = phi.phi_start
     lo = phi.phi_infinity
-    if not (-HALF_PI < lo and hi <= HALF_PI - delta):
-        if drop >= PI - delta:
+    if not (-HALF_PI < lo and hi <= HALF_PI - DIAGONAL_MARGIN):
+        if drop >= PI - DIAGONAL_MARGIN:
             raise SplitRequired(
                 f"total drop {drop:g} >= pi - delta; compute transfer matrices "
                 "piecewise instead"
             )
-        gamma = (HALF_PI - delta) - hi
+        gamma = (HALF_PI - DIAGONAL_MARGIN) - hi
         phi = phi.shifted(gamma)
     cells: list[DiagonalSegment] = []
     t0 = -math.tan(phi.phi_start)

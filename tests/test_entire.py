@@ -17,7 +17,6 @@ from canosc.entire import (
     hadamard_c,
     hadamard_c_log,
     hadamard_c_zeros,
-    h2_membership_integral,
     log_max_entry,
     order_bound_check,
     order_fit,
@@ -339,14 +338,6 @@ class TestHurwitzZeta:
                 fn(-1.0, alpha)
             with pytest.raises(ValueError):
                 fn(np.array([-1.0, 2j]), alpha)
-
-
-class TestH2Integral:
-    def test_alpha3_converges(self):
-        res = h2_membership_integral(3.0, N=400, R=1e3)
-        assert res.value > 0.0
-        assert res.verdict == "converges_likely"
-        assert abs(res.value - res.value_half_range) < 0.01 * res.value
 
 
 class TestTypeFit:

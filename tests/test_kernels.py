@@ -5,7 +5,8 @@ The Pruefer steps and transfer factors of :mod:`canosc.pruefer` and
 integrator of :mod:`canosc.rk` at tol 1e-12, run segment by segment with
 every table kink as a checkpoint, and against the invariants of the exact
 propagators: theta(L; t) nondecreasing in t, covariance under rotation,
-invariance under splitting a segment, and unit determinant of every factor.
+invariance under splitting a segment, and unit determinant of every
+one-segment transfer matrix.
 The batched transfer product over an array of z is checked element by
 element against scalar calls, and its power-of-two rescaling is checked to
 change no bit of the result.
@@ -198,14 +199,12 @@ class TestInvariants:
     @given(segments, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
     @settings(max_examples=80, deadline=None)
     def test_factor_det_one(self, seg, re, im):
-        # the factor is e^s F, so |det(e^s F) - 1| <= 1e-12 max(1, |e^s F|^2)
-        # reads |det F - e^(-2s)| <= 1e-12 max(e^(-2s), |F|^2)
-        z = complex(re, im)
-        for _, piece, span in Hamiltonian((seg,)).walk(seg.length):
-            F, s = entire._piece_factor(piece, span, z)
-            det = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
-            unit = math.exp(-2.0 * s)
-            assert abs(det - unit) <= 1e-12 * max(unit, np.max(np.abs(F)) ** 2)
+        # T = e^s U with max |U entry| = 1, so |det(e^s U) - 1| <= 1e-12 max(1, |e^s U|^2)
+        # reads |det U - e^(-2s)| <= 1e-12 max(e^(-2s), 1)
+        U, s = entire.transfer_matrix_log(Hamiltonian((seg,)), seg.length, complex(re, im))
+        det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
+        unit = math.exp(-2.0 * s)
+        assert abs(det - unit) <= 1e-12 * max(unit, 1.0)
 
 
 class TestBatched:
@@ -259,18 +258,6 @@ class TestBatched:
             assert U.shape == (2, 2) and type(s) is float
             assert type(entire.log_max_entry(H, H.x_max, z)) is float
             assert entire.transfer_matrix(H, H.x_max, z).entries.shape == (2, 2)
-
-    @given(segments, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
-    @settings(max_examples=40, deadline=None)
-    def test_factor_stack_matches_each_z(self, seg, re, im):
-        z = complex(re, im) * np.array([1.0, 1e-3, 1e-9, 0.0])
-        for _, piece, span in Hamiltonian((seg,)).walk(seg.length):
-            F, s = entire._piece_factor(piece, span, z)
-            assert F.shape == (4, 2, 2) and np.shape(s) in ((), (4,))
-            for k in range(4):
-                F1, s1 = entire._piece_factor(piece, span, z[k])
-                assert np.max(np.abs(F[k] - F1)) <= 1e-13 * max(1.0, np.max(np.abs(F1)))
-                assert np.broadcast_to(s, (4,))[k] == s1
 
 
 class TestStoredPieces:
