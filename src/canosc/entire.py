@@ -28,13 +28,14 @@ matrix takes no tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian, Piece, extract_phi, require_valid, rotation
+from .hamiltonian import Hamiltonian, Piece, require_valid, rotation
 
 
 @dataclass
@@ -202,7 +203,7 @@ def log_max_entry(H: Hamiltonian, x: float, z, tol: float = 1e-10):
 # growth fits
 
 
-@dataclass
+@dataclass(slots=True)
 class GrowthFit:
     radii: np.ndarray
     logmax: np.ndarray  # log M(r)
@@ -222,6 +223,19 @@ def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return slope, math.sqrt(r @ r / r.size)
 
 
+@functools.lru_cache(maxsize=32)
+def _fit_grid(lo: float, hi: float, n: int, n_phases: int) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, Z): n geometric radii from lo to hi, and Z[i, j] = radii[i]
+    e^(2 pi i (j + 0.37) / n_phases), or i * radii for n_phases = 0.  Both
+    are read-only and shared by every fit on that grid."""
+    radii = np.geomspace(lo, hi, n)
+    # phase offset keeps samples off the positive real axis, where zeros live
+    phases = 2.0 * math.pi * (np.arange(n_phases) + 0.37) / n_phases
+    Z = radii[:, None] * (np.cos(phases) + 1j * np.sin(phases))[None, :] if n_phases else 1j * radii
+    radii.flags.writeable = Z.flags.writeable = False
+    return radii, Z
+
+
 def order_fit(
     evaluate: Callable[[np.ndarray], np.ndarray],
     r_min: float,
@@ -237,17 +251,15 @@ def order_fit(
     ``evaluate`` is called once, with the whole grid: a complex ndarray of
     shape (n_radii, n_phases), row i on the circle |z| = radii[i].  It must
     return F elementwise in the same shape (wrap a scalar-only function in
-    ``np.vectorize``).  When ``log_abs`` is set, ``evaluate`` must return
-    log |F(z)| directly (overflow-safe path).
+    ``np.vectorize``); the grid, like the returned ``radii``, is read-only and
+    shared by every fit on it.  When ``log_abs`` is set, ``evaluate`` must
+    return log |F(z)| directly (overflow-safe path).
     """
     if r_max / r_min < 1e3:
         raise ValueError("need r_max / r_min >= 1e3 for a stable fit")
     if n_radii < 8:
         raise ValueError("need at least 8 radii")
-    radii = np.geomspace(r_min, r_max, n_radii)
-    # phase offset keeps samples off the positive real axis, where zeros live
-    phases = 2.0 * math.pi * (np.arange(n_phases) + 0.37) / n_phases
-    Z = radii[:, None] * (np.cos(phases) + 1j * np.sin(phases))[None, :]
+    radii, Z = _fit_grid(r_min, r_max, n_radii, n_phases)
     v = evaluate(Z)
     vals = np.asarray(v, dtype=float) if log_abs else np.log(np.maximum(np.abs(v), 1e-300))
     logmax = vals.max(axis=1)
@@ -273,11 +285,11 @@ def type_fit_imaginary(
     Fits log M(iy) ~ tau * y over the upper half of a geometric y-grid;
     used to compare measured growth with the de Branges type.
     ``evaluate_log`` is called once, with the complex ndarray i*ys of shape
-    (n_points,), and must return log M elementwise (wrap a scalar-only
-    function in ``np.vectorize``).
+    (n_points,), read-only and shared, and must return log M elementwise
+    (wrap a scalar-only function in ``np.vectorize``).
     """
-    ys = np.geomspace(y_min, y_max, n_points)
-    lm = np.asarray(evaluate_log(1j * ys), dtype=float)
+    ys, Z = _fit_grid(y_min, y_max, n_points, 0)
+    lm = np.asarray(evaluate_log(Z), dtype=float)
     upper = ys >= ys[n_points // 2 - 1]
     return _line_fit(ys[upper], lm[upper])[0]
 
@@ -328,36 +340,52 @@ def _hurwitz_zeta(s: float, a: float) -> float:
 
 def _hadamard(z, alpha: float, N: Optional[int], zeros_of, log: bool, scaled: bool = False):
     """scale * prod_{n<=N} (1 - z/z_n) * exp(-z * sum_{n>N} n^(-alpha)), or log |.|,
-    with scale = z if ``scaled`` else 1.
+    with scale = z if ``scaled`` else 1, elementwise; a scalar z is the 0-d case.
 
-    The tail beyond N contributes that exponential to first order; N
-    (auto-chosen if omitted) keeps the neglected second-order tail below
-    1e-12.  Without ``log``, z within 1e-12 of a retained zero gives exactly 0.
-    An array z is evaluated element by element into an array of its shape.
+    The tail beyond N contributes that exponential to first order; N (chosen
+    per element if omitted) keeps the neglected second-order tail below 1e-12.
+    Without ``log``, z within 1e-12 of a retained zero gives exactly 0.  Rows
+    of equal N share one zeta and one slice of the zeros, and are reduced in
+    blocks of at most 2^11 entries (or one row): each element has the bits,
+    and no temporary outgrows the size, of a call at that z alone.
     """
     if alpha <= 2.0:
         raise ValueError("alpha must exceed 2")
+    zs = np.asarray(z).reshape(-1)
+    vals = zs.tolist()
+    terms = [_auto_terms(v, alpha) for v in vals] if N is None else [N] * len(vals)
+    groups: dict[int, list[int]] = {}
+    for k, n in enumerate(terms):
+        groups.setdefault(n, []).append(k)
+    zeros = zeros_of(alpha, max(terms, default=0))
+    zeta = {n: _hurwitz_zeta(alpha, n + 1.0) for n in groups}
+    red = np.empty(zs.size, dtype=float if log else np.result_type(zs, float))
+    near = np.empty(zs.size)  # min |z - z_n|, for the exact zeros
+    with np.errstate(divide="ignore"):
+        for n, ks in groups.items():
+            rows = max(1, 2048 // n)
+            for i in range(0, len(ks), rows):
+                kb = ks[i : i + rows]
+                w = zs[kb, None] / zeros[:n]
+                np.subtract(1.0, w, out=w)
+                if log:
+                    a = np.abs(w)
+                    red[kb] = np.log(a, out=a).sum(axis=1)
+                else:
+                    red[kb] = w.prod(axis=1)
+                    near[kb] = np.abs(np.subtract(zs[kb, None], zeros[:n], out=w)).min(axis=1)
+    out = []
+    for v, n, r, d in zip(vals, terms, red.tolist(), near.tolist()):
+        scale, tail = (v if scaled else 1.0), -v * zeta[n]
+        if abs(scale) < 1e-300:
+            out.append(-math.inf if log else complex(scale))
+        elif log:
+            out.append(math.log(abs(scale)) + r + tail.real)
+        else:
+            out.append(0j if d < 1e-12 * max(1.0, abs(v)) else scale * complex(r) * np.exp(tail))
     if np.ndim(z) == 0:
-        return _hadamard_at(z, alpha, N, zeros_of, log, z if scaled else 1.0)
-    z = np.asarray(z)
-    out = [_hadamard_at(v, alpha, N, zeros_of, log, v if scaled else 1.0) for v in z.flat]
-    return np.array(out, dtype=float if log else complex).reshape(z.shape)
-
-
-def _hadamard_at(z: complex, alpha: float, N: Optional[int], zeros_of, log: bool, scale):
-    if N is None:
-        N = _auto_terms(z, alpha)
-    if abs(scale) < 1e-300:
-        return -math.inf if log else complex(scale)
-    zeros = zeros_of(alpha, N)
-    tail = -z * _hurwitz_zeta(alpha, N + 1.0)
-    if log:
-        with np.errstate(divide="ignore"):
-            s = float(np.sum(np.log(np.abs(1.0 - z / zeros))))
-        return math.log(abs(scale)) + s + float(tail.real)
-    if np.min(np.abs(z - zeros)) < 1e-12 * max(1.0, abs(z)):
-        return 0.0 + 0.0j
-    return scale * complex(np.prod(1.0 - z / zeros)) * np.exp(tail)
+        return out[0]
+    return np.array(out, dtype=float if log else complex).reshape(np.shape(z))
 
 
 def hadamard_a(z: complex, alpha: float, N: Optional[int] = None) -> complex:
@@ -406,22 +434,13 @@ def order_bound_check(H: Hamiltonian) -> OrderBoundReport:
 
     Fits the order of T(X_max; z) over radii 1 to 1e8 (to 1e3 unless every
     segment is a singular interval) and checks it against the 1/2 ceiling;
-    ``has_ramp_mass`` says whether the profile carries absolutely
-    continuous mass (a ramp), where the order reaches 1/2.
+    ``has_ramp_mass`` says whether a piece turns (phi0 != phi1), so that the
+    profile carries absolutely continuous mass (a ramp), where the order
+    reaches 1/2.
     """
-    all_singular = all(s.is_singular for s in H.segments)
+    has_ramp = any(p.phi0 != p.phi1 for _, p, _ in H.walk(H.x_max))
+    r_max = 1e8 if all(s.is_singular for s in H.segments) else 1e3
     fit = order_fit(
-        lambda zz: log_max_entry(H, H.x_max, zz),
-        1.0,
-        1e8 if all_singular else 1e3,
-        n_radii=10,
-        n_phases=8,
-        log_abs=True,
+        lambda zz: log_max_entry(H, H.x_max, zz), 1.0, r_max, n_radii=10, n_phases=8, log_abs=True
     )
-    has_ramp = any(not p.singular for p in extract_phi(H).pieces)
-    return OrderBoundReport(
-        fitted_order=fit.order,
-        residual=fit.residual,
-        upper_ok=fit.order <= 0.55,
-        has_ramp_mass=has_ramp,
-    )
+    return OrderBoundReport(fit.order, fit.residual, fit.order <= 0.55, has_ramp)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import canosc
 from canosc import entire, oracle, rk
 from canosc.entire import (
+    GrowthFit,
     hadamard_a,
     hadamard_a_log,
     hadamard_c,
@@ -28,9 +30,12 @@ from canosc.hamiltonian import (
     ConstantMatrix,
     Hamiltonian,
     MatrixH,
+    NotRankOne,
     PhiRamp,
+    PhiTable,
     Segment,
     SingularHalfLine,
+    extract_phi,
     p_alpha,
 )
 
@@ -307,6 +312,132 @@ class TestHadamard:
         assert np.all(c_zeros[:-1] < a_zeros[1:])
 
 
+def _hadamard_at(z, alpha, N, zeros_of, log, scale):
+    """One z at a time, with its own zeros and tail zeta: the per-element
+    formula the batched Hadamard products must reproduce bit for bit."""
+    if N is None:
+        N = entire._auto_terms(z, alpha)
+    if abs(scale) < 1e-300:
+        return -math.inf if log else complex(scale)
+    zeros = zeros_of(alpha, N)
+    tail = -z * entire._hurwitz_zeta(alpha, N + 1.0)
+    if log:
+        with np.errstate(divide="ignore"):
+            s = float(np.sum(np.log(np.abs(1.0 - z / zeros))))
+        return math.log(abs(scale)) + s + float(tail.real)
+    if np.min(np.abs(z - zeros)) < 1e-12 * max(1.0, abs(z)):
+        return 0.0 + 0.0j
+    return scale * complex(np.prod(1.0 - z / zeros)) * np.exp(tail)
+
+
+#: public function -> (zeros, log, scaled) of its reference
+HADAMARD_REF = {
+    hadamard_a: (entire._a_zeros, False, False),
+    hadamard_a_log: (entire._a_zeros, True, False),
+    hadamard_c: (hadamard_c_zeros, False, True),
+    hadamard_c_log: (hadamard_c_zeros, True, True),
+}
+
+
+def hadamard_ref(fn, z, alpha, N=None):
+    zeros_of, log, scaled = HADAMARD_REF[fn]
+    if np.ndim(z) == 0:
+        return _hadamard_at(z, alpha, N, zeros_of, log, z if scaled else 1.0)
+    z = np.asarray(z)
+    out = [_hadamard_at(v, alpha, N, zeros_of, log, v if scaled else 1.0) for v in z.flat]
+    return np.array(out, dtype=float if log else complex).reshape(z.shape)
+
+
+def assert_same_bits(got, ref):
+    if np.ndim(ref) == 0:
+        assert type(got) is type(ref)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (got, ref)
+    else:
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+HADAMARD_FNS = list(HADAMARD_REF)
+
+
+class TestBatchedHadamard:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(2.2, 5.0),
+        st.sampled_from(HADAMARD_FNS),
+        st.sampled_from([None, None, 3, 60]),
+    )
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_grid_matches_per_element_reference(self, seed, alpha, fn, N):
+        # radii from 1e-2 to 3e4 give many distinct N on one grid, and the 60
+        # small radii one group of N = 50 that spans several blocks
+        rng = np.random.default_rng(seed)
+        r = np.concatenate([rng.uniform(0.0, 1.0, 60), np.geomspace(1e-2, 3e4, 10)])
+        Z = (r * np.exp(2j * PI * rng.uniform(0.0, 1.0, r.size))).reshape(5, 14)
+        if N is None:
+            assert len({entire._auto_terms(v, alpha) for v in Z.flat}) > 3
+        assert_same_bits(fn(Z, alpha, N), hadamard_ref(fn, Z, alpha, N))
+
+    @given(st.integers(0, 2**32 - 1), st.floats(2.2, 5.0), st.sampled_from(HADAMARD_FNS))
+    @settings(max_examples=60, deadline=None)
+    def test_scalars_match_per_element_reference(self, seed, alpha, fn):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 4.0, 2)
+        for z in (complex(x, y), float(x), np.complex128(complex(x, y)), int(round(x))):
+            assert_same_bits(fn(z, alpha), hadamard_ref(fn, z, alpha))
+
+    def test_c_family_at_zero(self):
+        Z = np.array([0.0, 1j, 0j, -2.0])
+        for fn in (hadamard_c, hadamard_c_log):
+            assert_same_bits(fn(Z, 3.0), hadamard_ref(fn, Z, 3.0))
+            assert_same_bits(fn(0j, 3.0), hadamard_ref(fn, 0j, 3.0))
+        assert hadamard_c_log(0.0, 3.0) == -math.inf and hadamard_c_log(Z, 3.0)[2] == -math.inf
+        assert hadamard_c(0.0, 3.0) == 0.0 and hadamard_c(Z, 3.0)[0] == 0.0
+
+    def test_near_retained_zero_is_exact_zero(self):
+        # 1e-12 * max(1, |z|) is the distance below which a zero counts as hit
+        Z = np.array([[8.0 + 5e-12j, 27.0 - 1e-11, 2.0], [4.5 + 1e-12j, 1.0, -3.0]])
+        for fn in HADAMARD_FNS:
+            got = fn(Z, 3.0)
+            assert_same_bits(got, hadamard_ref(fn, Z, 3.0))
+        assert np.all(hadamard_a(Z, 3.0)[0, :2] == 0.0) and hadamard_a(Z, 3.0)[1, 1] == 0.0
+        assert hadamard_c(Z, 3.0)[1, 0] == 0.0
+
+    @pytest.mark.parametrize("fn", HADAMARD_FNS)
+    def test_shapes_and_scalar_types(self, fn):
+        log = HADAMARD_REF[fn][1]
+        for shape in ((), (0,), (3,), (2, 1, 4)):
+            Z = np.full(shape, -3.7 + 1.2j)
+            out = fn(Z, 3.0)
+            assert np.shape(out) == shape
+        assert type(fn(-3.7 + 1.2j, 3.0)) is (float if log else np.complex128)
+        # a real z multiplies a real exp(tail) into a Python complex
+        assert type(fn(-3.7, 3.0)) is (float if log else complex)
+
+    def test_grid_memory_stays_at_one_row(self):
+        # N ~ 1.6e4 at |z| = 1e5, alpha = 3: an (n_radii, n_phases, N) block
+        # would be ~50 MB; the grid must stay within twice one z's peak
+        alpha, z1 = 3.0, 1e5 * np.exp(0.37j)
+        radii = np.geomspace(1e2, 1e5, 12)
+        Z = radii[:, None] * np.exp(2j * PI * (np.arange(16) + 0.37) / 16)[None, :]
+        assert entire._auto_terms(z1, alpha) > 15000
+
+        def peak(z):
+            hadamard_a_log(z, alpha)
+            tracemalloc.start()
+            try:
+                hadamard_a_log(z, alpha)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = peak(z1)
+        assert single > 16 * 15000  # one complex row of N entries was traced
+        assert peak(Z) < 2 * single
+
+
 class TestHurwitzZeta:
     @given(st.floats(2.0, 8.0, exclude_min=True), st.floats(0.0, 7.0))
     @settings(max_examples=200, deadline=None)
@@ -361,6 +492,46 @@ class TestTypeFit:
         assert np.array_equal(Z, 1j * np.geomspace(1.0, 100.0, 10))
 
 
+class TestFitGrid:
+    def test_fits_share_one_read_only_grid(self):
+        a = order_fit(lambda z: np.abs(z), 1e2, 1e6, log_abs=True)
+        b = order_fit(lambda z: 2.0 * np.abs(z), 1e2, 1e6, log_abs=True)
+        assert a.radii is b.radii and not a.radii.flags.writeable
+        with pytest.raises(ValueError):
+            a.radii[0] = 1.0
+
+    def test_evaluate_gets_read_only_grid(self):
+        def write(z):
+            z[0] = 0.0
+            return np.abs(z)
+
+        with pytest.raises(ValueError):
+            order_fit(write, 1e2, 1e6, log_abs=True)
+        with pytest.raises(ValueError):
+            type_fit_imaginary(write, 1.0, 100.0)
+        # a copy may be written
+        assert order_fit(lambda z: write(z.copy()), 1e2, 1e6, log_abs=True).order > 0.9
+
+    def test_cold_and_warm_cache_agree(self):
+        def fits():
+            f = order_fit(lambda z: hadamard_a_log(z, 3.0), 1e2, 1e6, n_radii=9, n_phases=5, log_abs=True)
+            return f.radii.tobytes(), f.logmax.tobytes(), f.order, f.residual, type_fit_imaginary(
+                lambda z: np.abs(z), 1.0, 100.0
+            )
+
+        entire._fit_grid.cache_clear()
+        cold = fits()
+        assert fits() == cold
+        radii, Z = entire._fit_grid(1e2, 1e6, 9, 5)
+        phases = 2.0 * PI * (np.arange(5) + 0.37) / 5
+        ref = np.geomspace(1e2, 1e6, 9)[:, None] * (np.cos(phases) + 1j * np.sin(phases))[None, :]
+        assert radii.tobytes() == np.geomspace(1e2, 1e6, 9).tobytes() and Z.tobytes() == ref.tobytes()
+
+    def test_growth_fit_is_slotted(self):
+        assert "__slots__" in vars(GrowthFit)
+        assert not hasattr(order_fit(lambda z: np.abs(z), 1e2, 1e6, log_abs=True), "__dict__")
+
+
 class TestOrderBound:
     def test_all_singular_fits_near_zero(self):
         H = Hamiltonian(
@@ -370,3 +541,30 @@ class TestOrderBound:
         assert rep.upper_ok
         assert rep.fitted_order <= 0.1
         assert not rep.has_ramp_mass
+
+    def test_full_rank_matrix_segment(self):
+        # extract_phi refuses this system; the report reads the pieces instead
+        H = Hamiltonian(
+            (Segment(1.0, ConstantAngle(0.3)), Segment(0.5, ConstantMatrix(MatrixH(0.4, 0.1, 0.6))))
+        )
+        with pytest.raises(NotRankOne):
+            extract_phi(H)
+        rep = order_bound_check(H)
+        fit = order_fit(lambda z: log_max_entry(H, H.x_max, z), 1.0, 1e3, n_radii=10, n_phases=8, log_abs=True)
+        assert rep.fitted_order == fit.order and rep.residual == fit.residual
+        assert not rep.upper_ok and not rep.has_ramp_mass
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            (Segment(1.0, PhiRamp(0.75, -0.75)),),
+            (Segment(0.5, ConstantAngle(0.9)), Segment(1.0, PhiRamp(0.4, 0.1)), Segment(0.5, ConstantAngle(-1.0))),
+            (Segment(1.0, PhiTable([(0.0, 0.2), (0.5, 0.2), (1.0, 0.2)])), Segment(0.5, ConstantAngle(-0.4))),
+            (Segment(1.0, PhiTable([(0.0, 0.2), (0.5, 0.2), (1.0, -0.3)])),),
+            (Segment(1.0, ConstantMatrix(MatrixH(math.cos(0.4) ** 2, math.cos(0.4) * math.sin(0.4), math.sin(0.4) ** 2))),),
+        ],
+    )
+    def test_ramp_mass_matches_angle_profile(self, segments):
+        H = Hamiltonian(segments)
+        expected = any(not p.singular for p in extract_phi(H).pieces)
+        assert order_bound_check(H).has_ramp_mass == expected
