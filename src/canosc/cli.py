@@ -25,11 +25,12 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
-from . import entire, pruefer, spectra, transforms
+from . import entire, pruefer, rk, spectra, transforms
 from .hamiltonian import (
     ConstantAngle,
     ConstantMatrix,
@@ -252,7 +253,7 @@ def cmd_wholeline(args):
 def cmd_ess_bounds(args):
     H, _ = load_config(args.config, args.degrees)
     phi, model = spectra.tail_profile(H)
-    b = spectra.ess_spectrum_bounds(phi, tail_fraction=args.tail_fraction)
+    b = spectra.ess_spectrum_bounds(phi)
     out = {
         "A": b.A,
         "B": b.B,
@@ -412,7 +413,15 @@ def cmd_hadamard(args):
 # parser
 
 
+#: negative numbers in every float form, and -inf, are values, not options
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -467,10 +476,7 @@ COMMANDS = {
         ("--config-right", dict(required=True)),
         DEGREES,
     ]),
-    "ess-bounds": (cmd_ess_bounds, "bottom-of-essential-spectrum bounds", [
-        CONFIG, DEGREES, STRICT,
-        ("--tail-fraction", dict(type=float, default=0.5)),
-    ]),
+    "ess-bounds": (cmd_ess_bounds, "bottom-of-essential-spectrum bounds", [CONFIG, DEGREES, STRICT]),
     "m-endpoints": (cmd_m_endpoints, "m-function endpoint values", [
         CONFIG, DEGREES,
         ("--minus-t", dict(type=float, help="also evaluate m at this t < 0")),
@@ -539,8 +545,8 @@ def main(argv=None) -> int:
     try:
         doc, columns, inconclusive = args.fn(args)
     except (
-        ConfigError, ValueError, NotRankOne, spectra.NoUniqueRoot,
-        transforms.SplitRequired, transforms.AssumptionViolated,
+        ConfigError, ValueError, ArithmeticError, NotRankOne, spectra.NoUniqueRoot,
+        transforms.SplitRequired, transforms.AssumptionViolated, rk.IntegrationError,
     ) as exc:
         emit({"error": str(exc)})
         return 2

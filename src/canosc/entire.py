@@ -274,23 +274,26 @@ def order_fit(
     return GrowthFit(radii, logmax, order=slope, residual=resid)
 
 
+#: points of the geometric y-grid of :func:`type_fit_imaginary`
+TYPE_FIT_POINTS = 12
+
+
 def type_fit_imaginary(
     evaluate_log: Callable[[np.ndarray], np.ndarray],
     y_min: float,
     y_max: float,
-    n_points: int = 12,
 ) -> float:
     """Exponential growth rate along the positive imaginary axis.
 
-    Fits log M(iy) ~ tau * y over the upper half of a geometric y-grid;
-    used to compare measured growth with the de Branges type.
-    ``evaluate_log`` is called once, with the complex ndarray i*ys of shape
-    (n_points,), read-only and shared, and must return log M elementwise
-    (wrap a scalar-only function in ``np.vectorize``).
+    Fits log M(iy) ~ tau * y over the upper half of a geometric y-grid of
+    TYPE_FIT_POINTS points; used to compare measured growth with the de
+    Branges type.  ``evaluate_log`` is called once, with the complex ndarray
+    i*ys of shape (TYPE_FIT_POINTS,), read-only and shared, and must return
+    log M elementwise (wrap a scalar-only function in ``np.vectorize``).
     """
-    ys, Z = _fit_grid(y_min, y_max, n_points, 0)
+    ys, Z = _fit_grid(y_min, y_max, TYPE_FIT_POINTS, 0)
     lm = np.asarray(evaluate_log(Z), dtype=float)
-    upper = ys >= ys[n_points // 2 - 1]
+    upper = ys >= ys[TYPE_FIT_POINTS // 2 - 1]
     return _line_fit(ys[upper], lm[upper])[0]
 
 

@@ -337,7 +337,7 @@ class Hamiltonian:
                 merged
                 and merged[-1].is_singular
                 and seg.is_singular
-                and _cong_mod_pi(merged[-1].kind.alpha, seg.kind.alpha)
+                and cong_mod_pi(merged[-1].kind.alpha, seg.kind.alpha)
             ):
                 merged[-1] = Segment(merged[-1].length + seg.length, merged[-1].kind)
             else:
@@ -395,14 +395,9 @@ class Hamiltonian:
             elif L > acc + 1e-12 * max(1.0, acc):
                 raise ValueError(f"L = {L} beyond X_max = {acc} and no tail attached")
 
-    def single_singular_type(self) -> Optional[float]:
-        """Angle alpha if the whole body is one singular interval, else None."""
-        if len(self.segments) == 1 and self.segments[0].is_singular:
-            return self.segments[0].kind.alpha
-        return None
 
-
-def _cong_mod_pi(a: float, b: float) -> bool:
+def cong_mod_pi(a: float, b: float) -> bool:
+    """a = b mod pi, to 1e-12 in units of pi."""
     d = (a - b) / PI
     return abs(d - round(d)) < 1e-12
 

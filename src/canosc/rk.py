@@ -1,11 +1,11 @@
 """Embedded adaptive Runge-Kutta integration.
 
-A single Dormand-Prince 4(5) stepper is shared by the Pruefer-angle
-integrator (real scalar right-hand sides) and the complex transfer-matrix
-propagation.  The state may be a float or any numpy array, real or complex;
-error control is absolute, with the per-step budget proportional to the
-step fraction of the interval so that the accumulated local error estimates
-stay below the requested total tolerance.
+A single Dormand-Prince 4(5) stepper solves the Schroedinger equations of
+:mod:`canosc.transforms`, and the tests check the closed-form Pruefer steps
+and transfer factors against it.  The state may be a float or any numpy
+array, real or complex; error control is absolute, with the per-step budget
+proportional to the step fraction of the interval so that the accumulated
+local error estimates stay below the requested total tolerance.
 """
 
 from __future__ import annotations

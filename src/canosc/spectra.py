@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import pruefer
+from . import entire, pruefer
 from .hamiltonian import (
     HALF_PI,
     PI,
@@ -29,6 +29,7 @@ from .hamiltonian import (
     Hamiltonian,
     NotRankOne,
     PhiProfile,
+    cong_mod_pi,
     extract_phi,
     require_valid,
 )
@@ -63,14 +64,10 @@ def _ceil_level(theta: float, beta: float) -> int:
 
 def _is_full_singular_pi_half(H: Hamiltonian, L: float) -> bool:
     """True when (0, L) is a single singular interval of type pi/2 mod pi."""
-    alpha = H.single_singular_type()
-    if alpha is None or L > H.x_max:
-        first = H.segments[0]
-        if not (first.is_singular and first.length >= L - 1e-12):
-            return False
-        alpha = first.kind.alpha
-    d = (alpha - HALF_PI) / PI
-    return abs(d - round(d)) < 1e-12
+    first = H.segments[0]
+    if not (first.is_singular and first.length >= L - 1e-12):
+        return False
+    return cong_mod_pi(first.kind.alpha, HALF_PI)
 
 
 def count_bounded(
@@ -359,25 +356,20 @@ def m_endpoints(phi: PhiProfile) -> tuple[float, float]:
 def m_halfline_real(H: Hamiltonian, minus_t: float) -> float:
     """m(minus_t) for minus_t < 0 via truncation at L = X_max with tail P_phi(L).
 
-    The square-integrable direction of the tail, e_(phi(L)+pi/2), is pulled
-    back to x = 0 through the transfer matrix; the result is f1(0)/f2(0) as
-    an extended real.
+    The square-integrable direction of the tail, e_beta with beta = phi(L) +
+    pi/2, is pulled back to x = 0 through T = e^s U (det T = 1, so
+    T^-1 = e^s adj(U)); the result f1(0)/f2(0), an extended real, does not
+    depend on e^s, so it stays finite where |T| leaves the float range.
     """
     if minus_t >= 0.0:
         raise ValueError("minus_t must be negative")
-    from . import entire  # local import; entire depends on hamiltonian only
-
-    phi = extract_phi(H)
-    L = H.x_max
-    phi_L = phi.value(L) if L < phi.x_max else phi.pieces[-1].phi1
-    T = entire.transfer_matrix(H, L, complex(minus_t)).entries.real
-    f_L = np.array([math.cos(phi_L + HALF_PI), math.sin(phi_L + HALF_PI)])
-    # det T = 1, so the inverse is explicit
-    T_inv = np.array([[T[1, 1], -T[0, 1]], [-T[1, 0], T[0, 0]]])
-    f0 = T_inv @ f_L
-    if f0[1] == 0.0:
+    beta = _natural_beta(extract_phi(H).pieces[-1].phi1)
+    (a, b), (c, d) = entire.transfer_matrix_log(H, H.x_max, complex(minus_t))[0].real
+    f1 = d * math.cos(beta) - b * math.sin(beta)
+    f2 = a * math.sin(beta) - c * math.cos(beta)
+    if f2 == 0.0:
         return math.inf
-    return float(f0[0] / f0[1])
+    return float(f1 / f2)
 
 
 # ---------------------------------------------------------------------------
@@ -396,43 +388,37 @@ class EssBounds:
     warnings: list[str] = field(default_factory=list)
 
 
-#: samples of g on the tail window and on each growth-diagnosis window
+#: samples of g on the tail window and on the growth-diagnosis window
 ESS_SAMPLES = 1000
 #: A at most this reports an empty essential spectrum
 ESS_EMPTY_THRESHOLD = 1e-8
 
 
-def ess_spectrum_bounds(phi: PhiProfile, tail_fraction: float = 0.5) -> EssBounds:
+def ess_spectrum_bounds(phi: PhiProfile) -> EssBounds:
     """Bottom-of-essential-spectrum bounds from g(x) = x (phi(x) - phi(inf)).
 
-    A and B are the finite-window sup and inf of g over the declared tail
-    window; the bounds are 1/(4A) <= min sigma_ess <= min(1/A, 1/(4B)).
-    phi(inf) is the profile's ``phi_infinity``; for a system without a
-    declared tail, :func:`tail_profile` supplies the fitted limit.
-    A <= ESS_EMPTY_THRESHOLD reports an empty essential spectrum; a sup still
-    growing at the window end is flagged as divergent (0 in the essential
-    spectrum).
+    A and B are the sup and inf of g, clamped at 0, on ESS_SAMPLES points and
+    the breakpoints of the tail window [X/2, X]; the bounds are 1/(4A) <=
+    min sigma_ess <= min(1/A, 1/(4B)).  phi(inf) is the profile's
+    ``phi_infinity``; for a system without a declared tail,
+    :func:`tail_profile` supplies the fitted limit.  A <= ESS_EMPTY_THRESHOLD
+    reports an empty essential spectrum; a sup still growing at the window
+    end is flagged as divergent (0 in the essential spectrum).
     """
-    if not (0.0 < tail_fraction < 1.0):
-        raise ValueError("tail_fraction must be in (0, 1)")
-    x_lo = tail_fraction * phi.x_max
-    x_hi = phi.x_max
-    xs = np.array(sorted(
-        {p.offset for p in phi.pieces if x_lo <= p.offset <= x_hi}
-        | set(np.linspace(x_lo, x_hi, ESS_SAMPLES))
-    ))
-    g = np.maximum(xs * (phi.values(xs) - phi.phi_infinity), 0.0)
-    A = float(np.max(g))
-    B = float(np.min(g))
+    x_lo, x_hi = 0.5 * phi.x_max, phi.x_max
+
+    def g(xs):
+        return np.maximum(xs * (phi.values(xs) - phi.phi_infinity), 0.0)
+
+    breaks = [p.offset for p in phi.pieces if x_lo <= p.offset <= x_hi]
+    # the grid first, so that gx[:ESS_SAMPLES] is g on the grid
+    gx = g(np.concatenate((np.linspace(x_lo, x_hi, ESS_SAMPLES), breaks)))
+    A, B = float(gx.max()), float(gx.min())
     warnings = []
     # growth diagnosis: compare the sup of g over [X/4, X/2] with [X/2, X];
     # a bounded limsup gives ratio ~1, g ~ x^p growth gives ratio 2^p
-    def window_sup(lo, hi):
-        ws = np.linspace(lo, hi, ESS_SAMPLES)
-        return float(np.max(ws * (phi.values(ws) - phi.phi_infinity)))
-
-    sup1 = max(window_sup(0.25 * phi.x_max, 0.5 * phi.x_max), 0.0)
-    sup2 = max(window_sup(0.5 * phi.x_max, phi.x_max), 0.0)
+    sup1 = float(g(np.linspace(0.25 * phi.x_max, x_lo, ESS_SAMPLES)).max())
+    sup2 = float(gx[:ESS_SAMPLES].max())
     trending = sup2 > 1.1 * sup1 + ESS_EMPTY_THRESHOLD
     diverging = sup2 > 1.3 * sup1 + ESS_EMPTY_THRESHOLD and sup2 > 1.0
     if trending:
@@ -649,11 +635,6 @@ def _natural_beta(angle: float) -> float:
     return beta
 
 
-def truncation_beta(phi: PhiProfile, L: float) -> float:
-    """Natural boundary condition phi(L) + pi/2 mod pi at a truncation."""
-    return _natural_beta(phi.value(L))
-
-
 def negative_count_at_truncation(
     H: Hamiltonian,
     L: float,
@@ -663,7 +644,6 @@ def negative_count_at_truncation(
     """Number of negative eigenvalues of the [0, L] problem with the natural
     tail boundary condition.  tol only reaches :func:`count_bounded`, which
     does not use it; it stays because the benchmark harness passes it."""
-    phi = extract_phi(H)
-    beta = truncation_beta(phi, L)
+    beta = _natural_beta(extract_phi(H).value(L))
     w = SpectralWindow(-T_floor, 0.0)
     return count_bounded(H, L, beta, w, tol).count

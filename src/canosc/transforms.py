@@ -70,6 +70,8 @@ class SchrodingerProblem:
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
             raise ValueError("grid and values must be 1-d arrays of equal length")
+        if not (np.isfinite(self.grid).all() and np.isfinite(self.values).all()):
+            raise ValueError("grid and values must be finite")
         if np.any(np.diff(self.grid) <= 0.0):
             raise ValueError("grid must be strictly increasing")
 

@@ -625,7 +625,7 @@ class TestEveryOptionIsRead:
              "--window", "-5", "5"],
             ["classify", *cfg],
             ["wholeline", "--degrees", "--config-left", sys_, "--config-right", sys_],
-            ["ess-bounds", "--degrees", "--config", warns, "--strict", "--tail-fraction", "0.5"],
+            ["ess-bounds", "--degrees", "--config", warns, "--strict"],
             ["m-endpoints", *cfg, "--minus-t", "-1"],
             ["zero-eig", *cfg],
             ["to-diagonal", *cfg, "--csv", out],
@@ -675,3 +675,124 @@ class TestEveryOptionIsRead:
             assert not unset, f"{name}: no run sets {unset}"
             unread = [a.option_strings[0] for a in options if a.dest not in reads[name]]
             assert not unread, f"{name}: {unread} never read"
+
+
+#: a ramp of length 20 whose transfer matrix at t = -1e5 has |T| = e^1420.5
+LONG_RAMP = {"segments": [{"length": 20.0, "kind": "ramp", "phi_start": 0.5, "phi_end": -0.5}]}
+
+
+class TestNegativeNumbers:
+    """Negative numbers in exponent form, and -inf, are values, not options."""
+
+    def test_count_window(self, run, tmp_path):
+        p = write_config(tmp_path, C_PLUS_TAIL)
+        code, out = run("count", "--config", p, "--window", "-1e3", "0", "--L", "2")
+        assert code == 0
+        assert json.loads(out)["inputs"]["window"] == [-1000.0, 0.0]
+        code, out = run("count", "--config", p, "--window", "-inf", "0", "--L", "2")
+        assert code == 0
+        assert json.loads(out)["inputs"]["window"] == ["-inf", 0.0]
+
+    def test_m_endpoints_minus_t(self, run, tmp_path):
+        p = write_config(tmp_path, LONG_RAMP)
+        code, out = run("m-endpoints", "--config", p, "--minus-t", "-1e5")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["minus_t"] == -1e5
+        assert doc["m_at_minus_infinity"] < doc["m_numeric"] < doc["m_at_zero_minus"]
+
+    def test_theta_t(self, run, tmp_path):
+        p = write_config(tmp_path, C_PLUS_TAIL)
+        code, out = run("theta", "--config", p, "--t", "-2.5e-3", "--L", "2")
+        assert code == 0
+        assert json.loads(out)["inputs"]["t"] == -2.5e-3
+
+    def test_other_dashed_words_stay_options(self, run):
+        assert run("hadamard", "--alpha", "3", "--z", "-x")[0] == 1
+
+
+def _potential(tmp_path, name, v):
+    path = tmp_path / name
+    np.savetxt(path, [[0.0, 0.0], [1.0, v], [2.0, 0.0]], delimiter=",")
+    return str(path)
+
+
+class TestNumericFailuresExitTwo:
+    @pytest.mark.parametrize("argv", [
+        ["hadamard", "--alpha", "3", "--z", "1e300"],
+        ["count", "--config", "{ramp}", "--window", "0", "inf"],
+        ["theta", "--config", "{ramp}", "--t", "nan", "--L", "3"],
+        ["schrodinger-import", "--potential", "{nan}", "--e0", "-1"],
+        ["schrodinger-import", "--potential", "{big}", "--e0", "-1"],
+    ])
+    def test_error_document_not_traceback(self, run, tmp_path, argv):
+        paths = {
+            "{ramp}": write_config(tmp_path, RAMP),
+            "{nan}": _potential(tmp_path, "nan.csv", math.nan),
+            "{big}": _potential(tmp_path, "big.csv", 1e300),
+        }
+        with np.errstate(all="ignore"):
+            code, out = run(*[paths.get(a, a) for a in argv])
+        assert code == 2
+        assert "error" in json.loads(out)
+
+
+class TestExtremeInputsSweep:
+    """Every subcommand, run with extreme but cheap inputs, ends in an exit
+    code, never in an exception out of main.  hadamard stays at |z| <= 1e8:
+    beyond that its automatic number of terms is unbounded."""
+
+    EXTREMES = ["1e300", "-1e300", "inf", "-inf", "nan"]
+
+    def runs(self, tmp_path):
+        sys_ = write_config(tmp_path, C_PLUS_TAIL)
+        ramp = write_config(tmp_path, RAMP, name="ramp.json")
+        huge = write_config(
+            tmp_path,
+            {"segments": [{"length": 1e300, "kind": "ramp", "phi_start": 1e300, "phi_end": -1e300}]},
+            name="huge.json",
+        )
+        pots = [_potential(tmp_path, "nan.csv", math.nan), _potential(tmp_path, "big.csv", 1e300)]
+        runs = []
+        for c in (sys_, ramp, huge):
+            runs += [
+                [cmd, "--config", c]
+                for cmd in ("validate", "classify", "ess-bounds", "m-endpoints", "zero-eig",
+                            "to-diagonal", "order")
+            ]
+            runs += [["wholeline", "--config-left", c, "--config-right", sys_],
+                     ["type", "--config", c, "--measure"]]
+        for v in self.EXTREMES:
+            for c in (sys_, ramp):
+                runs += [
+                    ["theta", "--config", c, "--t", v, "--L", "2"],
+                    ["theta", "--config", c, "--t", "1", "--theta0", v, "--L", "2"],
+                    ["count", "--config", c, "--window", v, "0", "--L", "2"],
+                    ["count", "--config", c, "--window", "0", v, "--L", "2"],
+                    ["count", "--config", c, "--window", v, "0"],
+                    ["count", "--config", c, "--window", "0", v],
+                    ["locate", "--config", c, "--window", v, "0", "--L", "2"],
+                    ["m-endpoints", "--config", c, "--minus-t", v],
+                    ["type", "--config", c, "--measure", "--y-max", v],
+                    ["order", "--config", c, "--r-min", v],
+                    ["order", "--config", c, "--r-max", v],
+                ]
+            for pot in pots:
+                runs += [
+                    ["schrodinger-import", "--potential", pot, "--e0", v],
+                    ["molchanov", "--potential", pot, "--mode", "new", "--e0", v],
+                    ["molchanov", "--potential", pot, "--d-list", v],
+                    ["molchanov", "--potential", pot, "--x-grid", "1", v, "5"],
+                ]
+            runs.append(["hadamard", "--alpha", v, "--fit-order"])
+        for z in (["1e8"], ["-1e8"], ["0", "1e8"], ["0", "-1e8"]):
+            runs += [["hadamard", "--family", f, "--alpha", "3", "--z", *z] for f in ("a", "c")]
+        return runs
+
+    def test_no_exception_escapes_main(self, capsys, tmp_path):
+        runs = self.runs(tmp_path)
+        with np.errstate(all="ignore"):
+            for argv in runs:
+                assert cli.main(argv) in (0, 1, 2, 3), argv
+                capsys.readouterr()
+        assert {argv[0] for argv in runs} == set(cli.COMMANDS)

@@ -485,11 +485,11 @@ class TestTypeFit:
             calls.append(z)
             return 2.0 * z.imag
 
-        assert type_fit_imaginary(rate_two, 1.0, 100.0, n_points=10) == pytest.approx(2.0)
+        assert type_fit_imaginary(rate_two, 1.0, 100.0) == pytest.approx(2.0)
         assert len(calls) == 1
         (Z,) = calls
-        assert isinstance(Z, np.ndarray) and Z.shape == (10,)
-        assert np.array_equal(Z, 1j * np.geomspace(1.0, 100.0, 10))
+        assert isinstance(Z, np.ndarray) and Z.shape == (12,)
+        assert np.array_equal(Z, 1j * np.geomspace(1.0, 100.0, 12))
 
 
 class TestFitGrid:

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from canosc import pruefer, spectra, transforms
+from canosc import entire, pruefer, spectra, transforms
 from canosc.hamiltonian import (
     ConstantAngle,
     ConstantMatrix,
@@ -56,6 +56,16 @@ class TestCountBounded:
         res = spectra.count_bounded(H, 3.0, 0.3, SpectralWindow(-10.0, 10.0))
         assert res.count == 0
         assert res.certified
+
+    def test_trivial_case_reads_the_first_segment(self):
+        H = Hamiltonian((Segment(2.0, ConstantAngle(PI / 2)), Segment(1.0, ConstantAngle(0.3))))
+        w = SpectralWindow(-10.0, 10.0)
+        res = spectra.count_bounded(H, 1.5, 0.0, w)
+        assert (res.count, res.certified) == (0, True)
+        assert spectra.locate_eigenvalues(H, 1.5, 0.0, w) == []
+        assert not spectra._is_full_singular_pi_half(H, 2.5)
+        tailed = single(ConstantAngle(PI / 2), tail=SingularHalfLine(0.3))
+        assert not spectra._is_full_singular_pi_half(tailed, 3.0)
 
     def test_beta_range_enforced(self):
         H = single(ConstantAngle(0.0))
@@ -482,6 +492,45 @@ class TestMEndpoints:
         m_small = spectra.m_halfline_real(H, -1e-6)
         assert m_small == pytest.approx(-math.tan(phi.pieces[-1].phi1), abs=1e-2)
 
+    @staticmethod
+    def exp_scaled_m(H, minus_t):
+        """m with T = e^s U multiplied out and inverted explicitly: the
+        reference at moderate t, where e^s stays in the float range."""
+        phi = extract_phi(H)
+        L = H.x_max
+        phi_L = phi.value(L) if L < phi.x_max else phi.pieces[-1].phi1
+        T = entire.transfer_matrix(H, L, complex(minus_t)).entries.real
+        f_L = np.array([math.cos(phi_L + PI / 2), math.sin(phi_L + PI / 2)])
+        T_inv = np.array([[T[1, 1], -T[0, 1]], [-T[1, 0], T[0, 0]]])
+        f0 = T_inv @ f_L
+        return math.inf if f0[1] == 0.0 else float(f0[0] / f0[1])
+
+    @pytest.mark.parametrize("t", [-0.1, -1.0, -3.0])
+    def test_matches_exp_scaled_formula(self, t):
+        systems = [
+            Hamiltonian((Segment(1.0, ConstantAngle(0.4)), Segment(1.0, ConstantAngle(-0.8)))),
+            single(PhiRamp(0.5, -0.5), length=20.0),
+            single(PhiRamp(PI / 2, -PI / 2), length=4.0),
+            Hamiltonian(
+                (Segment(0.7, ConstantAngle(1.2)), Segment(1.5, PhiRamp(0.9, -0.6)),
+                 Segment(2.0, PhiTable(((0.0, -0.7), (0.5, -0.9), (2.0, -1.0))))),
+                tail=SingularHalfLine(-1.3),
+            ),
+        ]
+        for H in systems:
+            m = spectra.m_halfline_real(H, t)
+            assert m == pytest.approx(self.exp_scaled_m(H, t), rel=1e-13, abs=0.0)
+
+    def test_finite_and_increasing_where_T_overflows(self):
+        H = single(PhiRamp(0.5, -0.5), length=20.0)
+        with pytest.raises(OverflowError):
+            entire.transfer_matrix(H, 20.0, -1e5)
+        ms = [spectra.m_halfline_real(H, t) for t in (-1e8, -1e6, -1e4, -1e2, -1.0)]
+        m_minus_inf, _ = spectra.m_endpoints(extract_phi(H))
+        assert all(math.isfinite(m) for m in ms)
+        assert all(a < b for a, b in zip(ms, ms[1:]))
+        assert m_minus_inf < ms[0]
+
     def test_herglotz_monotone_on_negative_axis(self):
         H = Hamiltonian(
             (Segment(1.0, ConstantAngle(0.4)), Segment(1.0, ConstantAngle(-0.8)))
@@ -489,6 +538,73 @@ class TestMEndpoints:
         ts = [-100.0, -10.0, -1.0, -0.1]
         ms = [spectra.m_halfline_real(H, t) for t in ts]
         assert all(b >= a - 1e-8 for a, b in zip(ms, ms[1:]))
+
+
+def set_union_ess_bounds(phi, tail_fraction=0.5):
+    """ess_spectrum_bounds sampled the long way: the sorted set union of the
+    grid and the breakpoints, and a separate grid for each growth-diagnosis
+    sup.  The reference the one-grid sampling must match bit for bit."""
+    x_lo = tail_fraction * phi.x_max
+    x_hi = phi.x_max
+    xs = np.array(sorted(
+        {p.offset for p in phi.pieces if x_lo <= p.offset <= x_hi}
+        | set(np.linspace(x_lo, x_hi, 1000))
+    ))
+    g = np.maximum(xs * (phi.values(xs) - phi.phi_infinity), 0.0)
+    A = float(np.max(g))
+    B = float(np.min(g))
+
+    def window_sup(lo, hi):
+        ws = np.linspace(lo, hi, 1000)
+        return float(np.max(ws * (phi.values(ws) - phi.phi_infinity)))
+
+    sup1 = max(window_sup(0.25 * phi.x_max, 0.5 * phi.x_max), 0.0)
+    sup2 = max(window_sup(0.5 * phi.x_max, phi.x_max), 0.0)
+    trending = sup2 > 1.1 * sup1 + 1e-8
+    diverging = sup2 > 1.3 * sup1 + 1e-8 and sup2 > 1.0
+    lower = math.inf if A == 0.0 else 1.0 / (4.0 * A)
+    upper = math.inf if A == 0.0 else 1.0 / A
+    if B > 0.0:
+        upper = min(upper, 1.0 / (4.0 * B))
+    warnings = []
+    if trending:
+        warnings.append(
+            "g(x) = x*(phi - phi_inf) still trending upward at the window end; "
+            "the asymptotic limsup/liminf may differ from the finite-window values"
+        )
+    return A, B, lower, upper, (x_lo, x_hi), A <= 1e-8, diverging, warnings
+
+
+@st.composite
+def mixed_profiles(draw):
+    """1-60 pieces: plateaus, ramps and jumps, phi_inf at or below the end."""
+    n = draw(st.integers(1, 60))
+    pieces = []
+    x, phi = 0.0, draw(st.floats(-2.0, 2.0))
+    for _ in range(n):
+        length = draw(st.floats(0.01, 5.0))
+        kind = draw(st.sampled_from(["plateau", "ramp", "jump"]))
+        if kind == "jump":
+            phi -= draw(st.floats(0.0, 1.0))
+        drop = draw(st.floats(1e-6, 1.0)) if kind == "ramp" else 0.0
+        pieces.append(Piece(x, x + length, phi, phi - drop))
+        x, phi = x + length, phi - drop
+    below = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    return PhiProfile(tuple(pieces), phi - below)
+
+
+class TestEssSampling:
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_profiles())
+    # g = 0.1001 x crosses the divergence level 1 only past the grid's
+    # 995th point, so zero_in_ess needs sup2 over the whole grid
+    @example(PhiProfile(tuple(Piece(float(i), i + 1.0, 0.0, 0.0) for i in range(10)), -0.1001))
+    def test_matches_set_union_sampling_bit_for_bit(self, phi):
+        A, B, lower, upper, window, empty, zero, warnings = set_union_ess_bounds(phi)
+        b = spectra.ess_spectrum_bounds(phi)
+        got = (b.A, b.B, b.lower, b.upper, b.tail_window)
+        assert [repr(v) for v in got] == [repr(v) for v in (A, B, lower, upper, window)]
+        assert (b.sigma_ess_empty, b.zero_in_ess, b.warnings) == (empty, zero, warnings)
 
 
 class TestEssBounds:
