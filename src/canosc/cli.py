@@ -362,8 +362,11 @@ def cmd_schrodinger_import(args):
 
 
 def cmd_molchanov(args):
+    start, stop, n = args.x_grid
+    if not (n >= 1 and float(n).is_integer()):
+        raise argparse.ArgumentError(None, "molchanov: --x-grid N must be a positive integer")
     xs, vs = _load_potential(args.potential)
-    x_grid = np.linspace(args.x_grid[0], args.x_grid[1], int(args.x_grid[2]))
+    x_grid = np.linspace(start, stop, int(n))
     if args.mode == "classic":
         res = transforms.molchanov_classic(xs, vs, args.d_list, x_grid)
         out = {
@@ -388,6 +391,8 @@ def cmd_molchanov(args):
 
 
 def cmd_hadamard(args):
+    if len(args.z) > 2:
+        raise argparse.ArgumentError(None, "hadamard: --z takes RE and at most one IM")
     z = complex(args.z[0], args.z[1] if len(args.z) > 1 else 0.0)
     fam = entire.hadamard_a if args.family == "a" else entire.hadamard_c
     fam_log = entire.hadamard_a_log if args.family == "a" else entire.hadamard_c_log
@@ -426,18 +431,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _checked(ok, message):
-    """argparse action storing the values when ok(values), else a usage error."""
-
-    class Checked(argparse.Action):
-        def __call__(self, parser, namespace, values, option_string=None):
-            if not ok(values):
-                parser.error(f"{option_string}: {message}")
-            setattr(namespace, self.dest, values)
-
-    return Checked
 
 
 CONFIG = ("--config", dict(required=True, help="system JSON document"))
@@ -505,21 +498,13 @@ COMMANDS = {
         ("--mode", dict(choices=["classic", "new"], default="classic")),
         ("--e0", dict(type=float, default=-1.0)),
         ("--d-list", dict(type=float, nargs="+", default=[1.0])),
-        ("--x-grid", dict(
-            type=float, nargs=3, default=[1.0, 10.0, 50], metavar=("START", "STOP", "N"),
-            action=_checked(
-                lambda v: v[2] >= 1 and v[2].is_integer(), "N must be a positive integer"
-            ),
-        )),
+        ("--x-grid", dict(type=float, nargs=3, default=[1.0, 10.0, 50], metavar=("START", "STOP", "N"))),
         CSV,
     ]),
     "hadamard": (cmd_hadamard, "evaluate model zero-products", [
         ("--family", dict(choices=["a", "c"], default="a")),
         ("--alpha", dict(type=float, required=True)),
-        ("--z", dict(
-            type=float, nargs="+", default=[1.0], metavar="RE [IM]",
-            action=_checked(lambda v: len(v) <= 2, "takes RE and at most one IM"),
-        )),
+        ("--z", dict(type=float, nargs="+", default=[1.0], metavar="RE [IM]")),
         ("--fit-order", dict(action="store_true")),
     ]),
 }
@@ -553,7 +538,7 @@ def main(argv=None) -> int:
     except Rejected as exc:
         emit(exc.doc)
         return 2
-    except argparse.ArgumentError as exc:  # options that parse but do not go together
+    except argparse.ArgumentError as exc:  # parsed options that clash or are out of range
         print(f"error: {exc}", file=sys.stderr)
         return 1
     emit(doc)

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian, Piece, require_valid, rotation
+from .hamiltonian import Hamiltonian, Piece, rotation
 
 
 @dataclass
@@ -95,11 +95,6 @@ def _frame_factor(piece: Piece, span: float, z: np.ndarray):
     return c, sh * la, -sh * lb, s
 
 
-def _end_angle(piece: Piece, span: float) -> float:
-    """phi at the end of `span` of the piece (phi1 exactly for the whole piece)."""
-    return piece.phi1 if span == piece.end - piece.offset else piece.phi(span)
-
-
 # The running product is rescaled before the bound on log max |entry| would
 # pass 2^512, halfway to the end of the double range, so entries stay normal.
 _HEADROOM = 512.0 * math.log(2.0)
@@ -142,9 +137,9 @@ def transfer_matrix_log(H: Hamiltonian, x: float, z) -> tuple[np.ndarray, np.nda
     per other factor, log sqrt 2 per turn) decides when an element must be
     scaled by a power of two, which is exact (see :func:`_headroom`), so
     where that happens does not change U or s.  Past X_max the singular tail
-    contributes its factor; without a tail, x beyond X_max is a ValueError.
+    contributes its factor.  The walk raises ValueError for an invalid H, for
+    x < 0 or NaN, and for x beyond X_max without a tail.
     """
-    require_valid(H)
     z = np.asarray(z, dtype=complex)
     zs = z.reshape(-1)
     V = np.zeros((2, 2, zs.size), dtype=complex)  # V[i, j, k]: entry (i, j) at zs[k]
@@ -171,7 +166,7 @@ def transfer_matrix_log(H: Hamiltonian, x: float, z) -> tuple[np.ndarray, np.nda
             V1 *= c
             V1 += t
             logs += s
-        angle = _end_angle(piece, span)
+        angle = piece.phi(span)
     if angle:
         V = _rotate(V, angle)
     m = np.abs(V).max(axis=(0, 1))
@@ -301,6 +296,10 @@ def type_fit_imaginary(
 # Hadamard products
 
 
+#: most terms a Hadamard product may take: 2^26 float64 zeros are 512 MiB
+MAX_TERMS = 2**26
+
+
 def _auto_terms(z: complex, alpha: float) -> int:
     """Terms that keep the neglected second-order tail below 1e-12."""
     r = abs(z)
@@ -346,7 +345,8 @@ def _hadamard(z, alpha: float, N: Optional[int], zeros_of, log: bool, scaled: bo
     with scale = z if ``scaled`` else 1, elementwise; a scalar z is the 0-d case.
 
     The tail beyond N contributes that exponential to first order; N (chosen
-    per element if omitted) keeps the neglected second-order tail below 1e-12.
+    per element if omitted, ValueError before any allocation past MAX_TERMS)
+    keeps the neglected second-order tail below 1e-12.
     Without ``log``, z within 1e-12 of a retained zero gives exactly 0.  Rows
     of equal N share one zeta and one slice of the zeros, and are reduced in
     blocks of at most 2^11 entries (or one row): each element has the bits,
@@ -357,10 +357,13 @@ def _hadamard(z, alpha: float, N: Optional[int], zeros_of, log: bool, scaled: bo
     zs = np.asarray(z).reshape(-1)
     vals = zs.tolist()
     terms = [_auto_terms(v, alpha) for v in vals] if N is None else [N] * len(vals)
+    n_max = max(terms, default=0)
+    if n_max > MAX_TERMS:
+        raise ValueError(f"|z| = {abs(vals[terms.index(n_max)]):g} needs {n_max} terms; at most {MAX_TERMS}")
     groups: dict[int, list[int]] = {}
     for k, n in enumerate(terms):
         groups.setdefault(n, []).append(k)
-    zeros = zeros_of(alpha, max(terms, default=0))
+    zeros = zeros_of(alpha, n_max)
     zeta = {n: _hurwitz_zeta(alpha, n + 1.0) for n in groups}
     red = np.empty(zs.size, dtype=float if log else np.result_type(zs, float))
     near = np.empty(zs.size)  # min |z - z_n|, for the exact zeros
@@ -436,13 +439,14 @@ def order_bound_check(H: Hamiltonian) -> OrderBoundReport:
     """Growth-order report for a semibounded system's transfer matrix.
 
     Fits the order of T(X_max; z) over radii 1 to 1e8 (to 1e3 unless every
-    segment is a singular interval) and checks it against the 1/2 ceiling;
-    ``has_ramp_mass`` says whether a piece turns (phi0 != phi1), so that the
-    profile carries absolutely continuous mass (a ramp), where the order
-    reaches 1/2.
+    piece is a singular interval, :attr:`Piece.singular`) and checks it
+    against the 1/2 ceiling; ``has_ramp_mass`` says whether a piece turns
+    (phi0 != phi1), so that the profile carries absolutely continuous mass
+    (a ramp), where the order reaches 1/2.
     """
-    has_ramp = any(p.phi0 != p.phi1 for _, p, _ in H.walk(H.x_max))
-    r_max = 1e8 if all(s.is_singular for s in H.segments) else 1e3
+    pieces = [p for _, p, _ in H.walk(H.x_max)]
+    has_ramp = any(p.phi0 != p.phi1 for p in pieces)
+    r_max = 1e8 if all(p.singular for p in pieces) else 1e3
     fit = order_fit(
         lambda zz: log_max_entry(H, H.x_max, zz), 1.0, r_max, n_radii=10, n_phases=8, log_abs=True
     )

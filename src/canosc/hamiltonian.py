@@ -256,7 +256,9 @@ class Piece(NamedTuple):
         return self.phi0 == self.phi1 and self.lam2 == 0.0
 
     def phi(self, off: float) -> float:
-        return self.phi0 + (self.phi1 - self.phi0) * (off / (self.end - self.offset))
+        """phi at offset off into the piece: phi1 exactly at the piece's end."""
+        length = self.end - self.offset
+        return self.phi1 if off == length else self.phi0 + (self.phi1 - self.phi0) * (off / length)
 
     def rates(self, z):
         """(a, b) = (z lam1 + kappa, z lam2 + kappa)."""
@@ -292,7 +294,7 @@ class Segment:
         object.__setattr__(self, "_pieces", pieces)
 
     @property
-    def is_singular(self) -> bool:
+    def is_singular(self) -> bool:  # the constructor's merge only; computations read Piece.singular
         return isinstance(self.kind, ConstantAngle)
 
     def h_at(self, offset: float) -> np.ndarray:
@@ -356,29 +358,29 @@ class Hamiltonian:
             out.append(out[-1] + s.length)
         return out
 
-    def segment_at(self, x: float) -> tuple[int, float]:
-        """Index of the segment containing x and the offset inside it."""
-        if x < 0.0:
-            raise ValueError("x must be nonnegative")
-        acc = 0.0
-        for i, s in enumerate(self.segments):
-            if x < acc + s.length or i == len(self.segments) - 1:
-                return i, min(x - acc, s.length)
-            acc += s.length
-        raise AssertionError("unreachable")
-
     def h_at(self, x: float) -> np.ndarray:
         if x > self.x_max:
             if self.tail is None:
                 raise ValueError(f"x = {x} beyond X_max = {self.x_max} and no tail")
             return p_alpha(self.tail.gamma)
-        i, off = self.segment_at(x)
-        return self.segments[i].h_at(off)
+        if x < 0.0:
+            raise ValueError("x must be nonnegative")
+        acc = 0.0
+        for seg in self.segments[:-1]:
+            if x < acc + seg.length:
+                return seg.h_at(x - acc)
+            acc += seg.length
+        return self.segments[-1].h_at(min(x - acc, self.segments[-1].length))
 
     def walk(self, L: float):
         """(x, piece, span) for every piece that meets (0, L): x its start, span
         its length inside (0, L).  Past X_max the tail is one more piece;
-        without a tail, L beyond X_max is a ValueError."""
+        without a tail, L beyond X_max is a ValueError.  Every computation on
+        H walks, so the walk is their gate: it first raises ValueError for an
+        invalid H (:func:`require_valid`), then for L < 0 or NaN."""
+        require_valid(self)
+        if not L >= 0.0:
+            raise ValueError(f"L = {L} must be nonnegative")
         acc = 0.0
         for seg in self.segments:
             if acc >= L:
@@ -410,9 +412,6 @@ def cong_mod_pi(a: float, b: float) -> bool:
 class ValidationReport:
     ok: bool
     issues: list[tuple[int, str]] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate(H: Hamiltonian) -> ValidationReport:
@@ -498,8 +497,8 @@ class PhiProfile:
         ).T
         i = np.minimum(np.searchsorted(x1, xs, side="right"), len(x1) - 1)
         s = (xs - x0[i]) / (x1[i] - x0[i])
-        out = phi0[i] + (phi1[i] - phi0[i]) * s
-        out[xs == x1[-1]] = phi1[-1]
+        # s == 1 exactly where x - offset == end - offset: phi1, as Piece.phi gives
+        out = np.where(s == 1.0, phi1[i], phi0[i] + (phi1[i] - phi0[i]) * s)
         out[xs > x1[-1]] = self.phi_infinity
         return out
 

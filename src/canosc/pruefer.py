@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import HALF_PI, PI, Hamiltonian, Piece, require_valid
+from .hamiltonian import HALF_PI, PI, Hamiltonian, Piece
 
 #: below this |cos(theta - alpha)| the angle sits exactly on a stationary point
 STATIONARY_EPS = 1e-15
@@ -93,12 +93,6 @@ class PrueferTrajectory:
         return float(np.interp(x, self.xs, self.thetas))
 
 
-def _check_args(H: Hamiltonian, L: float) -> None:
-    require_valid(H)
-    if L < 0.0:
-        raise ValueError("L must be nonnegative")
-
-
 def integrate(
     H: Hamiltonian,
     t: float,
@@ -113,7 +107,6 @@ def integrate(
     x_eval point inside a piece is reached from the piece start.  L may
     exceed X_max when a singular tail is attached.
     """
-    _check_args(H, L)
     eval_pts = sorted({float(x) for x in x_eval if 0.0 < float(x) < L})
     xs = [0.0]
     thetas = [float(theta0)]
@@ -144,7 +137,6 @@ def theta_at(H: Hamiltonian, t: float, theta0: float, L: float) -> float:
     is ``integrate(H, t, theta0, L).theta_end()`` bit for bit, without
     building the sampled trajectory.
     """
-    _check_args(H, L)
     theta = float(theta0)
     for _, piece, span in H.walk(L):
         theta = advance(theta, piece, span, t)

@@ -53,9 +53,6 @@ def integrate_adaptive(f, x0, x1, y0, tol, x_eval=()):
         raise ValueError("backward integration not supported; swap endpoints")
     span = x1 - x0
     y = np.asarray(y0, dtype=complex) if np.iscomplexobj(y0) else np.asarray(y0, dtype=float)
-    scalar = y.ndim == 0
-    if scalar:
-        y = y.reshape(())
 
     checkpoints = sorted({float(x) for x in x_eval if x0 < x < x1} | {x1})
     xs = [x0]

@@ -31,7 +31,6 @@ from .hamiltonian import (
     PhiProfile,
     cong_mod_pi,
     extract_phi,
-    require_valid,
 )
 
 
@@ -63,11 +62,12 @@ def _ceil_level(theta: float, beta: float) -> int:
 
 
 def _is_full_singular_pi_half(H: Hamiltonian, L: float) -> bool:
-    """True when (0, L) is a single singular interval of type pi/2 mod pi."""
-    first = H.segments[0]
-    if not (first.is_singular and first.length >= L - 1e-12):
-        return False
-    return cong_mod_pi(first.kind.alpha, HALF_PI)
+    """True when H = P_{pi/2} on (0, L) in any encoding: the walked pieces
+    that start before L - 1e-12 (a sliver of the next is allowed) are at
+    least one, all singular of angle pi/2 mod pi.  As theta(0) = 0 and
+    theta' = t H_11 at theta = 0, that is when theta(L; .) is flat."""
+    pi_half = (p.singular and cong_mod_pi(p.phi0, HALF_PI) for x, p, _ in H.walk(L) if x < L - 1e-12)
+    return next(pi_half, False) and all(pi_half)
 
 
 def count_bounded(
@@ -237,7 +237,6 @@ def halfline_count(
     tol only reaches :func:`count_bounded`, which does not use it; it stays
     because the benchmark harness passes it positionally.
     """
-    require_valid(H)
     if H.tail is not None:
         res = count_bounded(H, H.x_max, _natural_beta(H.tail.gamma), w, tol)
         return HalfLineCount(

@@ -259,15 +259,16 @@ class TestLocate:
         assert doc["count"] == 1
         assert doc["result"][0] == pytest.approx(1.0, abs=1e-6)
 
-    def test_flat_map_exits_two(self, run, tmp_path):
-        # H = P_{pi/2} given as a matrix: theta(1; t) = 0 = beta for every t
+    def test_pi_half_matrix_answers_as_the_angle_form(self, run, tmp_path):
+        # H = P_{pi/2} given as a matrix: theta(1; t) = 0 = beta for every t,
+        # the trivial case with no eigenvalues, as for the angle segment
         doc = {"segments": [{"length": 1.0, "kind": "matrix", "h11": 0.0, "h12": 0.0, "h22": 1.0}]}
         code, out = run(
             "locate", "--config", write_config(tmp_path, doc),
             "--L", "1.0", "--window", "0.5", "2.0",
         )
-        assert code == 2
-        assert "flat" in json.loads(out)["error"]
+        assert code == 0
+        assert json.loads(out)["result"] == []
 
     def test_csv(self, run, tmp_path):
         csv_path = tmp_path / "eigs.csv"
@@ -739,8 +740,9 @@ class TestNumericFailuresExitTwo:
 
 class TestExtremeInputsSweep:
     """Every subcommand, run with extreme but cheap inputs, ends in an exit
-    code, never in an exception out of main.  hadamard stays at |z| <= 1e8:
-    beyond that its automatic number of terms is unbounded."""
+    code, never in an exception out of main.  hadamard at |z| = 1e30 would
+    need 1.6e14 terms, past entire.MAX_TERMS, and exits 2 before it
+    allocates any."""
 
     EXTREMES = ["1e300", "-1e300", "inf", "-inf", "nan"]
 
@@ -796,3 +798,9 @@ class TestExtremeInputsSweep:
                 assert cli.main(argv) in (0, 1, 2, 3), argv
                 capsys.readouterr()
         assert {argv[0] for argv in runs} == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("family", ["a", "c"])
+    def test_hadamard_past_the_term_cap_exits_two(self, run, family):
+        code, out = run("hadamard", "--family", family, "--alpha", "3", "--z", "1e30")
+        assert code == 2
+        assert "terms; at most" in json.loads(out)["error"]

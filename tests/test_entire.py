@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -305,6 +306,20 @@ class TestHadamard:
         for idx in np.ndindex(*Z.shape):
             assert out[idx] == fn(complex(Z[idx]), 3.0)
 
+    @pytest.mark.parametrize("fn", [hadamard_a, hadamard_a_log, hadamard_c, hadamard_c_log])
+    def test_past_the_term_cap_raises_before_allocating(self, fn):
+        # |z| = 1e30 at alpha = 3 needs 1.6e14 terms; no zeros may be built
+        fail = mock.Mock(side_effect=AssertionError("zeros built"))
+        with mock.patch.object(entire, "_a_zeros", fail), mock.patch.object(entire, "hadamard_c_zeros", fail):
+            with pytest.raises(ValueError, match=f"at most {entire.MAX_TERMS}"):
+                fn(1e30, 3.0)
+            with pytest.raises(ValueError, match="needs"):
+                fn(np.array([1.0, -1e30j]), 3.0)
+        assert not fail.called
+
+    def test_term_cap_covers_alpha_near_two(self):
+        assert entire._auto_terms(1e6, 2.0000001) <= entire.MAX_TERMS < entire._auto_terms(1e30, 3.0)
+
     def test_zeros_interlace(self):
         a_zeros = np.arange(1, 101, dtype=float) ** 3
         c_zeros = hadamard_c_zeros(3.0, 100)
@@ -553,6 +568,16 @@ class TestOrderBound:
         fit = order_fit(lambda z: log_max_entry(H, H.x_max, z), 1.0, 1e3, n_radii=10, n_phases=8, log_abs=True)
         assert rep.fitted_order == fit.order and rep.residual == fit.residual
         assert not rep.upper_ok and not rep.has_ramp_mass
+
+    def test_plateau_table_fits_to_1e8(self):
+        # every piece is singular, so the fit runs over radii 1 to 1e8
+        H = Hamiltonian(
+            (Segment(1.0, PhiTable([(0.0, 0.2), (0.5, 0.2), (1.0, 0.2)])), Segment(0.5, ConstantAngle(-0.4)))
+        )
+        rep = order_bound_check(H)
+        fit = order_fit(lambda z: log_max_entry(H, H.x_max, z), 1.0, 1e8, n_radii=10, n_phases=8, log_abs=True)
+        assert rep.fitted_order == fit.order and rep.residual == fit.residual
+        assert not rep.has_ramp_mass
 
     @pytest.mark.parametrize(
         "segments",

@@ -174,6 +174,13 @@ class TestExtractPhi:
         xs = [p.offset for p in pieces] + [p.end for p in pieces] + [f * x for f in fractions]
         assert prof.values(xs).tolist() == [prof.value(v) for v in xs]
 
+    def test_values_is_value_where_the_offset_rounds_to_the_length(self):
+        # below 1.7, x - 0.4 rounds to 1.7 - 0.4: Piece.phi gives phi1 there
+        prof = PhiProfile((Piece(0.0, 0.4, 1.0, 0.9), Piece(0.4, 1.7, 0.9, 0.123456789)), 0.0)
+        x = math.nextafter(1.7, 0.0)
+        assert x - 0.4 == 1.7 - 0.4
+        assert prof.values([x]).tolist() == [prof.value(x)] == [0.123456789]
+
 
 class TestRotate:
     def test_projection_rotates_to_projection(self):

@@ -6,7 +6,9 @@ integrator of :mod:`canosc.rk` at tol 1e-12, run segment by segment with
 every table kink as a checkpoint, and against the invariants of the exact
 propagators: theta(L; t) nondecreasing in t, covariance under rotation,
 invariance under splitting a segment, and unit determinant of every
-one-segment transfer matrix.
+one-segment transfer matrix.  Truncation consistency: the count on [0, L]
+with the natural boundary angle of a tail P_gamma is the half-line count of
+the system truncated at L with that tail.
 The batched transfer product over an array of z is checked element by
 element against scalar calls, and its power-of-two rescaling is checked to
 change no bit of the result.
@@ -31,6 +33,7 @@ from canosc.hamiltonian import (
     SingularHalfLine,
     rotate,
     rotation,
+    truncate_with_tail,
 )
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -332,13 +335,45 @@ class TestInvalidStillRaises:
             lambda H, w: spectra.count_bounded(H, 2.0, 0.0, w),
             lambda H, w: spectra.locate_eigenvalues(H, 2.0, 0.0, w),
             lambda H, w: spectra.halfline_count(H, w, [0.5, 1.0, 1.5, 2.0]),
+            lambda H, w: entire.transfer_matrix_log(H, 2.0, 1.0j),
+            lambda H, w: entire.log_max_entry(H, 2.0, np.array([1.0j, 2.0])),
         ],
-        ids=["theta_at", "integrate", "count_bounded", "locate_eigenvalues", "halfline_count"],
+        ids=[
+            "theta_at", "integrate", "count_bounded", "locate_eigenvalues", "halfline_count",
+            "transfer_matrix_log", "log_max_entry",
+        ],
     )
     def test_every_entry_point_raises(self, call):
         for _ in range(2):
             with pytest.raises(ValueError, match="invalid Hamiltonian"):
                 call(self.BAD, self.W)
+
+    def test_a_leading_pi_half_segment_is_checked_too(self):
+        # (0, 1.5) lies in the P_{pi/2} segment: the trivial case, but only
+        # for a valid H
+        bad = Hamiltonian(
+            (Segment(2.0, ConstantAngle(math.pi / 2)), Segment(1.0, ConstantMatrix(MatrixH(0.7, 0.0, 0.7))))
+        )
+        with pytest.raises(ValueError, match="invalid Hamiltonian"):
+            spectra.count_bounded(bad, 1.5, 0.0, self.W)
+        with pytest.raises(ValueError, match="invalid Hamiltonian"):
+            spectra.locate_eigenvalues(bad, 1.5, 0.0, self.W)
+
+    @pytest.mark.parametrize("L", [-1.0, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda H, L: pruefer.theta_at(H, 1.0, 0.0, L),
+            lambda H, L: pruefer.integrate(H, 1.0, 0.0, L),
+            lambda H, L: entire.transfer_matrix_log(H, L, 1.0j),
+        ],
+        ids=["theta_at", "integrate", "transfer_matrix_log"],
+    )
+    def test_negative_or_nan_length_raises(self, call, L):
+        # every comparison with NaN is false, so an unchecked NaN L walks all of H
+        H = Hamiltonian((Segment(1.0, ConstantAngle(0.2)),))
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(H, L)
 
     def test_a_valid_system_is_checked_once(self):
         H = Hamiltonian((Segment(1.0, ConstantAngle(0.2)), Segment(1.0, matrix(0.3, 0.1))))
@@ -346,3 +381,18 @@ class TestInvalidStillRaises:
             spectra.locate_eigenvalues(H, 2.0, 0.0, self.W)
             pruefer.theta_at(H, 1.0, 0.0, 2.0)
         assert v.call_count == 1
+
+
+class TestTruncationConsistency:
+    @given(systems, st.floats(0.05, 1.0), st.floats(-2 * math.pi, 2 * math.pi), st.floats(-30.0, 10.0),
+           st.floats(0.5, 40.0))
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_count_is_the_truncated_halfline_count(self, H, frac, gamma, s, width):
+        L = frac * H.x_max
+        beta = spectra._natural_beta(gamma)
+        w = spectra.SpectralWindow(s, s + width)
+        T = truncate_with_tail(H, L, gamma)
+        for system, end in ((H, L), (T, T.x_max)):
+            for t in (w.s, w.t):
+                assume(spectra._dist_to_grid(pruefer.theta_at(system, t, 0.0, end) - beta) > 1e-9)
+        assert spectra.count_bounded(H, L, beta, w).count == spectra.halfline_count(T, w, [L]).count

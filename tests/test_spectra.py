@@ -90,6 +90,39 @@ class TestCountBounded:
         assert whole == left + right
 
 
+P_HALF_PI = ConstantMatrix(MatrixH(0.0, 0.0, 1.0))
+
+
+class TestTrivialCase:
+    """H = P_{pi/2} on (0, L) has no eigenvalues, however it is written."""
+
+    ENCODINGS = {
+        "angle": (Segment(1.0, ConstantAngle(PI / 2)),),
+        "matrix": (Segment(1.0, P_HALF_PI),),
+        "ramp": (Segment(1.0, PhiRamp(PI / 2, PI / 2)),),
+        "table": (Segment(1.0, PhiTable([(0.0, PI / 2), (0.5, PI / 2), (1.0, PI / 2)])),),
+        "angle+matrix": (Segment(0.5, ConstantAngle(PI / 2)), Segment(0.5, P_HALF_PI)),
+    }
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("encoding", list(ENCODINGS))
+    def test_every_encoding_answers_alike(self, encoding, beta):
+        H = Hamiltonian(self.ENCODINGS[encoding])
+        w = SpectralWindow(-10.0, 10.0)
+        res = spectra.count_bounded(H, 1.0, beta, w)
+        assert (res.count, res.certified) == (0, True)
+        assert spectra.locate_eigenvalues(H, 1.0, beta, w) == []
+
+    def test_a_stretch_ending_before_L_is_not_trivial(self):
+        # P_{pi/2} on (0, 0.5), then P_0: theta(1; t) = arctan(t / 2) meets pi/4 at t = 2
+        H = Hamiltonian((Segment(0.5, P_HALF_PI), Segment(0.5, ConstantAngle(0.0))))
+        assert spectra._is_full_singular_pi_half(H, 0.5)
+        assert not spectra._is_full_singular_pi_half(H, 1.0)
+        w = SpectralWindow(1.0, 3.0)
+        assert spectra.count_bounded(H, 1.0, PI / 4, w).count == 1
+        assert spectra.locate_eigenvalues(H, 1.0, PI / 4, w) == [pytest.approx(2.0, abs=1e-9)]
+
+
 class TestLocate:
     def test_p0_root_at_one(self):
         H = single(ConstantAngle(0.0))
