@@ -5,13 +5,18 @@ unit determinant (the generator is trace free).  It is the product of one
 closed-form factor per :class:`~canosc.hamiltonian.Piece`, R(phi1) exp(l G)
 R(phi0)^T, where G = [[0, -b], [a, 0]] is the constant generator in the
 rotating frame v = R(phi)^T u and exp(l G) = cosh(mu) + (sinh(mu)/mu) l G
-(:func:`expm`).  On a singular interval b = 0 and mu = 0, so the factor in
-the frame is the shear [[1, 0], [z l lam1, 1]].
+(:func:`expm`).  On a singular interval, H = lam1 e e^T with e = (cos phi0,
+sin phi0), the factor is the rank-one 1 + z l lam1 J e e^T.
 
-The product stays in the frame: it carries the two rows of R(phi)^T T
-through each piece's frame factor, turns them by the jump phi1(previous) -
-phi0(next) between pieces (none along table and ramp chains) and applies
-R(phi1) once at the end.  It is batched over z: z may be an array of any
+The product collects the walked pieces once and computes the frame factors
+of all non-singular pieces for the whole z array in one stacked pass (at
+most _STACK (piece, z) entries per block).  It carries the two rows of
+R(angle)^T T in a frame that turns only before a non-singular piece, by the
+jump to its phi0 (none along table and ramp chains), as one real 2x2
+product on the float view of the rows; R(angle) is applied once at the
+end.  A singular piece needs no turn: seen from any frame it is a rank-one
+update along its direction turned into that frame, so a chain of angle
+segments never turns.  It is batched over z: z may be an array of any
 shape and one walk over the pieces serves every element; a scalar z is the
 0-d case and gives a 2x2 matrix.  Instead of normalising after every
 factor, the product keeps a running upper bound on log max |entry| and,
@@ -35,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian, Piece, rotation
+from .hamiltonian import Hamiltonian, rotation
 
 
 @dataclass
@@ -54,13 +59,15 @@ def _cosh_sinhc(mu):
     """(c, sh, s) with cosh(mu) = e^s c and sinh(mu)/mu = e^s sh, elementwise.
 
     s = |Re mu| where that exceeds 20, else 0, so neither c nor sh overflows.
+    Below |mu| = 1e-300, where 1/mu would overflow in the complex division,
+    sinh(mu)/mu is 1.
     """
     s = np.abs(mu.real)
     s = np.where(s > 20.0, s, 0.0)
     # e^(+-mu - s) - 1: their difference is 2 e^-s sinh(mu) without cancellation at small mu
     p, q = np.expm1(mu - s), np.expm1(-mu - s)
     c = 0.5 * (p + q) + 1.0
-    sh = np.divide(0.5 * (p - q), mu, out=np.ones_like(mu), where=mu != 0.0)
+    sh = np.divide(0.5 * (p - q), mu, out=np.ones_like(mu), where=np.abs(mu) > 1e-300)
     return c, sh, s
 
 
@@ -79,99 +86,105 @@ def expm(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return E, (s if s.ndim else float(s))
 
 
-def _frame_factor(piece: Piece, span: float, z: np.ndarray):
-    """(c, A, B, s): the factor of `span` of the piece in its rotating frame,
-    exp(span G) with G = [[0, -b], [a, 0]], is e^s [[c, B], [A, c]].
-
-    c = cosh mu, A = (sinh mu / mu) span a and B = -(sinh mu / mu) span b with
-    mu^2 = -span^2 a b, each of the shape of z.  A singular piece (b = 0) is
-    the mu = 0 case: the shear c = 1, B = 0, A = z span lam1, s = 0.
-    """
-    if piece.singular:
-        return 1.0, (span * piece.lam1) * z, 0.0, 0.0
-    a, b = piece.rates(z)
-    la, lb = span * a, span * b
-    c, sh, s = _cosh_sinhc(np.sqrt(-lb * la))
-    return c, sh * la, -sh * lb, s
-
-
 # The running product is rescaled before the bound on log max |entry| would
 # pass 2^512, halfway to the end of the double range, so entries stay normal.
 _HEADROOM = 512.0 * math.log(2.0)
-_LOG_SQRT2 = 0.5 * math.log(2.0)
-
-
-def _rotate(V: np.ndarray, angle: float) -> np.ndarray:
-    """R(angle) V for the rows V of shape (2, 2, n)."""
-    return (rotation(angle) @ V.reshape(2, -1)).reshape(V.shape)
-
-
-def _headroom(V: np.ndarray, exps: np.ndarray, bound: float, step: float) -> float:
-    """The bound on log max |V entry| after a factor that adds at most `step`.
-
-    When that would pass the headroom, each element of V is first scaled by
-    2^-e, e the exponent of its largest entry, and e is added to exps; a
-    power of two scales every normal number exactly, so this changes no digit
-    of the result unless the data make partial products below the normal
-    range (an angle of 1e-159, whose square is subnormal, say).
-    """
-    if bound + step > _HEADROOM:
-        _, e = np.frexp(np.abs(V).max(axis=(0, 1)))
-        V *= np.ldexp(1.0, -e)
-        exps += e
-        bound = 0.0
-    return bound + step
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT2 = math.log(_SQRT2)
+#: most (piece, z) entries in one stack of frame factors
+_STACK = 2**14
 
 
 def transfer_matrix_log(H: Hamiltonian, x: float, z) -> tuple[np.ndarray, np.ndarray]:
     """(U, s) with T(x; z) = exp(s) * U and max |U entry| = 1.
 
     z is a complex scalar or array; U has shape z.shape + (2, 2) and s shape
-    z.shape (a scalar z gives a 2x2 U and a float s).  The two rows of the
-    running product are kept in the rotating frame of the current piece,
-    where each factor is e^s (c 1 + (sinh mu / mu) G) and a singular factor
-    the shear row1 += z l lam1 row0; between pieces the rows turn by the jump
-    phi1(previous) - phi0(next), which is 0 along table and ramp chains, and
-    R(phi1) of the last piece is applied once at the end.  A running upper
-    bound on log max |entry| (log1p(max|z| l lam1) per shear, log(2 max|E|)
-    per other factor, log sqrt 2 per turn) decides when an element must be
-    scaled by a power of two, which is exact (see :func:`_headroom`), so
-    where that happens does not change U or s.  Past X_max the singular tail
-    contributes its factor.  The walk raises ValueError for an invalid H, for
-    x < 0 or NaN, and for x beyond X_max without a tail.
+    z.shape (a scalar z gives a 2x2 U and a float s).  The two rows V of the
+    running product are kept in a frame R(angle)^T T.  The frame factors
+    e^s [[c, B], [A, c]] of all non-singular pieces are computed in one stack
+    over (piece, z), at most _STACK entries per block of the walk; before
+    each such piece the rows turn into its frame by the jump angle - phi0
+    (none along table and ramp chains), one real 2x2 product on the float
+    view of V.  A singular piece, H = lam1 e e^T, needs no turn: in any frame
+    it is the rank-one update V += z l lam1 J e' e'^T V with e' = e turned
+    back by the frame angle, so an all-angle chain never turns.  R(angle) is
+    applied once at the end.  A running upper bound on log max |entry|
+    (log1p(sqrt 2 max|z| l lam1) per singular piece, as |e'^T V| <= sqrt 2
+    max |V|; log(2 max|c, A, B|) per other factor; log sqrt 2 per turn)
+    decides when each element must first be scaled by 2^-e, e the exponent
+    of its largest entry, with e counted.  A power of two scales every
+    normal number exactly, so where that happens changes no digit of U or s
+    (unless the data make partial products below the normal range: an angle
+    of 1e-159, whose square is subnormal, say).  Past X_max the singular
+    tail contributes its factor.  The walk raises ValueError for an invalid
+    H, for x < 0 or NaN, and for x beyond X_max without a tail; a z that is
+    not finite is a ValueError, and a finite z whose product leaves the
+    float range an OverflowError.
     """
     z = np.asarray(z, dtype=complex)
     zs = z.reshape(-1)
+    r = float(np.abs(zs).max(initial=0.0))
+    if not math.isfinite(r):
+        raise ValueError(f"z must be finite, not {r}")
     V = np.zeros((2, 2, zs.size), dtype=complex)  # V[i, j, k]: entry (i, j) at zs[k]
     V[0, 0] = V[1, 1] = 1.0
     exps = np.zeros(zs.size, dtype=int)  # T = R(angle) 2^exps e^logs V
     logs = np.zeros(zs.size)
-    r = float(np.abs(zs).max(initial=0.0))
     bound = angle = 0.0
-    for _, piece, span in H.walk(x):
-        if piece.phi0 != angle:
-            bound = _headroom(V, exps, bound, _LOG_SQRT2)
-            V = _rotate(V, angle - piece.phi0)
-        c, A, B, s = _frame_factor(piece, span, zs)
-        if piece.singular:
-            bound = _headroom(V, exps, bound, math.log1p(r * span * piece.lam1))
-            V[1] += A * V[0]
-        else:
-            e_max = max(np.abs(c).max(), np.abs(A).max(), np.abs(B).max())
-            bound = _headroom(V, exps, bound, math.log(2.0 * e_max))
-            V0, V1 = V
-            t = A * V0
-            V0 *= c
-            V0 += B * V1
-            V1 *= c
-            V1 += t
-            logs += s
-        angle = piece.phi(span)
+    walk = [(p, span) for _, p, span in H.walk(x)]
+    per = max(1, _STACK // max(1, zs.size))
+    Vf = V.view(float).reshape(2, -1)  # the rows on their float view, for real 2x2 products
+    for i in range(0, len(walk), per):
+        block = [(p, l, p.singular) for p, l in walk[i : i + per]]
+        rows = [(l, p.lam1, p.lam2, (p.phi0 - p.phi1) / (p.end - p.offset)) for p, l, sing in block if not sing]
+        if rows:
+            # (la, lb) = l (z lam + kappa); mu^2 = -la lb without forming the product, which overflows first
+            ls, lam1, lam2, kappa = np.array(rows, dtype=complex).T[..., None]
+            la, lb = ls * (zs * lam1 + kappa), ls * (zs * lam2 + kappa)
+            c, sh, s = _cosh_sinhc(np.sqrt(-la) * np.sqrt(lb))
+            F = np.array((c, -sh * lb, sh * la))  # c, B, A of each factor
+            steps = np.log(2.0 * np.abs(F).max(axis=(0, 2))).tolist()
+            logs += s.sum(axis=0)
+        zl = [l * p.lam1 for p, l, sing in block if sing]
+        if zl:
+            ZL = np.multiply.outer(zl, zs)
+        j = k = 0
+        for p, l, sing in block:
+            if sing:
+                step = math.log1p(_SQRT2 * r * zl[j])
+            else:
+                turn = p.phi0 != angle
+                step = steps[k] + _LOG_SQRT2 if turn else steps[k]
+            if bound + step > _HEADROOM:
+                _, e = np.frexp(np.abs(V).max(axis=(0, 1)))
+                V *= np.ldexp(1.0, -e)
+                exps += e
+                bound = 0.0
+            bound += step
+            if sing:
+                # V += z l lam1 J e' e'^T V with e' = (cd, sd), the piece's direction in the frame
+                cd, sd = math.cos(p.phi0 - angle), math.sin(p.phi0 - angle)
+                JeeT = np.array(((-sd * cd, -sd * sd), (cd * cd, sd * cd)))
+                NV = np.dot(JeeT, Vf).view(complex).reshape(V.shape)
+                NV *= ZL[j]
+                V += NV
+                j += 1
+                continue
+            if turn:
+                Vf = np.dot(rotation(angle - p.phi0), Vf)
+                V = Vf.view(complex).reshape(V.shape)
+            X = V[::-1] * F[1:, k, None]
+            V *= F[0, k]
+            V += X
+            k += 1
+            angle = p.phi(l)
     if angle:
-        V = _rotate(V, angle)
+        V = np.dot(rotation(angle), Vf).view(complex).reshape(V.shape)
     m = np.abs(V).max(axis=(0, 1))
     f, e = np.frexp(m)
     s = (exps + e) * math.log(2.0) + np.log(f) + logs
+    if not np.isfinite(s).all():
+        raise OverflowError(f"T({x}; z) leaves the float range at |z| <= {r:g}")
     U = (V / m).transpose(2, 0, 1).reshape(z.shape + (2, 2))
     return U, (s.reshape(z.shape) if z.ndim else float(s[0]))
 
@@ -250,8 +263,8 @@ def order_fit(
     shared by every fit on it.  When ``log_abs`` is set, ``evaluate`` must
     return log |F(z)| directly (overflow-safe path).
     """
-    if r_max / r_min < 1e3:
-        raise ValueError("need r_max / r_min >= 1e3 for a stable fit")
+    if not (0.0 < r_min and r_max < math.inf and r_max / r_min >= 1e3):
+        raise ValueError(f"need finite radii 0 < r_min, r_max / r_min >= 1e3; got {r_min}, {r_max}")
     if n_radii < 8:
         raise ValueError("need at least 8 radii")
     radii, Z = _fit_grid(r_min, r_max, n_radii, n_phases)
@@ -286,10 +299,15 @@ def type_fit_imaginary(
     i*ys of shape (TYPE_FIT_POINTS,), read-only and shared, and must return
     log M elementwise (wrap a scalar-only function in ``np.vectorize``).
     """
+    if not (0.0 < y_min < y_max < math.inf):
+        raise ValueError(f"need finite 0 < y_min < y_max; got {y_min}, {y_max}")
     ys, Z = _fit_grid(y_min, y_max, TYPE_FIT_POINTS, 0)
     lm = np.asarray(evaluate_log(Z), dtype=float)
     upper = ys >= ys[TYPE_FIT_POINTS // 2 - 1]
-    return _line_fit(ys[upper], lm[upper])[0]
+    # ys scaled by a power of two near 1 / y_max keep dx @ dy in range, and
+    # leave every bit of the slope as it is
+    k = math.ldexp(1.0, -math.frexp(y_max)[1])
+    return _line_fit(k * ys[upper], lm[upper])[0] * k
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +342,18 @@ _EM_MIN_A = 30.0
 def _hurwitz_zeta(s: float, a: float) -> float:
     """zeta(s, a) = sum_{k>=0} (k + a)^(-s) for s > 1, a > 0.
 
-    Terms are summed directly until a >= 30; the rest is the Euler-Maclaurin
-    sum a^(1-s)/(s-1) + a^(-s)/2 + sum_{j<=6} B_2j/(2j)! (s)_(2j-1) a^(1-s-2j),
-    whose remainder is below 1e-16 relative there for s <= 8.
+    Terms are summed directly until a >= max(30, 4 s), or until the rest,
+    at most a^-s + a^(1-s)/(s-1), is below 1e-17 of the first term; past
+    that the rest is the Euler-Maclaurin sum a^(1-s)/(s-1) + a^(-s)/2 +
+    sum_{j<=6} B_2j/(2j)! (s)_(2j-1) a^(1-s-2j), whose remainder, about
+    2 (s)_14 / (2 pi a)^14 relative, is below 1e-16 there.
     """
     terms = []
-    while a < _EM_MIN_A:
+    while a < max(_EM_MIN_A, 4.0 * s):
         terms.append(a**-s)
         a += 1.0
+        if a ** (1.0 - s) * (1.0 / a + 1.0 / (s - 1.0)) <= 1e-17 * terms[0]:
+            return math.fsum(terms)
     terms += [a ** (1.0 - s) / (s - 1.0), 0.5 * a**-s]
     rising = s * a ** (-s - 1.0)  # (s)_(2j-1) a^(1-s-2j) at j = 1
     for j, c in enumerate(_EM_COEFFS, 1):
@@ -340,21 +362,74 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     return math.fsum(terms)
 
 
-def _hadamard(z, alpha: float, N: Optional[int], zeros_of, log: bool, scaled: bool = False):
-    """scale * prod_{n<=N} (1 - z/z_n) * exp(-z * sum_{n>N} n^(-alpha)), or log |.|,
+@functools.lru_cache(maxsize=32)
+def _c_expansion(alpha: float) -> tuple[float, ...]:
+    """P_0 .. P_19 with sum_{n>=a} 1/z_n = a^(1-alpha) sum_m P_m a^-m for the
+    zeros z_n of hadamard_c, once a >= max(30, 8/R) (see :func:`_c_tail`).
+
+    1/z_n = n^-alpha g(1/n) with g(u) = 2 / (1 + (1+u)^alpha) = sum_j g_j u^j
+    (g (1 + h) = 1, h_k = binom(alpha, k) / 2), so the sum is sum_j g_j
+    zeta(alpha + j, a); each zeta is the Euler-Maclaurin sum of
+    :func:`_hurwitz_zeta`, and collecting the powers of a gives P_m.
+    """
+    h, g, b = [], [1.0], 0.5
+    for k in range(1, 20):
+        b *= (alpha - k + 1) / k
+        h.append(b)
+        g.append(-math.fsum(hk * gj for hk, gj in zip(h, reversed(g))))
+    P = []
+    for m, gm in enumerate(g):
+        terms = [gm / (alpha + m - 1.0)] + ([0.5 * g[m - 1]] if m else [])
+        for k, c in enumerate(_EM_COEFFS[: m // 2], 1):  # (s)_(2k-1) at s = alpha + m - 2k
+            terms.append(c * math.prod(alpha + m - 2 * k + i for i in range(2 * k - 1)) * g[m - 2 * k])
+        P.append(math.fsum(terms))
+    return tuple(P)
+
+
+def _c_tail(alpha: float, a: float) -> float:
+    """sum_{n>=a} 1/z_n for the zeros z_n = (n^alpha + (n+1)^alpha)/2 of
+    hadamard_c, a a positive integer: what zeta(alpha, a) is for hadamard_a.
+
+    The series of g(u) = 2 / (1 + (1+u)^alpha) converges for |u| < R =
+    min(1, 2 sin(pi / (2 alpha))), its nearest pole or branch point.  Below
+    a = max(30, 8/R) the terms are summed directly (until the rest, at most
+    a^(1-alpha) (1/a + 1/(alpha-1)), is below 1e-17 of the first); from a on
+    the expansion of :func:`_c_expansion` gains at least a factor 1/(R a) <=
+    1/8 per power of 1/a, so log(1e-17) / log(1/(R a)) terms reach the
+    double precision.
+    """
+    R = min(1.0, 2.0 * math.sin(0.5 * math.pi / alpha))
+    terms = []
+    while a < max(_EM_MIN_A, 8.0 / R):
+        terms.append(2.0 * (a + 1.0) ** -alpha / (1.0 + (a / (a + 1.0)) ** alpha))
+        a += 1.0
+        if a ** (1.0 - alpha) * (1.0 / a + 1.0 / (alpha - 1.0)) <= 1e-17 * terms[0]:
+            return math.fsum(terms)
+    acc = 0.0
+    for p in reversed(_c_expansion(alpha)[: math.ceil(39.2 / math.log(R * a))]):
+        acc = acc / a + p
+    return math.fsum(terms + [a ** (1.0 - alpha) * acc])
+
+
+def _hadamard(z, alpha: float, N: Optional[int], zeros_of, tail_of, log: bool, scaled: bool = False):
+    """scale * prod_{n<=N} (1 - z/z_n) * exp(-z * sum_{n>N} 1/z_n), or log |.|,
     with scale = z if ``scaled`` else 1, elementwise; a scalar z is the 0-d case.
 
-    The tail beyond N contributes that exponential to first order; N (chosen
-    per element if omitted, ValueError before any allocation past MAX_TERMS)
-    keeps the neglected second-order tail below 1e-12.
+    The tail beyond N contributes that exponential to first order, with
+    sum_{n>N} 1/z_n = tail_of(alpha, N + 1); N (chosen per element if omitted,
+    ValueError before any allocation past MAX_TERMS) keeps the neglected
+    second-order tail below 1e-12.  A z or alpha that is not finite, or
+    alpha <= 2, is a ValueError.
     Without ``log``, z within 1e-12 of a retained zero gives exactly 0.  Rows
-    of equal N share one zeta and one slice of the zeros, and are reduced in
+    of equal N share one tail and one slice of the zeros, and are reduced in
     blocks of at most 2^11 entries (or one row): each element has the bits,
     and no temporary outgrows the size, of a call at that z alone.
     """
-    if alpha <= 2.0:
-        raise ValueError("alpha must exceed 2")
+    if not 2.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and exceed 2, not {alpha}")
     zs = np.asarray(z).reshape(-1)
+    if not np.isfinite(zs).all():
+        raise ValueError("z must be finite")
     vals = zs.tolist()
     terms = [_auto_terms(v, alpha) for v in vals] if N is None else [N] * len(vals)
     n_max = max(terms, default=0)
@@ -364,7 +439,7 @@ def _hadamard(z, alpha: float, N: Optional[int], zeros_of, log: bool, scaled: bo
     for k, n in enumerate(terms):
         groups.setdefault(n, []).append(k)
     zeros = zeros_of(alpha, n_max)
-    zeta = {n: _hurwitz_zeta(alpha, n + 1.0) for n in groups}
+    tail = {n: tail_of(alpha, n + 1.0) for n in groups}
     red = np.empty(zs.size, dtype=float if log else np.result_type(zs, float))
     near = np.empty(zs.size)  # min |z - z_n|, for the exact zeros
     with np.errstate(divide="ignore"):
@@ -382,13 +457,13 @@ def _hadamard(z, alpha: float, N: Optional[int], zeros_of, log: bool, scaled: bo
                     near[kb] = np.abs(np.subtract(zs[kb, None], zeros[:n], out=w)).min(axis=1)
     out = []
     for v, n, r, d in zip(vals, terms, red.tolist(), near.tolist()):
-        scale, tail = (v if scaled else 1.0), -v * zeta[n]
+        scale, t = (v if scaled else 1.0), -v * tail[n]
         if abs(scale) < 1e-300:
             out.append(-math.inf if log else complex(scale))
         elif log:
-            out.append(math.log(abs(scale)) + r + tail.real)
+            out.append(math.log(abs(scale)) + r + t.real)
         else:
-            out.append(0j if d < 1e-12 * max(1.0, abs(v)) else scale * complex(r) * np.exp(tail))
+            out.append(0j if d < 1e-12 * max(1.0, abs(v)) else scale * complex(r) * np.exp(t))
     if np.ndim(z) == 0:
         return out[0]
     return np.array(out, dtype=float if log else complex).reshape(np.shape(z))
@@ -396,12 +471,12 @@ def _hadamard(z, alpha: float, N: Optional[int], zeros_of, log: bool, scaled: bo
 
 def hadamard_a(z: complex, alpha: float, N: Optional[int] = None) -> complex:
     """prod_{n>=1} (1 - z / n^alpha), partial product with tail correction."""
-    return _hadamard(z, alpha, N, _a_zeros, log=False)
+    return _hadamard(z, alpha, N, _a_zeros, _hurwitz_zeta, log=False)
 
 
 def hadamard_a_log(z: complex, alpha: float, N: Optional[int] = None) -> float:
     """log |A(z)|, overflow safe."""
-    return _hadamard(z, alpha, N, _a_zeros, log=True)
+    return _hadamard(z, alpha, N, _a_zeros, _hurwitz_zeta, log=True)
 
 
 def hadamard_c_zeros(alpha: float, count: int) -> np.ndarray:
@@ -414,13 +489,13 @@ def hadamard_c(z: complex, alpha: float, N: Optional[int] = None) -> complex:
     """z * prod (1 - z / z_n) with z_n = (n^alpha + (n+1)^alpha)/2, C'(0) = 1.
 
     The zeros alternate with those of hadamard_a by construction.  The tail
-    sum of 1/z_n is bounded by the Hurwitz zeta of the smaller zero n^alpha.
+    sum of 1/z_n past N is :func:`_c_tail`.
     """
-    return _hadamard(z, alpha, N, hadamard_c_zeros, log=False, scaled=True)
+    return _hadamard(z, alpha, N, hadamard_c_zeros, _c_tail, log=False, scaled=True)
 
 
 def hadamard_c_log(z: complex, alpha: float, N: Optional[int] = None) -> float:
-    return _hadamard(z, alpha, N, hadamard_c_zeros, log=True, scaled=True)
+    return _hadamard(z, alpha, N, hadamard_c_zeros, _c_tail, log=True, scaled=True)
 
 
 # ---------------------------------------------------------------------------

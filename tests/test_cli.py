@@ -799,6 +799,47 @@ class TestExtremeInputsSweep:
                 capsys.readouterr()
         assert {argv[0] for argv in runs} == set(cli.COMMANDS)
 
+    def test_growth_answers_carry_no_nan(self, capsys, tmp_path):
+        # order, type and hadamard either answer with numbers or exit 2
+        with np.errstate(all="ignore"):
+            for argv in self.runs(tmp_path):
+                if argv[0] not in ("order", "type", "hadamard"):
+                    continue
+                code = cli.main(argv)
+                out = capsys.readouterr().out
+                assert code in (0, 2), argv
+                assert code == 2 or '"nan"' not in out, (argv, out)
+
+    @pytest.mark.parametrize("argv", [
+        ["order", "--config", "{sys}", "--r-min", "nan"],
+        ["order", "--config", "{sys}", "--r-max", "nan"],
+        ["order", "--config", "{sys}", "--r-max", "inf"],
+        ["order", "--config", "{ramp}", "--r-min", "-inf"],
+        ["type", "--config", "{sys}", "--measure", "--y-max", "inf"],
+        ["type", "--config", "{sys}", "--measure", "--y-max", "-inf"],
+        ["type", "--config", "{sys}", "--measure", "--y-max", "nan"],
+        ["hadamard", "--alpha", "inf", "--fit-order"],
+        ["hadamard", "--alpha", "nan", "--fit-order"],
+        ["hadamard", "--alpha", "3", "--z", "nan"],
+        ["hadamard", "--family", "c", "--alpha", "3", "--z", "1", "inf"],
+    ])
+    def test_non_finite_growth_inputs_exit_two(self, run, tmp_path, argv):
+        paths = {"{sys}": write_config(tmp_path, C_PLUS_TAIL), "{ramp}": write_config(tmp_path, RAMP, name="r.json")}
+        with np.errstate(all="ignore"):
+            code, out = run(*[paths.get(a, a) for a in argv])
+        assert code == 2
+        assert "finite" in json.loads(out)["error"]
+
+    def test_type_far_up_the_axis(self, run, tmp_path):
+        # -l b l a overflowed in the diagonal form's matrix factor at y = 1e300
+        doc = {"segments": [{"length": 1.0, "kind": "angle", "alpha": 0.3},
+                            {"length": 1.0, "kind": "ramp", "phi_start": 0.2, "phi_end": -0.4}]}
+        with np.errstate(all="ignore"):
+            code, out = run("type", "--config", write_config(tmp_path, doc), "--measure", "--y-max", "1e300")
+        assert code == 0
+        res = json.loads(out)
+        assert res["measured_rate"] == pytest.approx(res["type"], rel=1e-6)
+
     @pytest.mark.parametrize("family", ["a", "c"])
     def test_hadamard_past_the_term_cap_exits_two(self, run, family):
         code, out = run("hadamard", "--family", family, "--alpha", "3", "--z", "1e30")

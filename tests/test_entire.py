@@ -50,6 +50,10 @@ def single(kind, length=1.0):
     return Hamiltonian((Segment(length, kind),))
 
 
+#: an angle, then a ramp that turns from 0.2 down to -0.4
+ANGLE_RAMP = Hamiltonian((Segment(1.0, ConstantAngle(0.3)), Segment(1.0, PhiRamp(0.2, -0.4))))
+
+
 class TestTransferMatrix:
     def test_identity_at_zero(self):
         H = Hamiltonian(
@@ -181,6 +185,39 @@ class TestTransferMatrix:
         ref = oracle.ramp_factor(0.75, -0.75, 1.0, z)
         assert np.max(np.abs(T - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("z", [complex("inf"), complex("nan"), math.inf, complex(1.0, -math.inf),
+                                   np.array([1.0, complex("nan")]), np.array([[2j], [math.inf]])])
+    def test_z_not_finite_raises(self, z):
+        with np.errstate(all="raise"):  # raised before any arithmetic on z
+            with pytest.raises(ValueError, match="finite"):
+                entire.transfer_matrix_log(ANGLE_RAMP, 2.0, z)
+            with pytest.raises(ValueError, match="finite"):
+                log_max_entry(ANGLE_RAMP, 2.0, z)
+
+    @given(
+        st.lists(st.one_of(
+            st.builds(lambda a, b: PhiRamp(max(a, b), min(a, b)), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+            st.builds(lambda h, g: ConstantMatrix(MatrixH(h, g * math.sqrt(h * (1.0 - h)), 1.0 - h)),
+                      st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+        ), min_size=1, max_size=3),
+        st.floats(-320.0, 300.0),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_finite_z_never_gives_nan(self, kinds, log_r, phase):
+        # |z| up to 1e300 on ramp and matrix pieces: the factor's mu is
+        # sqrt(-l a) sqrt(l b), never the product l a l b, which overflows;
+        # down at subnormal |z| that mu is subnormal, and sinh(mu)/mu is 1
+        H = Hamiltonian(tuple(Segment(1.0, k) for k in kinds))
+        z = 10.0**log_r * complex(math.cos(phase), math.sin(phase))
+        with np.errstate(all="ignore"):
+            try:
+                U, s = entire.transfer_matrix_log(H, H.x_max, np.array([z, 1j, -z]))
+            except OverflowError:
+                return
+        assert np.isfinite(s).all() and np.isfinite(U).all()
+        assert np.max(np.abs(U), axis=(1, 2)) == pytest.approx(1.0)
+
 
 def _run_fresh(code: str) -> list[str]:
     src = os.path.dirname(os.path.dirname(os.path.abspath(canosc.__file__)))
@@ -232,6 +269,15 @@ class TestOrderFit:
     def test_radius_ratio_enforced(self):
         with pytest.raises(ValueError):
             order_fit(lambda z: z, 1.0, 10.0)
+
+    @pytest.mark.parametrize("r_min, r_max", [
+        (math.nan, 1e6), (1.0, math.nan), (1.0, math.inf), (math.inf, math.inf), (-1.0, 1e6), (0.0, 1e6),
+    ])
+    def test_radii_not_finite_or_positive_rejected(self, r_min, r_max):
+        # r_max / r_min < 1e3 is False for NaN and passes for inf
+        evaluate = mock.Mock(side_effect=AssertionError("evaluated"))
+        with pytest.raises(ValueError, match="finite radii"):
+            order_fit(evaluate, r_min, r_max, log_abs=True)
 
     def test_grid_evaluated_in_one_call(self):
         calls = []
@@ -327,15 +373,15 @@ class TestHadamard:
         assert np.all(c_zeros[:-1] < a_zeros[1:])
 
 
-def _hadamard_at(z, alpha, N, zeros_of, log, scale):
-    """One z at a time, with its own zeros and tail zeta: the per-element
+def _hadamard_at(z, alpha, N, zeros_of, tail_of, log, scale):
+    """One z at a time, with its own zeros and tail sum: the per-element
     formula the batched Hadamard products must reproduce bit for bit."""
     if N is None:
         N = entire._auto_terms(z, alpha)
     if abs(scale) < 1e-300:
         return -math.inf if log else complex(scale)
     zeros = zeros_of(alpha, N)
-    tail = -z * entire._hurwitz_zeta(alpha, N + 1.0)
+    tail = -z * tail_of(alpha, N + 1.0)
     if log:
         with np.errstate(divide="ignore"):
             s = float(np.sum(np.log(np.abs(1.0 - z / zeros))))
@@ -345,21 +391,21 @@ def _hadamard_at(z, alpha, N, zeros_of, log, scale):
     return scale * complex(np.prod(1.0 - z / zeros)) * np.exp(tail)
 
 
-#: public function -> (zeros, log, scaled) of its reference
+#: public function -> (zeros, tail, log, scaled) of its reference
 HADAMARD_REF = {
-    hadamard_a: (entire._a_zeros, False, False),
-    hadamard_a_log: (entire._a_zeros, True, False),
-    hadamard_c: (hadamard_c_zeros, False, True),
-    hadamard_c_log: (hadamard_c_zeros, True, True),
+    hadamard_a: (entire._a_zeros, entire._hurwitz_zeta, False, False),
+    hadamard_a_log: (entire._a_zeros, entire._hurwitz_zeta, True, False),
+    hadamard_c: (hadamard_c_zeros, entire._c_tail, False, True),
+    hadamard_c_log: (hadamard_c_zeros, entire._c_tail, True, True),
 }
 
 
 def hadamard_ref(fn, z, alpha, N=None):
-    zeros_of, log, scaled = HADAMARD_REF[fn]
+    zeros_of, tail_of, log, scaled = HADAMARD_REF[fn]
     if np.ndim(z) == 0:
-        return _hadamard_at(z, alpha, N, zeros_of, log, z if scaled else 1.0)
+        return _hadamard_at(z, alpha, N, zeros_of, tail_of, log, z if scaled else 1.0)
     z = np.asarray(z)
-    out = [_hadamard_at(v, alpha, N, zeros_of, log, v if scaled else 1.0) for v in z.flat]
+    out = [_hadamard_at(v, alpha, N, zeros_of, tail_of, log, v if scaled else 1.0) for v in z.flat]
     return np.array(out, dtype=float if log else complex).reshape(z.shape)
 
 
@@ -422,7 +468,7 @@ class TestBatchedHadamard:
 
     @pytest.mark.parametrize("fn", HADAMARD_FNS)
     def test_shapes_and_scalar_types(self, fn):
-        log = HADAMARD_REF[fn][1]
+        log = HADAMARD_REF[fn][2]
         for shape in ((), (0,), (3,), (2, 1, 4)):
             Z = np.full(shape, -3.7 + 1.2j)
             out = fn(Z, 3.0)
@@ -485,6 +531,68 @@ class TestHurwitzZeta:
             with pytest.raises(ValueError):
                 fn(np.array([-1.0, 2j]), alpha)
 
+    @pytest.mark.parametrize("s", [8.5, 12.0, 20.0, 40.0, 100.0])
+    def test_past_s_eight_matches_mpmath(self, s):
+        for a in (2.0, 7.0, 31.0, 51.0, 400.0):
+            # mpmath subtracts from zeta(s) at integer a: it needs digits past zeta(s, a)'s exponent
+            with mpmath.workdps(30 + int(s * math.log10(a))):
+                ref = mpmath.zeta(s, a)
+            assert abs(entire._hurwitz_zeta(s, a) - ref) <= 1e-15 * ref
+
+
+def _c_tail_mpmath(alpha, N, K=100, J=20):
+    """sum_{n>N} 2 / (n^alpha + (n+1)^alpha): K terms one by one, then the
+    series in 1/n against mpmath's Hurwitz zeta, at a precision past the
+    value's exponent."""
+    with mpmath.workdps(30 + int(alpha * math.log10(N + K + 2))):
+        a, M = mpmath.mpf(alpha), N + K + 1
+        direct = mpmath.fsum(2 / (n**a + (n + 1) ** a) for n in range(N + 1, M))
+        # g_j of 2 / (1 + (1+u)^alpha) by g (1 + h) = 1, h_k = binom(alpha, k) / 2
+        h = [mpmath.binomial(a, k) / 2 for k in range(1, J)]
+        g = [mpmath.mpf(1)]
+        for j in range(1, J):
+            g.append(-mpmath.fsum(h[k - 1] * g[j - k] for k in range(1, j + 1)))
+        return direct + mpmath.fsum(gj * mpmath.zeta(a + j, M) for j, gj in enumerate(g))
+
+
+class TestHadamardTails:
+    """sum_{n>N} 1/z_n: the Hurwitz zeta for family a, and for family c's
+    zeros (n^alpha + (n+1)^alpha)/2 its own sum, not the zeta of n^alpha."""
+
+    @pytest.mark.parametrize("alpha, N", [
+        (2.2, 3), (3.0, 50), (3.5, 300), (4.5, 3000), (7.9, 0), (12.0, 60), (30.0, 50), (100.0, 60),
+    ])
+    def test_c_tail_matches_mpmath(self, alpha, N):
+        ref = _c_tail_mpmath(alpha, N)
+        assert abs(entire._c_tail(alpha, N + 1.0) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("fn", HADAMARD_FNS)
+    @pytest.mark.parametrize("alpha", [3.0, 3.5, 4.5])
+    def test_doubling_n_moves_both_families_little(self, fn, alpha):
+        # the tail beyond N is first order in z: at z = -1e5 a tail off by 1e-8
+        # relative moved family c's log by 1e-8 when N doubled
+        for z in (-1e5, 3e4j):
+            n = entire._auto_terms(z, alpha)
+            v, v2 = fn(z, alpha, n), fn(z, alpha, 2 * n)
+            if HADAMARD_REF[fn][2]:
+                assert abs(v - v2) < 1e-11
+            else:
+                assert abs(v - v2) < 1e-11 * abs(v)
+
+    @pytest.mark.parametrize("fn", HADAMARD_FNS)
+    def test_z_or_alpha_not_finite_rejected(self, fn):
+        for z, alpha in ((math.nan, 3.0), (complex("inf"), 3.0), (np.array([1.0, math.nan]), 3.0),
+                         (1.0, math.inf), (1.0, math.nan), (np.array([1.0, 2j]), math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                fn(z, alpha)
+
+    @pytest.mark.parametrize("fn", HADAMARD_FNS)
+    def test_large_alpha_answers_without_nan(self, fn):
+        Z = np.array([1.0, 0.5, -1e5, 1e3j, 0.0])
+        with np.errstate(over="ignore"):  # n^alpha is inf past the float range
+            for alpha in (50.0, 100.0, 1e3, 1e300):
+                assert not np.isnan(fn(Z, alpha)).any()
+
 
 class TestTypeFit:
     def test_half_half_rate_matches_length_over_two(self):
@@ -492,6 +600,22 @@ class TestTypeFit:
         H = single(ConstantMatrix(MatrixH(0.5, 0.0, 0.5)), length=2.0)
         rate = type_fit_imaginary(lambda z: log_max_entry(H, 2.0, z), 1.0, 100.0)
         assert rate == pytest.approx(1.0, rel=1e-3)
+
+    @pytest.mark.parametrize("y_min, y_max", [
+        (1.0, math.inf), (1.0, math.nan), (-math.inf, -1.0), (math.nan, 1.0), (0.0, 1.0), (2.0, 1.0),
+    ])
+    def test_range_not_finite_or_positive_rejected(self, y_min, y_max):
+        evaluate = mock.Mock(side_effect=AssertionError("evaluated"))
+        with pytest.raises(ValueError, match="finite"):
+            type_fit_imaginary(evaluate, y_min, y_max)
+
+    def test_scaled_abscissae_leave_the_slope_bits(self):
+        # the fit runs on ys times a power of two; slope and scaling commute exactly
+        ys = np.geomspace(3.0, 300.0, 12)
+        lm = 0.7 * ys + np.sin(ys)
+        upper = ys >= ys[5]
+        ref = entire._line_fit(ys[upper], lm[upper])[0]
+        assert type_fit_imaginary(lambda z: 0.7 * z.imag + np.sin(z.imag), 3.0, 300.0) == ref
 
     def test_axis_evaluated_in_one_call(self):
         calls = []

@@ -4,11 +4,11 @@ The Pruefer steps and transfer factors of :mod:`canosc.pruefer` and
 :mod:`canosc.entire` are checked against the adaptive Dormand-Prince
 integrator of :mod:`canosc.rk` at tol 1e-12, run segment by segment with
 every table kink as a checkpoint, and against the invariants of the exact
-propagators: theta(L; t) nondecreasing in t, covariance under rotation,
-invariance under splitting a segment, and unit determinant of every
-one-segment transfer matrix.  Truncation consistency: the count on [0, L]
-with the natural boundary angle of a tail P_gamma is the half-line count of
-the system truncated at L with that tail.
+propagators: theta(L; t) nondecreasing in t, covariance of theta and of
+the transfer matrix under rotation, invariance under splitting a segment,
+and unit determinant of every one-segment transfer matrix.  Truncation
+consistency: the count on [0, L] with the natural boundary angle of a tail
+P_gamma is the half-line count of the system truncated at L with that tail.
 The batched transfer product over an array of z is checked element by
 element against scalar calls, and its power-of-two rescaling is checked to
 change no bit of the result.
@@ -184,6 +184,19 @@ class TestInvariants:
         th = pruefer.theta_at(H, t, theta0, H.x_max)
         th_rot = pruefer.theta_at(rotate(H, gamma), t, theta0 + gamma, H.x_max)
         assert th_rot == pytest.approx(th + gamma, abs=1e-11 * max(1.0, abs(th)))
+
+    @given(tailed, st.floats(-30.0, 30.0), st.floats(-30.0, 30.0), st.floats(-3.0, 3.0), st.floats(0.5, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_transfer_matrix_rotation_covariance(self, H, re, im, gamma, beyond):
+        # T of R(gamma) H R(gamma)^T is R(gamma) T R(gamma)^T, whatever frame
+        # the product carries its rows in on the way
+        z = complex(re, im)
+        assume(abs(z) <= 30.0)
+        x = H.x_max * (beyond if H.tail is not None else min(beyond, 1.0))
+        T = entire.transfer_matrix(H, x, z).entries
+        T_rot = entire.transfer_matrix(rotate(H, gamma), x, z).entries
+        R = rotation(gamma)
+        assert np.max(np.abs(T_rot - R @ T @ R.T)) <= 1e-12 * max(1.0, np.max(np.abs(T)))
 
     @given(segments, st.floats(0.05, 0.95), st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
     @settings(max_examples=60, deadline=None)
