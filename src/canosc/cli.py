@@ -282,7 +282,7 @@ def cmd_m_endpoints(args):
 
 def cmd_zero_eig(args):
     H, _ = load_config(args.config, args.degrees)
-    chk = spectra.zero_eigenvalue_check(extract_phi(H))
+    chk = spectra.zero_eigenvalue_check(extract_phi(H), H.tail)
     out = {
         "is_eigenvalue": chk.is_eigenvalue,
         "body_integral": chk.integral,

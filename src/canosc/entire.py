@@ -316,14 +316,25 @@ def type_fit_imaginary(
 
 #: most terms a Hadamard product may take: 2^26 float64 zeros are 512 MiB
 MAX_TERMS = 2**26
+#: powers K of z/z_n the tail keeps: log(1 - w) = -sum_{k<=K} w^k/k + O(w^(K+1)).
+#: Every K meets the 1e-12 of :func:`_auto_terms`; a larger K only takes fewer terms.
+_TAIL_ORDER = 2
 
 
 def _auto_terms(z: complex, alpha: float) -> int:
-    """Terms that keep the neglected second-order tail below 1e-12."""
-    r = abs(z)
-    n1 = (2.0 * max(r, 1.0)) ** (1.0 / alpha)
-    n2 = (max(r, 1.0) ** 2 / (2.0 * (2.0 * alpha - 1.0) * 1e-12)) ** (1.0 / (2.0 * alpha - 1.0))
-    return int(max(50, math.ceil(n1), math.ceil(n2)))
+    """Terms N past which the order-K tail (K = _TAIL_ORDER) is within 1e-12.
+
+    N >= (2|z|)^(1/alpha) keeps every zero near z among the exact factors,
+    so |z/z_n| <= 1/2 beyond N (z_n >= n^alpha in both families), and the
+    neglected sum_{n>N} sum_{k>K} (z/z_n)^k / k is at most
+    2|z|^(K+1) N^(1-(K+1)alpha) / ((K+1)((K+1)alpha - 1)); N keeps that
+    below 1e-12.  Both are taken in logs, so no |z| overflows them.
+    """
+    lr = math.log(max(abs(z), 1.0))
+    p = (_TAIL_ORDER + 1) * alpha - 1.0
+    n1 = (math.log(2.0) + lr) / alpha
+    n2 = ((_TAIL_ORDER + 1) * lr + math.log(2e12 / ((_TAIL_ORDER + 1) * p))) / p
+    return max(50, math.ceil(math.exp(max(n1, n2))))
 
 
 def _a_zeros(alpha: float, count: int) -> np.ndarray:
@@ -362,68 +373,88 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     return math.fsum(terms)
 
 
+def _a_tail(alpha: float, a: float, k: int) -> float:
+    """sum_{n>=a} n^(-k alpha) = zeta(k alpha, a): the k-th tail sum of
+    hadamard_a, a a positive integer."""
+    return _hurwitz_zeta(k * alpha, a)
+
+
 @functools.lru_cache(maxsize=32)
-def _c_expansion(alpha: float) -> tuple[float, ...]:
-    """P_0 .. P_19 with sum_{n>=a} 1/z_n = a^(1-alpha) sum_m P_m a^-m for the
-    zeros z_n of hadamard_c, once a >= max(30, 8/R) (see :func:`_c_tail`).
+def _c_expansion(alpha: float) -> tuple[tuple[float, ...], ...]:
+    """For k = 1..K (K = _TAIL_ORDER), P^(k)_0 .. P^(k)_19 with
+    sum_{n>=a} z_n^-k = a^(1-k alpha) sum_m P^(k)_m a^-m for the zeros z_n of
+    hadamard_c, once a >= max(30, 4 k alpha) (see :func:`_c_tail`); all K in
+    one cache entry per alpha.
 
     1/z_n = n^-alpha g(1/n) with g(u) = 2 / (1 + (1+u)^alpha) = sum_j g_j u^j
-    (g (1 + h) = 1, h_k = binom(alpha, k) / 2), so the sum is sum_j g_j
-    zeta(alpha + j, a); each zeta is the Euler-Maclaurin sum of
-    :func:`_hurwitz_zeta`, and collecting the powers of a gives P_m.
+    (g (1 + h) = 1, h_j = binom(alpha, j) / 2), so with g^k = sum_j g^(k)_j u^j
+    the sum is sum_j g^(k)_j zeta(k alpha + j, a); each zeta is the
+    Euler-Maclaurin sum of :func:`_hurwitz_zeta`, and collecting the powers
+    of a gives P^(k)_m.
     """
     h, g, b = [], [1.0], 0.5
-    for k in range(1, 20):
-        b *= (alpha - k + 1) / k
+    for j in range(1, 20):
+        b *= (alpha - j + 1) / j
         h.append(b)
-        g.append(-math.fsum(hk * gj for hk, gj in zip(h, reversed(g))))
-    P = []
-    for m, gm in enumerate(g):
-        terms = [gm / (alpha + m - 1.0)] + ([0.5 * g[m - 1]] if m else [])
-        for k, c in enumerate(_EM_COEFFS[: m // 2], 1):  # (s)_(2k-1) at s = alpha + m - 2k
-            terms.append(c * math.prod(alpha + m - 2 * k + i for i in range(2 * k - 1)) * g[m - 2 * k])
-        P.append(math.fsum(terms))
-    return tuple(P)
+        g.append(-math.fsum(hj * gi for hj, gi in zip(h, reversed(g))))
+    out, gk = [], [1.0] + [0.0] * 19
+    for k in range(1, _TAIL_ORDER + 1):
+        gk = [math.fsum(gk[i] * g[m - i] for i in range(m + 1)) for m in range(20)]
+        P = []
+        for m, gm in enumerate(gk):
+            s = k * alpha + m  # the s of zeta(s, a) whose leading term is a^(1-s)
+            terms = [gm / (s - 1.0)] + ([0.5 * gk[m - 1]] if m else [])
+            for i, c in enumerate(_EM_COEFFS[: m // 2], 1):  # (s - 2i)_(2i-1)
+                terms.append(c * math.prod(s - 2 * i + t for t in range(2 * i - 1)) * gk[m - 2 * i])
+            P.append(math.fsum(terms))
+        out.append(tuple(P))
+    return tuple(out)
 
 
-def _c_tail(alpha: float, a: float) -> float:
-    """sum_{n>=a} 1/z_n for the zeros z_n = (n^alpha + (n+1)^alpha)/2 of
-    hadamard_c, a a positive integer: what zeta(alpha, a) is for hadamard_a.
+def _c_tail(alpha: float, a: float, k: int) -> float:
+    """sum_{n>=a} z_n^-k for the zeros z_n = (n^alpha + (n+1)^alpha)/2 of
+    hadamard_c, a a positive integer: what zeta(k alpha, a) is for hadamard_a.
 
-    The series of g(u) = 2 / (1 + (1+u)^alpha) converges for |u| < R =
-    min(1, 2 sin(pi / (2 alpha))), its nearest pole or branch point.  Below
-    a = max(30, 8/R) the terms are summed directly (until the rest, at most
-    a^(1-alpha) (1/a + 1/(alpha-1)), is below 1e-17 of the first); from a on
-    the expansion of :func:`_c_expansion` gains at least a factor 1/(R a) <=
-    1/8 per power of 1/a, so log(1e-17) / log(1/(R a)) terms reach the
-    double precision.
+    Below a = max(30, 4 k alpha), the bound of :func:`_hurwitz_zeta`, the
+    terms are summed directly (until the rest, at most a^(1-s) (1/a +
+    1/(s-1)) with s = k alpha, is below 1e-17 of the first).  From there on
+    the 20 terms of :func:`_c_expansion` reach double precision: the series
+    of g(u)^k, g(u) = 2 / (1 + (1+u)^alpha), converges for |u| < R =
+    min(1, 2 sin(pi / (2 alpha))), its nearest pole or branch point, and
+    R a >= 12 there.  a^(1-k alpha) is taken as a^(1-alpha) (a^-alpha)^(k-1),
+    and (a/(a+1))^alpha through log1p, so that neither k alpha nor a/(a+1)
+    is rounded before a large power.
     """
-    R = min(1.0, 2.0 * math.sin(0.5 * math.pi / alpha))
+    s = k * alpha
     terms = []
-    while a < max(_EM_MIN_A, 8.0 / R):
-        terms.append(2.0 * (a + 1.0) ** -alpha / (1.0 + (a / (a + 1.0)) ** alpha))
+    while a < max(_EM_MIN_A, 4.0 * s):
+        terms.append((2.0 * (a + 1.0) ** -alpha / (1.0 + math.exp(-alpha * math.log1p(1.0 / a)))) ** k)
         a += 1.0
-        if a ** (1.0 - alpha) * (1.0 / a + 1.0 / (alpha - 1.0)) <= 1e-17 * terms[0]:
+        if a ** (1.0 - s) * (1.0 / a + 1.0 / (s - 1.0)) <= 1e-17 * terms[0]:
             return math.fsum(terms)
     acc = 0.0
-    for p in reversed(_c_expansion(alpha)[: math.ceil(39.2 / math.log(R * a))]):
+    for p in reversed(_c_expansion(alpha)[k - 1]):
         acc = acc / a + p
-    return math.fsum(terms + [a ** (1.0 - alpha) * acc])
+    return math.fsum(terms + [a ** (1.0 - alpha) * (a**-alpha) ** (k - 1) * acc])
 
 
 def _hadamard(z, alpha: float, N: Optional[int], zeros_of, tail_of, log: bool, scaled: bool = False):
-    """scale * prod_{n<=N} (1 - z/z_n) * exp(-z * sum_{n>N} 1/z_n), or log |.|,
-    with scale = z if ``scaled`` else 1, elementwise; a scalar z is the 0-d case.
+    """scale * prod_{n<=N} (1 - z/z_n) * exp(-sum_{k<=K} z^k S_k / k), or
+    log |.|, with scale = z if ``scaled`` else 1 and K = _TAIL_ORDER,
+    elementwise; a scalar z is the 0-d case.
 
-    The tail beyond N contributes that exponential to first order, with
-    sum_{n>N} 1/z_n = tail_of(alpha, N + 1); N (chosen per element if omitted,
-    ValueError before any allocation past MAX_TERMS) keeps the neglected
-    second-order tail below 1e-12.  A z or alpha that is not finite, or
-    alpha <= 2, is a ValueError.
+    S_k = sum_{n>N} z_n^-k = tail_of(alpha, N + 1, k), and the exponent is
+    summed by Horner's rule in z: the terms of log(1 - z/z_n) =
+    -sum_k (z/z_n)^k / k beyond N up to order K.  N (chosen per element by
+    :func:`_auto_terms` if omitted, ValueError before any allocation past
+    MAX_TERMS) keeps every zero near z exact and the neglected order-(K+1)
+    remainder below 1e-12.  A z or alpha that is not finite, or alpha <= 2,
+    is a ValueError.
     Without ``log``, z within 1e-12 of a retained zero gives exactly 0.  Rows
-    of equal N share one tail and one slice of the zeros, and are reduced in
-    blocks of at most 2^11 entries (or one row): each element has the bits,
-    and no temporary outgrows the size, of a call at that z alone.
+    of equal N share one set of tail sums and one slice of the zeros, and
+    are reduced in blocks of at most 2^11 entries (or one row): each element
+    has the bits, and no temporary outgrows the size, of a call at that z
+    alone.
     """
     if not 2.0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and exceed 2, not {alpha}")
@@ -439,7 +470,8 @@ def _hadamard(z, alpha: float, N: Optional[int], zeros_of, tail_of, log: bool, s
     for k, n in enumerate(terms):
         groups.setdefault(n, []).append(k)
     zeros = zeros_of(alpha, n_max)
-    tail = {n: tail_of(alpha, n + 1.0) for n in groups}
+    # S_K / K, ..., S_1 / 1: the Horner coefficients of each N
+    tail = {n: [tail_of(alpha, n + 1.0, k) / k for k in range(_TAIL_ORDER, 0, -1)] for n in groups}
     red = np.empty(zs.size, dtype=float if log else np.result_type(zs, float))
     near = np.empty(zs.size)  # min |z - z_n|, for the exact zeros
     with np.errstate(divide="ignore"):
@@ -457,13 +489,16 @@ def _hadamard(z, alpha: float, N: Optional[int], zeros_of, tail_of, log: bool, s
                     near[kb] = np.abs(np.subtract(zs[kb, None], zeros[:n], out=w)).min(axis=1)
     out = []
     for v, n, r, d in zip(vals, terms, red.tolist(), near.tolist()):
-        scale, t = (v if scaled else 1.0), -v * tail[n]
+        t = 0.0
+        for c in tail[n]:
+            t = (t + c) * v
+        scale = v if scaled else 1.0
         if abs(scale) < 1e-300:
             out.append(-math.inf if log else complex(scale))
         elif log:
-            out.append(math.log(abs(scale)) + r + t.real)
+            out.append(math.log(abs(scale)) + r - t.real)
         else:
-            out.append(0j if d < 1e-12 * max(1.0, abs(v)) else scale * complex(r) * np.exp(t))
+            out.append(0j if d < 1e-12 * max(1.0, abs(v)) else scale * complex(r) * np.exp(-t))
     if np.ndim(z) == 0:
         return out[0]
     return np.array(out, dtype=float if log else complex).reshape(np.shape(z))
@@ -471,12 +506,12 @@ def _hadamard(z, alpha: float, N: Optional[int], zeros_of, tail_of, log: bool, s
 
 def hadamard_a(z: complex, alpha: float, N: Optional[int] = None) -> complex:
     """prod_{n>=1} (1 - z / n^alpha), partial product with tail correction."""
-    return _hadamard(z, alpha, N, _a_zeros, _hurwitz_zeta, log=False)
+    return _hadamard(z, alpha, N, _a_zeros, _a_tail, log=False)
 
 
 def hadamard_a_log(z: complex, alpha: float, N: Optional[int] = None) -> float:
     """log |A(z)|, overflow safe."""
-    return _hadamard(z, alpha, N, _a_zeros, _hurwitz_zeta, log=True)
+    return _hadamard(z, alpha, N, _a_zeros, _a_tail, log=True)
 
 
 def hadamard_c_zeros(alpha: float, count: int) -> np.ndarray:
@@ -489,7 +524,7 @@ def hadamard_c(z: complex, alpha: float, N: Optional[int] = None) -> complex:
     """z * prod (1 - z / z_n) with z_n = (n^alpha + (n+1)^alpha)/2, C'(0) = 1.
 
     The zeros alternate with those of hadamard_a by construction.  The tail
-    sum of 1/z_n past N is :func:`_c_tail`.
+    sums of z_n^-k past N are :func:`_c_tail`.
     """
     return _hadamard(z, alpha, N, hadamard_c_zeros, _c_tail, log=False, scaled=True)
 

@@ -29,6 +29,7 @@ from .hamiltonian import (
     Hamiltonian,
     NotRankOne,
     PhiProfile,
+    SingularHalfLine,
     cong_mod_pi,
     extract_phi,
 )
@@ -600,17 +601,23 @@ class ZeroEigenvalueCheck:
     tail_converges: bool
 
 
-def zero_eigenvalue_check(phi: PhiProfile) -> ZeroEigenvalueCheck:
-    """Is 0 an eigenvalue: square-integrability of phi + pi/2.
+def zero_eigenvalue_check(phi: PhiProfile, tail: Optional[SingularHalfLine] = None) -> ZeroEigenvalueCheck:
+    """Is 0 an eigenvalue: does the z = 0 solution e_0 have finite H-norm,
+    the integral of cos^2(phi)?
 
-    Requires phi(inf) = -pi/2 (otherwise the z = 0 solution e_0 has infinite
-    H-norm).  The body integral of cos^2(phi) is exact per linear piece; the
-    tail is judged by the decay rate of phi + pi/2 over the last stretch of
-    the profile (power-law fit; faster decay than x^(-1/2) converges).
+    The body integral is exact per linear piece.  On a declared singular
+    tail P_gamma (``tail``, as in ``Hamiltonian.tail``) the integrand is
+    cos^2(gamma), so the tail converges iff gamma = pi/2 mod pi, where it
+    adds 0.  Without one, phi(inf) must be -pi/2 and the tail is judged by
+    the decay rate of phi + pi/2 over the last stretch of the profile
+    (power-law fit; faster decay than x^(-1/2) converges).
     """
+    total = sum(p.int_cos2() for p in phi.pieces)
+    if tail is not None:
+        converges = cong_mod_pi(tail.gamma, HALF_PI)
+        return ZeroEigenvalueCheck(converges, total if converges else math.inf, converges)
     if abs(phi.phi_infinity + HALF_PI) > 1e-9:
         return ZeroEigenvalueCheck(False, math.inf, False)
-    total = sum(p.int_cos2() for p in phi.pieces)
     # decay of g = phi + pi/2 between the window midpoint and the end
     x1 = phi.x_max
     x0 = 0.5 * x1

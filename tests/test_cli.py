@@ -472,6 +472,22 @@ class TestMiscSubcommands:
         assert code == 0
         assert "is_eigenvalue" in json.loads(out)
 
+    @pytest.mark.parametrize("doc, body", [
+        # ramp 0 -> -0.2 on [0, 10], tail P_{-pi/2}: int cos^2 = 5 + sin(0.4) / 0.08
+        ({"segments": [{"length": 10.0, "kind": "ramp", "phi_start": 0.0, "phi_end": -0.2}],
+          "tail": {"type": "singular", "gamma": -math.pi / 2}}, 5.0 + math.sin(0.4) / 0.08),
+        # angle 0, angle -2, tail P_{pi/2}: phi_inf aligns to -3 pi/2
+        ({"segments": [{"length": 1.0, "kind": "angle", "alpha": 0.0},
+                       {"length": 1.0, "kind": "angle", "alpha": -2.0}],
+          "tail": {"type": "singular", "gamma": math.pi / 2}}, 1.0 + math.cos(2.0) ** 2),
+    ], ids=["ramp", "angle-drop"])
+    def test_zero_eig_reads_the_declared_tail(self, run, tmp_path, doc, body):
+        code, out = run("zero-eig", "--config", write_config(tmp_path, doc))
+        assert code == 0
+        res = json.loads(out)
+        assert res["is_eigenvalue"] is True and res["tail_converges"] is True
+        assert res["body_integral"] == pytest.approx(body, rel=1e-12)
+
     def test_type(self, run, tmp_path):
         p = write_config(tmp_path, C_PLUS_TAIL)
         code, out = run("type", "--config", p)
@@ -741,7 +757,7 @@ class TestNumericFailuresExitTwo:
 class TestExtremeInputsSweep:
     """Every subcommand, run with extreme but cheap inputs, ends in an exit
     code, never in an exception out of main.  hadamard at |z| = 1e30 would
-    need 1.6e14 terms, past entire.MAX_TERMS, and exits 2 before it
+    need 4.1e12 terms, past entire.MAX_TERMS, and exits 2 before it
     allocates any."""
 
     EXTREMES = ["1e300", "-1e300", "inf", "-inf", "nan"]

@@ -354,7 +354,7 @@ class TestHadamard:
 
     @pytest.mark.parametrize("fn", [hadamard_a, hadamard_a_log, hadamard_c, hadamard_c_log])
     def test_past_the_term_cap_raises_before_allocating(self, fn):
-        # |z| = 1e30 at alpha = 3 needs 1.6e14 terms; no zeros may be built
+        # |z| = 1e30 at alpha = 3 needs 4.1e12 terms; no zeros may be built
         fail = mock.Mock(side_effect=AssertionError("zeros built"))
         with mock.patch.object(entire, "_a_zeros", fail), mock.patch.object(entire, "hadamard_c_zeros", fail):
             with pytest.raises(ValueError, match=f"at most {entire.MAX_TERMS}"):
@@ -374,27 +374,31 @@ class TestHadamard:
 
 
 def _hadamard_at(z, alpha, N, zeros_of, tail_of, log, scale):
-    """One z at a time, with its own zeros and tail sum: the per-element
-    formula the batched Hadamard products must reproduce bit for bit."""
+    """One z at a time, with its own zeros and tail sums: the per-element
+    formula the batched Hadamard products must reproduce bit for bit.  The
+    tail is sum_{k<=K} z^k S_k / k, S_k = tail_of(alpha, N + 1, k), by
+    Horner's rule from k = K down."""
     if N is None:
         N = entire._auto_terms(z, alpha)
     if abs(scale) < 1e-300:
         return -math.inf if log else complex(scale)
     zeros = zeros_of(alpha, N)
-    tail = -z * tail_of(alpha, N + 1.0)
+    tail = 0.0
+    for k in range(entire._TAIL_ORDER, 0, -1):
+        tail = (tail + tail_of(alpha, N + 1.0, k) / k) * z
     if log:
         with np.errstate(divide="ignore"):
             s = float(np.sum(np.log(np.abs(1.0 - z / zeros))))
-        return math.log(abs(scale)) + s + float(tail.real)
+        return math.log(abs(scale)) + s - float(tail.real)
     if np.min(np.abs(z - zeros)) < 1e-12 * max(1.0, abs(z)):
         return 0.0 + 0.0j
-    return scale * complex(np.prod(1.0 - z / zeros)) * np.exp(tail)
+    return scale * complex(np.prod(1.0 - z / zeros)) * np.exp(-tail)
 
 
 #: public function -> (zeros, tail, log, scaled) of its reference
 HADAMARD_REF = {
-    hadamard_a: (entire._a_zeros, entire._hurwitz_zeta, False, False),
-    hadamard_a_log: (entire._a_zeros, entire._hurwitz_zeta, True, False),
+    hadamard_a: (entire._a_zeros, entire._a_tail, False, False),
+    hadamard_a_log: (entire._a_zeros, entire._a_tail, True, False),
     hadamard_c: (hadamard_c_zeros, entire._c_tail, False, True),
     hadamard_c_log: (hadamard_c_zeros, entire._c_tail, True, True),
 }
@@ -432,10 +436,11 @@ class TestBatchedHadamard:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_grid_matches_per_element_reference(self, seed, alpha, fn, N):
-        # radii from 1e-2 to 3e4 give many distinct N on one grid, and the 60
-        # small radii one group of N = 50 that spans several blocks
+        # radii from 1e-2 to 1e7 give many distinct N on one grid (four at
+        # alpha = 5), and the 60 small radii one group of N = 50 that spans
+        # several blocks
         rng = np.random.default_rng(seed)
-        r = np.concatenate([rng.uniform(0.0, 1.0, 60), np.geomspace(1e-2, 3e4, 10)])
+        r = np.concatenate([rng.uniform(0.0, 1.0, 60), np.geomspace(1e-2, 1e7, 10)])
         Z = (r * np.exp(2j * PI * rng.uniform(0.0, 1.0, r.size))).reshape(5, 14)
         if N is None:
             assert len({entire._auto_terms(v, alpha) for v in Z.flat}) > 3
@@ -478,10 +483,10 @@ class TestBatchedHadamard:
         assert type(fn(-3.7, 3.0)) is (float if log else complex)
 
     def test_grid_memory_stays_at_one_row(self):
-        # N ~ 1.6e4 at |z| = 1e5, alpha = 3: an (n_radii, n_phases, N) block
-        # would be ~50 MB; the grid must stay within twice one z's peak
-        alpha, z1 = 3.0, 1e5 * np.exp(0.37j)
-        radii = np.geomspace(1e2, 1e5, 12)
+        # N ~ 2.3e4 at |z| = 1e8, alpha = 3: an (n_radii, n_phases, N) block
+        # would be ~70 MB; the grid must stay within twice one z's peak
+        alpha, z1 = 3.0, 1e8 * np.exp(0.37j)
+        radii = np.geomspace(1e5, 1e8, 12)
         Z = radii[:, None] * np.exp(2j * PI * (np.arange(16) + 0.37) / 16)[None, :]
         assert entire._auto_terms(z1, alpha) > 15000
 
@@ -516,11 +521,14 @@ class TestHurwitzZeta:
             assert abs(entire._hurwitz_zeta(s, float(a)) - ref) <= 1e-15 * ref
 
     def test_explicit_small_n_tail(self):
-        # the tail exp(-z zeta(alpha, N + 1)) is exact for N = 3 (a = 4 < 30)
+        # the tail exp(-sum_{k<=K} z^k zeta(k alpha, N + 1) / k) is exact for
+        # N = 3 (a = 4 < 30)
         z, alpha = -2.5 + 1.5j, 3.0
         with mpmath.workdps(40):
-            prod = mpmath.fprod(1 - mpmath.mpc(z) / mpmath.mpf(n) ** 3 for n in (1, 2, 3))
-            ref = complex(prod * mpmath.exp(-mpmath.mpc(z) * mpmath.zeta(alpha, 4)))
+            zm = mpmath.mpc(z)
+            prod = mpmath.fprod(1 - zm / mpmath.mpf(n) ** 3 for n in (1, 2, 3))
+            tail = mpmath.fsum(zm**k * mpmath.zeta(k * alpha, 4) / k for k in range(1, entire._TAIL_ORDER + 1))
+            ref = complex(prod * mpmath.exp(-tail))
         assert abs(hadamard_a(z, alpha, N=3) - ref) <= 1e-14 * abs(ref)
 
     @pytest.mark.parametrize("fn", [hadamard_a, hadamard_a_log, hadamard_c, hadamard_c_log])
@@ -540,19 +548,44 @@ class TestHurwitzZeta:
             assert abs(entire._hurwitz_zeta(s, a) - ref) <= 1e-15 * ref
 
 
-def _c_tail_mpmath(alpha, N, K=100, J=20):
-    """sum_{n>N} 2 / (n^alpha + (n+1)^alpha): K terms one by one, then the
-    series in 1/n against mpmath's Hurwitz zeta, at a precision past the
+def _c_tail_mpmath(alpha, N, k, J=24):
+    """sum_{n>N} (2 / (n^alpha + (n+1)^alpha))^k: the terms one by one below
+    M = N + 101 + 16/R, R = 2 sin(pi / (2 alpha)) the radius of convergence
+    of the series in 1/n, then that series against mpmath's Hurwitz zeta
+    (each of its terms gains a factor 16 or more), at a precision past the
     value's exponent."""
-    with mpmath.workdps(30 + int(alpha * math.log10(N + K + 2))):
-        a, M = mpmath.mpf(alpha), N + K + 1
-        direct = mpmath.fsum(2 / (n**a + (n + 1) ** a) for n in range(N + 1, M))
-        # g_j of 2 / (1 + (1+u)^alpha) by g (1 + h) = 1, h_k = binom(alpha, k) / 2
-        h = [mpmath.binomial(a, k) / 2 for k in range(1, J)]
+    M = N + 101 + math.ceil(8.0 / math.sin(0.5 * math.pi / alpha))
+    with mpmath.workdps(30 + int(k * alpha * math.log10(M + 1))):
+        a = mpmath.mpf(alpha)
+        direct = mpmath.fsum((2 / (n**a + (n + 1) ** a)) ** k for n in range(N + 1, M))
+        # g_j of 2 / (1 + (1+u)^alpha) by g (1 + h) = 1, h_i = binom(alpha, i) / 2
+        h = [mpmath.binomial(a, i) / 2 for i in range(1, J)]
         g = [mpmath.mpf(1)]
         for j in range(1, J):
-            g.append(-mpmath.fsum(h[k - 1] * g[j - k] for k in range(1, j + 1)))
-        return direct + mpmath.fsum(gj * mpmath.zeta(a + j, M) for j, gj in enumerate(g))
+            g.append(-mpmath.fsum(h[i - 1] * g[j - i] for i in range(1, j + 1)))
+        gk = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (J - 1)
+        for _ in range(k):
+            gk = [mpmath.fsum(gk[i] * g[j - i] for i in range(j + 1)) for j in range(J)]
+        return direct + mpmath.fsum(gj * mpmath.zeta(k * a + j, M) for j, gj in enumerate(gk))
+
+
+def _hadamard_log_mpmath(family, alpha, z):
+    """log |F(z)| of the infinite product: the factors one by one while
+    |z/z_n| > 1e-3, then -sum_{k<=8} Re(z^k S_k) / k, S_k = sum_{n>M} z_n^-k;
+    the terms past k = 8 are below 1e-24 of the first."""
+    M = math.ceil((1e3 * max(abs(z), 1.0)) ** (1.0 / alpha))
+    with mpmath.workdps(30):
+        a, zm = mpmath.mpf(alpha), mpmath.mpc(z)
+        if family == "a":
+            zeros = (mpmath.mpf(n) ** a for n in range(1, M + 1))
+            S = [mpmath.zeta(k * a, M + 1) for k in range(1, 9)]
+        else:
+            zeros = ((mpmath.mpf(n) ** a + mpmath.mpf(n + 1) ** a) / 2 for n in range(1, M + 1))
+            S = [_c_tail_mpmath(alpha, M, k) for k in range(1, 9)]
+        head = mpmath.fsum(mpmath.log(abs(1 - zm / zn)) for zn in zeros)
+        tail = mpmath.fsum(mpmath.re(zm**k * Sk) / k for k, Sk in enumerate(S, 1))
+        v = head - tail + (mpmath.log(abs(zm)) if family == "c" else 0)
+        return float(v)
 
 
 class TestHadamardTails:
@@ -563,13 +596,23 @@ class TestHadamardTails:
         (2.2, 3), (3.0, 50), (3.5, 300), (4.5, 3000), (7.9, 0), (12.0, 60), (30.0, 50), (100.0, 60),
     ])
     def test_c_tail_matches_mpmath(self, alpha, N):
-        ref = _c_tail_mpmath(alpha, N)
-        assert abs(entire._c_tail(alpha, N + 1.0) - ref) <= 1e-15 * ref
+        for k in range(1, entire._TAIL_ORDER + 1):
+            ref = float(_c_tail_mpmath(alpha, N, k))
+            assert abs(entire._c_tail(alpha, N + 1.0, k) - ref) <= 1e-15 * ref, k
+
+    @pytest.mark.parametrize("family", ["a", "c"])
+    @pytest.mark.parametrize("alpha", [2.2, 3.0, 3.7, 5.0])
+    def test_log_matches_the_infinite_product(self, family, alpha):
+        # the order-K tail keeps the neglected remainder below 1e-12 at every z
+        fn = hadamard_a_log if family == "a" else hadamard_c_log
+        for z in (-1e5, 3e4j, 1e5 * cmath.exp(0.37j), 2e3 * cmath.exp(0.01j), -7.3 + 2.0j, 0.4):
+            v = fn(z, alpha)
+            assert abs(v - _hadamard_log_mpmath(family, alpha, z)) <= 1e-12 * max(1.0, abs(v)), z
 
     @pytest.mark.parametrize("fn", HADAMARD_FNS)
     @pytest.mark.parametrize("alpha", [3.0, 3.5, 4.5])
     def test_doubling_n_moves_both_families_little(self, fn, alpha):
-        # the tail beyond N is first order in z: at z = -1e5 a tail off by 1e-8
+        # the tail beyond N starts with z S_1: at z = -1e5 an S_1 off by 1e-8
         # relative moved family c's log by 1e-8 when N doubled
         for z in (-1e5, 3e4j):
             n = entire._auto_terms(z, alpha)
