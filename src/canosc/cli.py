@@ -87,7 +87,7 @@ KINDS = {
 
 
 def build_hamiltonian(doc: dict, degrees: bool = False) -> Hamiltonian:
-    if not isinstance(doc, dict) or "segments" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise ConfigError("top-level object with a 'segments' list required")
     segs = []
     for i, s in enumerate(doc["segments"]):
@@ -102,12 +102,14 @@ def build_hamiltonian(doc: dict, degrees: bool = False) -> Hamiltonian:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-    tail = None
-    if doc.get("tail") is not None:
-        t = doc["tail"]
-        if t.get("type") != "singular":
-            raise ConfigError("tail: only type 'singular' is supported")
-        tail = SingularHalfLine(_angle(t["gamma"], degrees))
+    tail, t = None, doc.get("tail")
+    if t is not None:
+        if not isinstance(t, dict) or t.get("type") != "singular":
+            raise ConfigError("tail: an object of type 'singular' is required")
+        try:
+            tail = SingularHalfLine(_angle(t["gamma"], degrees))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"tail: {exc}") from exc
     try:
         return Hamiltonian(tuple(segs), tail=tail)
     except ValueError as exc:
@@ -115,8 +117,13 @@ def build_hamiltonian(doc: dict, degrees: bool = False) -> Hamiltonian:
 
 
 def _tolerances(doc: dict, args) -> float:
-    tol = doc.get("tolerances", {}).get("integration", 1e-9)
-    tol = float(tol if args.tol is None else args.tol)
+    tols = doc.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise ConfigError("tolerances: an object is required")
+    try:
+        tol = float(tols.get("integration", 1e-9) if args.tol is None else args.tol)
+    except TypeError as exc:
+        raise ConfigError(f"tolerances: integration: {exc}") from exc
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     return tol
@@ -313,7 +320,7 @@ def cmd_type(args):
     out = {"type": tau, "total_T": D.total_T}
     if args.measure:
         Hd = transforms.diagonal_to_hamiltonian(D)
-        y_max = args.y_max if args.y_max else max(50.0 / max(tau, 1e-3), 100.0)
+        y_max = args.y_max if args.y_max is not None else max(50.0 / max(tau, 1e-3), 100.0)
         slope = entire.type_fit_imaginary(
             lambda zz: entire.log_max_entry(Hd, Hd.x_max, zz), y_max / 100.0, y_max
         )

@@ -350,53 +350,26 @@ _EM_COEFFS = tuple(
 _EM_MIN_A = 30.0
 
 
-def _hurwitz_zeta(s: float, a: float) -> float:
-    """zeta(s, a) = sum_{k>=0} (k + a)^(-s) for s > 1, a > 0.
-
-    Terms are summed directly until a >= max(30, 4 s), or until the rest,
-    at most a^-s + a^(1-s)/(s-1), is below 1e-17 of the first term; past
-    that the rest is the Euler-Maclaurin sum a^(1-s)/(s-1) + a^(-s)/2 +
-    sum_{j<=6} B_2j/(2j)! (s)_(2j-1) a^(1-s-2j), whose remainder, about
-    2 (s)_14 / (2 pi a)^14 relative, is below 1e-16 there.
-    """
-    terms = []
-    while a < max(_EM_MIN_A, 4.0 * s):
-        terms.append(a**-s)
-        a += 1.0
-        if a ** (1.0 - s) * (1.0 / a + 1.0 / (s - 1.0)) <= 1e-17 * terms[0]:
-            return math.fsum(terms)
-    terms += [a ** (1.0 - s) / (s - 1.0), 0.5 * a**-s]
-    rising = s * a ** (-s - 1.0)  # (s)_(2j-1) a^(1-s-2j) at j = 1
-    for j, c in enumerate(_EM_COEFFS, 1):
-        terms.append(c * rising)
-        rising *= (s + 2 * j - 1) * (s + 2 * j) / (a * a)
-    return math.fsum(terms)
-
-
-def _a_tail(alpha: float, a: float, k: int) -> float:
-    """sum_{n>=a} n^(-k alpha) = zeta(k alpha, a): the k-th tail sum of
-    hadamard_a, a a positive integer."""
-    return _hurwitz_zeta(k * alpha, a)
-
-
 @functools.lru_cache(maxsize=32)
-def _c_expansion(alpha: float) -> tuple[tuple[float, ...], ...]:
+def _expansion(alpha: float, family: str) -> tuple[tuple[float, ...], ...]:
     """For k = 1..K (K = _TAIL_ORDER), P^(k)_0 .. P^(k)_19 with
     sum_{n>=a} z_n^-k = a^(1-k alpha) sum_m P^(k)_m a^-m for the zeros z_n of
-    hadamard_c, once a >= max(30, 4 k alpha) (see :func:`_c_tail`); all K in
-    one cache entry per alpha.
+    hadamard_a (family "a") or hadamard_c ("c"), once a >= max(30, 4 k alpha)
+    (see :func:`_power_sum`); all K in one cache entry per (alpha, family).
 
-    1/z_n = n^-alpha g(1/n) with g(u) = 2 / (1 + (1+u)^alpha) = sum_j g_j u^j
-    (g (1 + h) = 1, h_j = binom(alpha, j) / 2), so with g^k = sum_j g^(k)_j u^j
-    the sum is sum_j g^(k)_j zeta(k alpha + j, a); each zeta is the
-    Euler-Maclaurin sum of :func:`_hurwitz_zeta`, and collecting the powers
-    of a gives P^(k)_m.
+    1/z_n = n^-alpha g(1/n), with g = 1 for family a and, for family c,
+    g(u) = 2 / (1 + (1+u)^alpha) = sum_j g_j u^j (g (1 + h) = 1,
+    h_j = binom(alpha, j) / 2).  With g^k = sum_j g^(k)_j u^j the sum is
+    sum_j g^(k)_j zeta(k alpha + j, a).  Each zeta(s, a) is the
+    Euler-Maclaurin sum a^(1-s)/(s-1) + a^-s/2 + sum_{i<=6} B_2i/(2i)!
+    (s)_(2i-1) a^(1-s-2i), whose remainder, about 2 (s)_14 / (2 pi a)^14
+    relative, is below 1e-16 there; collecting the powers of a gives P^(k)_m.
     """
     h, g, b = [], [1.0], 0.5
     for j in range(1, 20):
         b *= (alpha - j + 1) / j
         h.append(b)
-        g.append(-math.fsum(hj * gi for hj, gi in zip(h, reversed(g))))
+        g.append(-math.fsum(hj * gi for hj, gi in zip(h, reversed(g))) if family == "c" else 0.0)
     out, gk = [], [1.0] + [0.0] * 19
     for k in range(1, _TAIL_ORDER + 1):
         gk = [math.fsum(gk[i] * g[m - i] for i in range(m + 1)) for m in range(20)]
@@ -411,40 +384,46 @@ def _c_expansion(alpha: float) -> tuple[tuple[float, ...], ...]:
     return tuple(out)
 
 
-def _c_tail(alpha: float, a: float, k: int) -> float:
-    """sum_{n>=a} z_n^-k for the zeros z_n = (n^alpha + (n+1)^alpha)/2 of
-    hadamard_c, a a positive integer: what zeta(k alpha, a) is for hadamard_a.
+def _power_sum(alpha: float, a: float, k: int, family: str) -> float:
+    """S_k = sum_{n>=a} z_n^-k for the zeros z_n = n^alpha of hadamard_a
+    (family "a", where it is zeta(k alpha, a) for any a > 0) or
+    (n^alpha + (n+1)^alpha)/2 of hadamard_c ("c", a a positive integer).
 
-    Below a = max(30, 4 k alpha), the bound of :func:`_hurwitz_zeta`, the
-    terms are summed directly (until the rest, at most a^(1-s) (1/a +
-    1/(s-1)) with s = k alpha, is below 1e-17 of the first).  From there on
-    the 20 terms of :func:`_c_expansion` reach double precision: the series
-    of g(u)^k, g(u) = 2 / (1 + (1+u)^alpha), converges for |u| < R =
-    min(1, 2 sin(pi / (2 alpha))), its nearest pole or branch point, and
-    R a >= 12 there.  a^(1-k alpha) is taken as a^(1-alpha) (a^-alpha)^(k-1),
-    and (a/(a+1))^alpha through log1p, so that neither k alpha nor a/(a+1)
-    is rounded before a large power.
+    Below a = max(30, 4 k alpha) the terms (1/z_n)^k are summed directly
+    (until the rest, at most a^(1-s) (1/a + 1/(s-1)) with s = k alpha, is
+    below 1e-17 of the first).  From there on the 20 terms of
+    :func:`_expansion` reach double precision: the series of g(u)^k
+    converges for |u| < R = min(1, 2 sin(pi / (2 alpha))) in family c, its
+    nearest pole or branch point, and R a >= 12 there (in family a,
+    g^k = 1).  z_n^-k is taken as (1/z_n)^k, a^(1-k alpha) as
+    a^(1-alpha) (a^-alpha)^(k-1), and family c's (a/(a+1))^alpha through
+    log1p, so that neither k alpha nor a/(a+1) is rounded before a large
+    power.
     """
     s = k * alpha
     terms = []
     while a < max(_EM_MIN_A, 4.0 * s):
-        terms.append((2.0 * (a + 1.0) ** -alpha / (1.0 + math.exp(-alpha * math.log1p(1.0 / a)))) ** k)
+        if family == "c":
+            terms.append((2.0 * (a + 1.0) ** -alpha / (1.0 + math.exp(-alpha * math.log1p(1.0 / a)))) ** k)
+        else:
+            terms.append((a**-alpha) ** k)
         a += 1.0
         if a ** (1.0 - s) * (1.0 / a + 1.0 / (s - 1.0)) <= 1e-17 * terms[0]:
             return math.fsum(terms)
     acc = 0.0
-    for p in reversed(_c_expansion(alpha)[k - 1]):
+    for p in reversed(_expansion(alpha, family)[k - 1]):
         acc = acc / a + p
     return math.fsum(terms + [a ** (1.0 - alpha) * (a**-alpha) ** (k - 1) * acc])
 
 
-def _hadamard(z, alpha: float, N: Optional[int], zeros_of, tail_of, log: bool, scaled: bool = False):
+def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False):
     """scale * prod_{n<=N} (1 - z/z_n) * exp(-sum_{k<=K} z^k S_k / k), or
-    log |.|, with scale = z if ``scaled`` else 1 and K = _TAIL_ORDER,
-    elementwise; a scalar z is the 0-d case.
+    log |.|, over the zeros of hadamard_c with scale = z if ``scaled``, else
+    of hadamard_a with scale = 1, and K = _TAIL_ORDER, elementwise; a scalar
+    z is the 0-d case.
 
-    S_k = sum_{n>N} z_n^-k = tail_of(alpha, N + 1, k), and the exponent is
-    summed by Horner's rule in z: the terms of log(1 - z/z_n) =
+    S_k = sum_{n>N} z_n^-k is :func:`_power_sum` at a = N + 1, and the
+    exponent is summed by Horner's rule in z: the terms of log(1 - z/z_n) =
     -sum_k (z/z_n)^k / k beyond N up to order K.  N (chosen per element by
     :func:`_auto_terms` if omitted, ValueError before any allocation past
     MAX_TERMS) keeps every zero near z exact and the neglected order-(K+1)
@@ -469,9 +448,10 @@ def _hadamard(z, alpha: float, N: Optional[int], zeros_of, tail_of, log: bool, s
     groups: dict[int, list[int]] = {}
     for k, n in enumerate(terms):
         groups.setdefault(n, []).append(k)
-    zeros = zeros_of(alpha, n_max)
+    family = "c" if scaled else "a"
+    zeros = (hadamard_c_zeros if scaled else _a_zeros)(alpha, n_max)
     # S_K / K, ..., S_1 / 1: the Horner coefficients of each N
-    tail = {n: [tail_of(alpha, n + 1.0, k) / k for k in range(_TAIL_ORDER, 0, -1)] for n in groups}
+    tail = {n: [_power_sum(alpha, n + 1.0, k, family) / k for k in range(_TAIL_ORDER, 0, -1)] for n in groups}
     red = np.empty(zs.size, dtype=float if log else np.result_type(zs, float))
     near = np.empty(zs.size)  # min |z - z_n|, for the exact zeros
     with np.errstate(divide="ignore"):
@@ -506,12 +486,12 @@ def _hadamard(z, alpha: float, N: Optional[int], zeros_of, tail_of, log: bool, s
 
 def hadamard_a(z: complex, alpha: float, N: Optional[int] = None) -> complex:
     """prod_{n>=1} (1 - z / n^alpha), partial product with tail correction."""
-    return _hadamard(z, alpha, N, _a_zeros, _a_tail, log=False)
+    return _hadamard(z, alpha, N, log=False)
 
 
 def hadamard_a_log(z: complex, alpha: float, N: Optional[int] = None) -> float:
     """log |A(z)|, overflow safe."""
-    return _hadamard(z, alpha, N, _a_zeros, _a_tail, log=True)
+    return _hadamard(z, alpha, N, log=True)
 
 
 def hadamard_c_zeros(alpha: float, count: int) -> np.ndarray:
@@ -523,14 +503,13 @@ def hadamard_c_zeros(alpha: float, count: int) -> np.ndarray:
 def hadamard_c(z: complex, alpha: float, N: Optional[int] = None) -> complex:
     """z * prod (1 - z / z_n) with z_n = (n^alpha + (n+1)^alpha)/2, C'(0) = 1.
 
-    The zeros alternate with those of hadamard_a by construction.  The tail
-    sums of z_n^-k past N are :func:`_c_tail`.
+    The zeros alternate with those of hadamard_a by construction.
     """
-    return _hadamard(z, alpha, N, hadamard_c_zeros, _c_tail, log=False, scaled=True)
+    return _hadamard(z, alpha, N, log=False, scaled=True)
 
 
 def hadamard_c_log(z: complex, alpha: float, N: Optional[int] = None) -> float:
-    return _hadamard(z, alpha, N, hadamard_c_zeros, _c_tail, log=True, scaled=True)
+    return _hadamard(z, alpha, N, log=True, scaled=True)
 
 
 # ---------------------------------------------------------------------------

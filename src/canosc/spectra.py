@@ -184,10 +184,6 @@ class HalfLineCount:
     F_values: list[float] = field(default_factory=list)
     witness: Optional[dict] = None
 
-    @property
-    def divergent(self) -> bool:
-        return self.status == "divergent"
-
 
 #: rounding allowance of one closed-form Pruefer step, in ulp of max(|theta|, pi)
 ANGLE_STEP_ULPS = 8
@@ -293,10 +289,6 @@ class Classification:
     phi: Optional[PhiProfile] = None
     n_bound: Optional[int] = None
     witness: Optional[str] = None
-
-    @property
-    def in_c_plus(self) -> bool:
-        return self.kind == "in_c_plus"
 
 
 def classify_semibounded(H: Hamiltonian) -> Classification:

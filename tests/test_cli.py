@@ -838,6 +838,8 @@ class TestExtremeInputsSweep:
         ["hadamard", "--alpha", "nan", "--fit-order"],
         ["hadamard", "--alpha", "3", "--z", "nan"],
         ["hadamard", "--family", "c", "--alpha", "3", "--z", "1", "inf"],
+        # y_max 0 is out of range, not a request for the default
+        ["type", "--config", "{sys}", "--measure", "--y-max", "0"],
     ])
     def test_non_finite_growth_inputs_exit_two(self, run, tmp_path, argv):
         paths = {"{sys}": write_config(tmp_path, C_PLUS_TAIL), "{ramp}": write_config(tmp_path, RAMP, name="r.json")}
@@ -845,6 +847,27 @@ class TestExtremeInputsSweep:
             code, out = run(*[paths.get(a, a) for a in argv])
         assert code == 2
         assert "finite" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("doc", [
+        {"segments": 5},
+        {"segments": None},
+        {**TWO_ANGLES, "tail": 5},
+        {**TWO_ANGLES, "tail": []},
+        {**TWO_ANGLES, "tail": {"type": "singular"}},
+        {**TWO_ANGLES, "tail": {"type": "singular", "gamma": None}},
+        {**TWO_ANGLES, "tolerances": 5},
+        {**TWO_ANGLES, "tolerances": {"integration": None}},
+    ])
+    def test_malformed_config_exits_two(self, run, tmp_path, doc):
+        # a wrong type or a missing key is a config error, not an exception out of main
+        path = write_config(tmp_path, doc)
+        code, out = run("order", "--config", path)
+        assert code == 2 and json.loads(out)["error"]
+        if "tolerances" not in doc:  # validate checks the system, not the tolerances
+            code, out = run("validate", "--config", path)
+            assert code == 2
+            res = json.loads(out)
+            assert res["valid"] is False and res["error"]
 
     def test_type_far_up_the_axis(self, run, tmp_path):
         # -l b l a overflowed in the diagonal form's matrix factor at y = 1e300

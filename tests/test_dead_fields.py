@@ -1,17 +1,20 @@
-"""Every field of every dataclass and NamedTuple in canosc is read somewhere.
+"""Every field of every dataclass and NamedTuple in canosc, and every method
+and property of every class, is read somewhere.
 
-A field nothing reads is computed and stored for no one, and a reader of the
-class is misled into thinking it matters.  This is the twin of
+A field nothing reads is computed and stored for no one, and a method or
+property nothing calls is code kept for no one; either misleads a reader of
+the class into thinking it matters.  This is the twin of
 ``tests/test_dead_params.py``: it parses ``src/canosc/*.py`` and fails on any
-``@dataclass`` or ``NamedTuple`` field whose name is never loaded as an
-attribute (``obj.name``), or read by ``getattr`` with a literal name,
-anywhere in ``src/``, ``tests/`` or ``perfbench/``.  The exceptions are
-listed in ALLOWED, each with its reason, and an exception that is read after
-all fails too, so the list cannot go stale.
+``@dataclass`` or ``NamedTuple`` field, and any method or property other than
+a ``__dunder__``, whose name is never loaded as an attribute (``obj.name``),
+or read by ``getattr`` with a literal name, anywhere in ``src/``, ``tests/``
+or ``perfbench/``.  The exceptions are listed in ALLOWED, each with its
+reason, and an exception that is read after all fails too, so the list
+cannot go stale.
 
 The scan goes by name, not by type, so a name that is read elsewhere hides
-the field: a field called ``x`` passes as soon as any object's ``.x`` is
-read.  A field that shares a busy name has to be checked by hand.
+the member: a field called ``x`` passes as soon as any object's ``.x`` is
+read.  A member that shares a busy name has to be checked by hand.
 """
 
 import ast
@@ -23,7 +26,7 @@ SRC = pathlib.Path(canosc.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parent.parent
 READERS = ("src", "tests", "perfbench")
 
-#: "module.Class.field" -> reason it stays although nothing reads it
+#: "module.Class.member" -> reason it stays although nothing reads it
 ALLOWED: dict[str, str] = {}
 
 
@@ -39,15 +42,21 @@ def _is_record(cls: ast.ClassDef) -> bool:
     )
 
 
-def fields() -> set[str]:
+def members() -> set[str]:
+    """"module.Class.name" of every record field, method and property."""
     out = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and _is_record(cls):
-                for stmt in cls.body:
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                        out.add(f"{path.stem}.{cls.name}.{stmt.target.id}")
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and _is_record(cls):
+                    out.add(f"{path.stem}.{cls.name}.{stmt.target.id}")
+                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    stmt.name.startswith("__") and stmt.name.endswith("__")
+                ):
+                    out.add(f"{path.stem}.{cls.name}.{stmt.name}")
     return out
 
 
@@ -71,8 +80,8 @@ def read_names() -> set[str]:
 
 def test_every_field_is_read():
     read = read_names()
-    dead = {f for f in fields() if f.rsplit(".", 1)[1] not in read}
+    dead = {m for m in members() if m.rsplit(".", 1)[1] not in read}
     unexpected = sorted(dead - set(ALLOWED))
-    assert not unexpected, f"fields nothing reads: {unexpected}"
+    assert not unexpected, f"fields, methods and properties nothing reads: {unexpected}"
     stale = sorted(set(ALLOWED) - dead)
     assert not stale, f"allowed as unread but read, or gone: {stale}"

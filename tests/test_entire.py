@@ -373,19 +373,19 @@ class TestHadamard:
         assert np.all(c_zeros[:-1] < a_zeros[1:])
 
 
-def _hadamard_at(z, alpha, N, zeros_of, tail_of, log, scale):
+def _hadamard_at(z, alpha, N, family, log, scale):
     """One z at a time, with its own zeros and tail sums: the per-element
     formula the batched Hadamard products must reproduce bit for bit.  The
-    tail is sum_{k<=K} z^k S_k / k, S_k = tail_of(alpha, N + 1, k), by
-    Horner's rule from k = K down."""
+    tail is sum_{k<=K} z^k S_k / k, S_k = _power_sum(alpha, N + 1, k, family),
+    by Horner's rule from k = K down."""
     if N is None:
         N = entire._auto_terms(z, alpha)
     if abs(scale) < 1e-300:
         return -math.inf if log else complex(scale)
-    zeros = zeros_of(alpha, N)
+    zeros = (hadamard_c_zeros if family == "c" else entire._a_zeros)(alpha, N)
     tail = 0.0
     for k in range(entire._TAIL_ORDER, 0, -1):
-        tail = (tail + tail_of(alpha, N + 1.0, k) / k) * z
+        tail = (tail + entire._power_sum(alpha, N + 1.0, k, family) / k) * z
     if log:
         with np.errstate(divide="ignore"):
             s = float(np.sum(np.log(np.abs(1.0 - z / zeros))))
@@ -395,21 +395,21 @@ def _hadamard_at(z, alpha, N, zeros_of, tail_of, log, scale):
     return scale * complex(np.prod(1.0 - z / zeros)) * np.exp(-tail)
 
 
-#: public function -> (zeros, tail, log, scaled) of its reference
+#: public function -> (family, log) of its reference; family c is scaled by z
 HADAMARD_REF = {
-    hadamard_a: (entire._a_zeros, entire._a_tail, False, False),
-    hadamard_a_log: (entire._a_zeros, entire._a_tail, True, False),
-    hadamard_c: (hadamard_c_zeros, entire._c_tail, False, True),
-    hadamard_c_log: (hadamard_c_zeros, entire._c_tail, True, True),
+    hadamard_a: ("a", False),
+    hadamard_a_log: ("a", True),
+    hadamard_c: ("c", False),
+    hadamard_c_log: ("c", True),
 }
 
 
 def hadamard_ref(fn, z, alpha, N=None):
-    zeros_of, tail_of, log, scaled = HADAMARD_REF[fn]
+    family, log = HADAMARD_REF[fn]
     if np.ndim(z) == 0:
-        return _hadamard_at(z, alpha, N, zeros_of, tail_of, log, z if scaled else 1.0)
+        return _hadamard_at(z, alpha, N, family, log, z if family == "c" else 1.0)
     z = np.asarray(z)
-    out = [_hadamard_at(v, alpha, N, zeros_of, tail_of, log, v if scaled else 1.0) for v in z.flat]
+    out = [_hadamard_at(v, alpha, N, family, log, v if family == "c" else 1.0) for v in z.flat]
     return np.array(out, dtype=float if log else complex).reshape(z.shape)
 
 
@@ -473,7 +473,7 @@ class TestBatchedHadamard:
 
     @pytest.mark.parametrize("fn", HADAMARD_FNS)
     def test_shapes_and_scalar_types(self, fn):
-        log = HADAMARD_REF[fn][2]
+        log = HADAMARD_REF[fn][1]
         for shape in ((), (0,), (3,), (2, 1, 4)):
             Z = np.full(shape, -3.7 + 1.2j)
             out = fn(Z, 3.0)
@@ -505,20 +505,22 @@ class TestBatchedHadamard:
 
 
 class TestHurwitzZeta:
+    """Family a's power sum at k = 1 is the Hurwitz zeta: _power_sum(s, a, 1, "a") = zeta(s, a)."""
+
     @given(st.floats(2.0, 8.0, exclude_min=True), st.floats(0.0, 7.0))
     @settings(max_examples=200, deadline=None)
     def test_matches_mpmath(self, s, log_a):
         a = 2.0 * 10.0 ** (log_a * (math.log10(5e6) / 7.0))  # a in [2, 1e7]
         with mpmath.workdps(40):
             ref = mpmath.zeta(s, a)
-        assert abs(entire._hurwitz_zeta(s, a) - ref) <= 1e-15 * ref
+        assert abs(entire._power_sum(s, a, 1, "a") - ref) <= 1e-15 * ref
 
     @pytest.mark.parametrize("s", [2.0 + 1e-9, 3.0, 5.5, 8.0])
     def test_small_integer_a_matches_mpmath(self, s):
         for a in range(2, 60):
             with mpmath.workdps(40):
                 ref = mpmath.zeta(s, a)
-            assert abs(entire._hurwitz_zeta(s, float(a)) - ref) <= 1e-15 * ref
+            assert abs(entire._power_sum(s, float(a), 1, "a") - ref) <= 1e-15 * ref
 
     def test_explicit_small_n_tail(self):
         # the tail exp(-sum_{k<=K} z^k zeta(k alpha, N + 1) / k) is exact for
@@ -545,7 +547,7 @@ class TestHurwitzZeta:
             # mpmath subtracts from zeta(s) at integer a: it needs digits past zeta(s, a)'s exponent
             with mpmath.workdps(30 + int(s * math.log10(a))):
                 ref = mpmath.zeta(s, a)
-            assert abs(entire._hurwitz_zeta(s, a) - ref) <= 1e-15 * ref
+            assert abs(entire._power_sum(s, a, 1, "a") - ref) <= 1e-15 * ref
 
 
 def _c_tail_mpmath(alpha, N, k, J=24):
@@ -589,8 +591,9 @@ def _hadamard_log_mpmath(family, alpha, z):
 
 
 class TestHadamardTails:
-    """sum_{n>N} 1/z_n: the Hurwitz zeta for family a, and for family c's
-    zeros (n^alpha + (n+1)^alpha)/2 its own sum, not the zeta of n^alpha."""
+    """S_k = sum_{n>N} z_n^-k from one routine: the Hurwitz zeta for family a,
+    and for family c's zeros (n^alpha + (n+1)^alpha)/2 its own sum, not the
+    zeta of n^alpha."""
 
     @pytest.mark.parametrize("alpha, N", [
         (2.2, 3), (3.0, 50), (3.5, 300), (4.5, 3000), (7.9, 0), (12.0, 60), (30.0, 50), (100.0, 60),
@@ -598,7 +601,31 @@ class TestHadamardTails:
     def test_c_tail_matches_mpmath(self, alpha, N):
         for k in range(1, entire._TAIL_ORDER + 1):
             ref = float(_c_tail_mpmath(alpha, N, k))
-            assert abs(entire._c_tail(alpha, N + 1.0, k) - ref) <= 1e-15 * ref, k
+            assert abs(entire._power_sum(alpha, N + 1.0, k, "c") - ref) <= 1e-15 * ref, k
+
+    @pytest.mark.parametrize("alpha", [2.2, 3.0, 3.53, 3.7, 4.9, 5.0, 7.3])
+    def test_raising_the_tail_order_is_one_constant(self, alpha, monkeypatch):
+        # at K = 4 every S_k, k <= 4, keeps 1e-15 in both families, from the
+        # direct sum (N + 1 < 4 k alpha) to the expansion at a = 1e6, where
+        # a^(1 - k alpha) with k alpha rounded first was off by 1.2e-14
+        entire._expansion.cache_clear()
+        monkeypatch.setattr(entire, "_TAIL_ORDER", 4)
+        try:
+            for N in (0, 9, 43, 300, 10**6 - 1):
+                for k in range(1, 5):
+                    # mpmath needs digits past the value's exponent
+                    with mpmath.workdps(30 + int(k * alpha * math.log10(N + 2))):
+                        ref_a = float(mpmath.zeta(k * mpmath.mpf(alpha), N + 1))
+                    for family, ref in (("a", ref_a), ("c", float(_c_tail_mpmath(alpha, N, k)))):
+                        v = entire._power_sum(alpha, N + 1.0, k, family)
+                        assert abs(v - ref) <= 1e-15 * ref, (family, N, k)
+            for family, fn in (("a", hadamard_a_log), ("c", hadamard_c_log)):
+                for z in (-1e5, 3e4j, 1e5 * cmath.exp(0.37j), -7.3 + 2.0j):
+                    v = fn(z, alpha)
+                    ref = _hadamard_log_mpmath(family, alpha, z)
+                    assert abs(v - ref) <= 1e-12 * max(1.0, abs(v)), (family, z)
+        finally:
+            entire._expansion.cache_clear()
 
     @pytest.mark.parametrize("family", ["a", "c"])
     @pytest.mark.parametrize("alpha", [2.2, 3.0, 3.7, 5.0])
@@ -617,7 +644,7 @@ class TestHadamardTails:
         for z in (-1e5, 3e4j):
             n = entire._auto_terms(z, alpha)
             v, v2 = fn(z, alpha, n), fn(z, alpha, 2 * n)
-            if HADAMARD_REF[fn][2]:
+            if HADAMARD_REF[fn][1]:
                 assert abs(v - v2) < 1e-11
             else:
                 assert abs(v - v2) < 1e-11 * abs(v)
