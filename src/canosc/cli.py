@@ -27,6 +27,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -116,12 +117,13 @@ def build_hamiltonian(doc: dict, degrees: bool = False) -> Hamiltonian:
         raise ConfigError(str(exc)) from exc
 
 
-def _tolerances(doc: dict, args) -> float:
+def _tolerances(doc: dict, override=None) -> float:
+    """The document's integration tolerance, or override (``--tol``) if given."""
     tols = doc.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("tolerances: an object is required")
     try:
-        tol = float(tols.get("integration", 1e-9) if args.tol is None else args.tol)
+        tol = float(tols.get("integration", 1e-9) if override is None else override)
     except TypeError as exc:
         raise ConfigError(f"tolerances: integration: {exc}") from exc
     if not tol > 0.0:
@@ -163,8 +165,9 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 def cmd_validate(args):
     try:
-        H, _ = load_config(args.config, args.degrees)
-    except ConfigError as exc:
+        H, doc = load_config(args.config, args.degrees)
+        _tolerances(doc)
+    except (ConfigError, ValueError) as exc:
         raise Rejected({"valid": False, "error": str(exc)}) from exc
     rep = validate(H)
     doc = {"valid": rep.ok, "issues": rep.issues, "x_max": H.x_max}
@@ -175,7 +178,7 @@ def cmd_validate(args):
 
 def cmd_theta(args):
     H, doc = load_config(args.config, args.degrees)
-    tol = _tolerances(doc, args)
+    tol = _tolerances(doc, args.tol)
     theta0 = _angle(args.theta0, args.degrees)
     tr = pruefer.integrate(H, args.t, theta0, args.L)
     out = {
@@ -192,7 +195,7 @@ def cmd_count(args):
     if args.L is None and args.beta is not None:
         raise argparse.ArgumentError(None, "count: --beta is the boundary angle at --L")
     H, doc = load_config(args.config, args.degrees)
-    tol = _tolerances(doc, args)
+    tol = _tolerances(doc, args.tol)
     w = spectra.SpectralWindow(args.window[0], args.window[1])
     if args.L is not None:
         beta = _angle(0.0 if args.beta is None else args.beta, args.degrees)
@@ -217,7 +220,7 @@ def cmd_count(args):
 
 def cmd_locate(args):
     H, doc = load_config(args.config, args.degrees)
-    tol = _tolerances(doc, args)
+    tol = _tolerances(doc, args.tol)
     w = spectra.SpectralWindow(args.window[0], args.window[1])
     beta = _angle(args.beta, args.degrees)
     eigs = spectra.locate_eigenvalues(H, args.L, beta, w, tol)
@@ -261,16 +264,7 @@ def cmd_ess_bounds(args):
     H, _ = load_config(args.config, args.degrees)
     phi, model = spectra.tail_profile(H)
     b = spectra.ess_spectrum_bounds(phi)
-    out = {
-        "A": b.A,
-        "B": b.B,
-        "lower": b.lower,
-        "upper": b.upper,
-        "tail_window": list(b.tail_window),
-        "sigma_ess_empty": b.sigma_ess_empty,
-        "zero_in_ess": b.zero_in_ess,
-        "warnings": b.warnings,
-    }
+    out = asdict(b)
     if model is not None:
         out["tail_model"] = model.summary()
     return out, None, bool(b.warnings)
@@ -290,12 +284,7 @@ def cmd_m_endpoints(args):
 def cmd_zero_eig(args):
     H, _ = load_config(args.config, args.degrees)
     chk = spectra.zero_eigenvalue_check(extract_phi(H), H.tail)
-    out = {
-        "is_eigenvalue": chk.is_eigenvalue,
-        "body_integral": chk.integral,
-        "tail_converges": chk.tail_converges,
-    }
-    return out, None, False
+    return asdict(chk), None, False
 
 
 def cmd_to_diagonal(args):
@@ -307,9 +296,9 @@ def cmd_to_diagonal(args):
         "rotation_applied": D.rotation_applied,
         "total_T": D.total_T,
         "type": transforms.debranges_type(D),
-        "cells": [{"deltaT": s.deltaT, "h": s.h} for s in D.segments],
+        "cells": [asdict(s) for s in D.segments],
     }
-    return out, (["deltaT", "h"], [(s.deltaT, s.h) for s in D.segments]), False
+    return out, (["deltaT", "h"], [astuple(s) for s in D.segments]), False
 
 
 def cmd_type(args):
@@ -331,7 +320,7 @@ def cmd_type(args):
 
 def cmd_order(args):
     H, doc = load_config(args.config, args.degrees)
-    tol = _tolerances(doc, args)
+    tol = _tolerances(doc, args.tol)
     L = args.L if args.L is not None else H.x_max
     fit = entire.order_fit(
         lambda zz: entire.log_max_entry(H, L, zz, tol),

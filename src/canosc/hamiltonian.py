@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -410,19 +411,27 @@ def cong_mod_pi(a: float, b: float) -> bool:
 
 @dataclass
 class ValidationReport:
+    """``issues`` holds (segment index, message); the tail counts as index
+    len(H.segments)."""
+
     ok: bool
     issues: list[tuple[int, str]] = field(default_factory=list)
 
 
 def validate(H: Hamiltonian) -> ValidationReport:
-    """Check every segment against the trace-normed PSD invariants."""
+    """Check every segment against the trace-normed PSD invariants, and its
+    length, its pieces and the tail angle for non-finite numbers."""
     issues: list[tuple[int, str]] = []
     for i, seg in enumerate(H.segments):
+        if not all(map(math.isfinite, chain((seg.length,), *seg.pieces()))):
+            issues.append((i, "length or piece values not finite"))
         k = seg.kind
         if isinstance(k, ConstantMatrix):
             for msg in k.matrix.issues():
                 issues.append((i, msg))
         # angle-based kinds are trace-normed PSD by construction
+    if H.tail is not None and not math.isfinite(H.tail.gamma):
+        issues.append((len(H.segments), f"tail gamma = {H.tail.gamma!r} is not finite"))
     return ValidationReport(ok=not issues, issues=issues)
 
 

@@ -45,9 +45,8 @@ def _err_norm(e):
 def integrate_adaptive(f, x0, x1, y0, tol, x_eval=()):
     """Integrate y' = f(x, y) from x0 to x1 (x1 >= x0).
 
-    Returns (xs, ys, err_accum): sample points (always including x0, x1 and
-    every requested x_eval point), the states there, and the sum of the
-    accepted local error estimates.  ys is a list of states.
+    Returns (xs, ys): x0, the x_eval points inside (x0, x1) in increasing
+    order, and x1, with the list of states at exactly those points.
     """
     if x1 < x0:
         raise ValueError("backward integration not supported; swap endpoints")
@@ -55,13 +54,12 @@ def integrate_adaptive(f, x0, x1, y0, tol, x_eval=()):
     y = np.asarray(y0, dtype=complex) if np.iscomplexobj(y0) else np.asarray(y0, dtype=float)
 
     checkpoints = sorted({float(x) for x in x_eval if x0 < x < x1} | {x1})
-    xs = [x0]
-    ys = [y.copy()]
     if span == 0.0:
-        return xs, ys, 0.0
+        return [x0], [y.copy()]
 
+    xs = [x0] + checkpoints
+    ys = [y.copy()]
     x = x0
-    err_accum = 0.0
     h = span / 100.0
     steps = 0
     for target in checkpoints:
@@ -84,7 +82,6 @@ def integrate_adaptive(f, x0, x1, y0, tol, x_eval=()):
             if err <= allowed:
                 x = x + h
                 y = y5
-                err_accum += err
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * (allowed / err) ** 0.2
                 )
@@ -93,12 +90,8 @@ def integrate_adaptive(f, x0, x1, y0, tol, x_eval=()):
             h = h * factor
             if h <= 0.0 or x + h == x:
                 raise IntegrationError("step size underflow")
-            if err <= allowed:
-                xs.append(x)
-                ys.append(y.copy())
-        # Snap the checkpoint exactly (x == target within float addition).
-        if xs[-1] != target:
-            xs.append(target)
-            ys.append(y.copy())
+        # The state at the checkpoint; x snaps to it exactly (it lies
+        # within float addition of target).
+        ys.append(y.copy())
         x = target
-    return xs, ys, err_accum
+    return xs, ys

@@ -16,7 +16,7 @@ witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -483,17 +483,7 @@ class TailModel:
 
     def summary(self) -> dict:
         lower, upper = self.ess_bounds()
-        return {
-            "phi_inf": self.phi_inf,
-            "c": self.c,
-            "c_err": self.c_err,
-            "p": self.p,
-            "p_err": self.p_err,
-            "residual": self.residual,
-            "window": list(self.window),
-            "lower": lower,
-            "upper": upper,
-        }
+        return {**asdict(self), "window": list(self.window), "lower": lower, "upper": upper}
 
 
 def fit_tail(phi: PhiProfile) -> Optional[TailModel]:
@@ -589,7 +579,7 @@ def tail_profile(H: Hamiltonian) -> tuple[PhiProfile, Optional[TailModel]]:
 @dataclass
 class ZeroEigenvalueCheck:
     is_eigenvalue: bool
-    integral: float
+    body_integral: float
     tail_converges: bool
 
 

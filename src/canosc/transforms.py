@@ -80,22 +80,23 @@ class SchrodingerProblem:
 
 
 def _solve_pair(P: SchrodingerProblem, x_end: Optional[float] = None, tol: float = 1e-10):
-    """Solutions (p, p', q, q') of -y'' + (V - E0) y = 0 on the grid."""
+    """Solutions (p, p', q, q') of -y'' + (V - E0) y = 0 at the grid nodes up
+    to x_end, and at x_end itself when it lies past the grid.  Past the grid
+    V is continued by its last value (as np.interp does)."""
     x_end = float(P.grid[-1]) if x_end is None else x_end
-    xs_eval = P.grid[P.grid <= x_end]
+    xs = P.grid[P.grid <= x_end]
+    if x_end > P.grid[-1]:
+        xs = np.append(xs, x_end)
 
     def f(x, y):
         w = P.potential(x) - P.E0
         return np.array([y[1], w * y[0], y[3], w * y[2]])
 
     y0 = np.array([P.init[0][0], P.init[0][1], P.init[1][0], P.init[1][1]], dtype=float)
-    xs, ys, _ = rk.integrate_adaptive(f, float(P.grid[0]), x_end, y0, tol, x_eval=xs_eval)
-    ys = np.array(ys)
-    p = np.interp(xs_eval, xs, ys[:, 0])
-    dp = np.interp(xs_eval, xs, ys[:, 1])
-    q = np.interp(xs_eval, xs, ys[:, 2])
-    dq = np.interp(xs_eval, xs, ys[:, 3])
-    return xs_eval, p, dp, q, dq
+    # RK returns the states exactly at its checkpoints: x0, the grid, x_end
+    _, ys = rk.integrate_adaptive(f, float(P.grid[0]), x_end, y0, tol, x_eval=xs)
+    p, dp, q, dq = np.array(ys[: len(xs)]).T
+    return xs, p, dp, q, dq
 
 
 def _unwrapped_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -219,10 +220,12 @@ def molchanov_new(P: SchrodingerProblem, x_grid, tol: float = 1e-10) -> Molchano
     """G(x) = int_0^x q^2 * int_x^inf q^(-2) for the generalized criterion.
 
     q is the non-L^2 solution of -y'' + (V - E0) y = 0.  The improper tail
-    integral is the cumulative integral of q^(-2) up to the padded endpoint
+    integral is the cumulative integral of q^(-2) up to the endpoint
     b = 1.5 max(x_grid) plus the remainder 1/(2 q(b) q'(b)), which is exact
     for exponential growth q ~ e^(kx) and within a factor 2p/(2p-1) for
-    power growth x^p.
+    power growth x^p.  Past the grid V is continued by its last value.  When
+    the grid reaches past b, both the integral and the remainder stop at the
+    last grid node <= b instead of at b itself.
     (The constant-Wronskian identity gives the remainder exactly but needs
     the decaying solution f = p - Mq, which cancels catastrophically once q
     is large; the direct quadrature is stable.)  x_grid must stay clear of
@@ -230,23 +233,14 @@ def molchanov_new(P: SchrodingerProblem, x_grid, tol: float = 1e-10) -> Molchano
     Schroedinger solutions.
     """
     x_grid = np.asarray(sorted(float(x) for x in x_grid))
-    x_end = 1.5 * x_grid[-1]
-    if x_end > P.grid[-1]:
-        # extend the sampled potential by constant continuation
-        P = SchrodingerProblem(
-            grid=np.concatenate([P.grid, [x_end]]),
-            values=np.concatenate([P.values, [P.values[-1]]]),
-            E0=P.E0,
-            init=P.init,
-        )
-    xs, p, dp, q, dq = _solve_pair(P, x_end=x_end, tol=tol)
+    xs, p, dp, q, dq = _solve_pair(P, x_end=1.5 * x_grid[-1], tol=tol)
     i1_full = np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] ** 2 + q[:-1] ** 2) * np.diff(xs))])
     # q not in L^2: its norm over the second half must dominate the first
     mid = len(xs) // 2
     if i1_full[-1] < 2.0 * i1_full[mid]:
         raise AssumptionViolated("q appears square-integrable; pick the growing solution")
     if q[-1] * dq[-1] <= 0.0:
-        raise AssumptionViolated("q not growing at the padded endpoint")
+        raise AssumptionViolated("q not growing at the endpoint")
     with np.errstate(divide="ignore", invalid="ignore"):
         inv2 = 1.0 / q**2
     ok = np.isfinite(inv2)

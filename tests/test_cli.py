@@ -1,11 +1,12 @@
 import argparse
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from canosc import cli
+from canosc import cli, spectra
 
 PI = math.pi
 
@@ -458,6 +459,18 @@ class TestMiscSubcommands:
         code, out = run("ess-bounds", "--config", write_config(tmp_path, _c_over_x_doc(tail=True)))
         assert "tail_model" not in json.loads(out)
 
+    def test_result_keys_are_the_dataclass_fields(self, run, tmp_path):
+        # the documents print the result records themselves: no key is added,
+        # dropped or renamed on the way, except the fitted tail_model
+        names = [f.name for f in dataclasses.fields(spectra.EssBounds)]
+        code, out = run("ess-bounds", "--config", write_config(tmp_path, C_OVER_X_NO_TAIL))
+        assert code == 0 and list(json.loads(out)) == names + ["tail_model"]
+        code, out = run("ess-bounds", "--config", write_config(tmp_path, C_PLUS_TAIL))
+        assert code == 0 and list(json.loads(out)) == names
+        code, out = run("zero-eig", "--config", write_config(tmp_path, C_PLUS_TAIL))
+        assert code == 0
+        assert list(json.loads(out)) == [f.name for f in dataclasses.fields(spectra.ZeroEigenvalueCheck)]
+
     def test_m_endpoints(self, run, tmp_path):
         p = write_config(tmp_path, C_PLUS_TAIL)
         code, out = run("m-endpoints", "--config", p)
@@ -754,6 +767,17 @@ class TestNumericFailuresExitTwo:
         assert "error" in json.loads(out)
 
 
+#: documents that parse but hold a non-finite number: the gate rejects each
+NON_FINITE_DOCS = [
+    {"segments": [{"length": 1.0, "kind": "angle", "alpha": math.nan}]},
+    {"segments": [{"length": 1.0, "kind": "matrix", "h11": 0.5, "h12": math.nan, "h22": 0.5}]},
+    {"segments": [{"length": math.inf, "kind": "angle", "alpha": 0.3}]},
+    {"segments": [{"length": 1.0, "kind": "ramp", "phi_start": 0.5, "phi_end": -math.inf}]},
+    {"segments": [{"length": 1.0, "kind": "table", "points": [[0.0, 0.3], [math.nan, 0.2], [1.0, 0.1]]}]},
+    {**TWO_ANGLES, "tail": {"type": "singular", "gamma": math.inf}},
+]
+
+
 class TestExtremeInputsSweep:
     """Every subcommand, run with extreme but cheap inputs, ends in an exit
     code, never in an exception out of main.  hadamard at |z| = 1e30 would
@@ -771,8 +795,10 @@ class TestExtremeInputsSweep:
             name="huge.json",
         )
         pots = [_potential(tmp_path, "nan.csv", math.nan), _potential(tmp_path, "big.csv", 1e300)]
+        non_finite = [write_config(tmp_path, doc, name=f"nonfinite{i}.json")
+                      for i, doc in enumerate(NON_FINITE_DOCS)]
         runs = []
-        for c in (sys_, ramp, huge):
+        for c in (sys_, ramp, huge, *non_finite):
             runs += [
                 [cmd, "--config", c]
                 for cmd in ("validate", "classify", "ess-bounds", "m-endpoints", "zero-eig",
@@ -814,6 +840,17 @@ class TestExtremeInputsSweep:
                 assert cli.main(argv) in (0, 1, 2, 3), argv
                 capsys.readouterr()
         assert {argv[0] for argv in runs} == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("doc", NON_FINITE_DOCS, ids=["alpha", "matrix", "length", "ramp", "table", "tail"])
+    def test_non_finite_documents_exit_two(self, run, tmp_path, doc):
+        path = write_config(tmp_path, doc)
+        code, out = run("validate", "--config", path)
+        assert code == 2 and json.loads(out)["valid"] is False
+        for argv in (["ess-bounds"], ["zero-eig"], ["classify"], ["order"], ["to-diagonal"],
+                     ["count", "--window", "0", "1", "--L", "0.5"]):
+            code, out = run(*argv, "--config", path)
+            assert code == 2, argv
+            assert "not finite" in json.loads(out)["error"], argv
 
     def test_growth_answers_carry_no_nan(self, capsys, tmp_path):
         # order, type and hadamard either answer with numbers or exit 2
@@ -857,17 +894,17 @@ class TestExtremeInputsSweep:
         {**TWO_ANGLES, "tail": {"type": "singular", "gamma": None}},
         {**TWO_ANGLES, "tolerances": 5},
         {**TWO_ANGLES, "tolerances": {"integration": None}},
+        {**TWO_ANGLES, "tolerances": {"integration": -1}},
     ])
     def test_malformed_config_exits_two(self, run, tmp_path, doc):
         # a wrong type or a missing key is a config error, not an exception out of main
         path = write_config(tmp_path, doc)
         code, out = run("order", "--config", path)
         assert code == 2 and json.loads(out)["error"]
-        if "tolerances" not in doc:  # validate checks the system, not the tolerances
-            code, out = run("validate", "--config", path)
-            assert code == 2
-            res = json.loads(out)
-            assert res["valid"] is False and res["error"]
+        code, out = run("validate", "--config", path)
+        assert code == 2
+        res = json.loads(out)
+        assert res["valid"] is False and res["error"]
 
     def test_type_far_up_the_axis(self, run, tmp_path):
         # -l b l a overflowed in the diagonal form's matrix factor at y = 1e300

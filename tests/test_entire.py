@@ -77,7 +77,7 @@ class TestTransferMatrix:
         def f(x, u):
             return z * (J @ H.h_at(min(x, 1.5 - 1e-12)) @ u.reshape(2, 2)).reshape(4)
 
-        _, ys, _ = rk.integrate_adaptive(
+        _, ys = rk.integrate_adaptive(
             f, 0.0, 1.5, np.eye(2, dtype=complex).reshape(4), 1e-11
         )
         assert np.max(np.abs(T.entries - ys[-1].reshape(2, 2))) < 1e-9

@@ -52,6 +52,22 @@ class TestValidate:
         assert not rep.ok
         assert rep.issues[0][0] == 0
 
+    @pytest.mark.parametrize("H", [
+        single(ConstantAngle(math.nan)),
+        single(ConstantMatrix(MatrixH(0.5, math.nan, 0.5))),
+        single(PhiRamp(0.5, -math.inf)),
+        single(PhiTable(((0.0, 0.3), (math.nan, 0.2), (1.0, 0.1)))),
+        single(ConstantAngle(0.3), length=math.inf),
+        single(ConstantAngle(0.3), tail=SingularHalfLine(math.inf)),
+    ], ids=["angle", "matrix", "ramp", "table", "length", "tail"])
+    def test_non_finite_numbers_fail_the_gate(self, H):
+        # NaN compares false, so no construction check catches it; the walk
+        # would carry it into every answer
+        rep = validate(H)
+        assert not rep.ok and "finite" in rep.issues[0][1]
+        with pytest.raises(ValueError, match="finite"):
+            next(H.walk(0.5))
+
     def test_pointwise_psd_trace_on_samples(self):
         # every represented H(x) must be PSD with unit trace
         H = Hamiltonian(

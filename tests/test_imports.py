@@ -3,6 +3,10 @@
 pyproject.toml declares numpy as the one dependency and mpmath as a test
 extra, for the independent references of :mod:`canosc.oracle`.  An import of
 anything else would fail on an install made from those declarations.
+
+Inside canosc, only the Schroedinger layer (:mod:`canosc.transforms`) runs
+the adaptive RK of :mod:`canosc.rk`, and the CLI catches its error: every
+canonical-system computation is closed form.
 """
 
 import ast
@@ -32,3 +36,31 @@ def test_imports_are_declared():
         if names - allowed:
             undeclared[path.stem] = sorted(names - allowed)
     assert not undeclared, f"imports outside the declared dependencies: {undeclared}"
+
+
+def _rk_reads(tree: ast.Module):
+    """None if the module does not import canosc.rk, else what it takes from
+    it: the names it imports from it, or the attributes it reads off ``rk``
+    after ``from . import rk``.  (An absolute import of canosc fails
+    test_imports_are_declared.)"""
+    out = None
+    for n in ast.walk(tree):
+        if not (isinstance(n, ast.ImportFrom) and n.level == 1):
+            continue
+        if n.module == "rk":
+            out = (out or set()) | {a.name for a in n.names}
+        elif n.module is None and any(a.name == "rk" for a in n.names):
+            out = (out or set()) | {
+                a.attr for a in ast.walk(tree)
+                if isinstance(a, ast.Attribute) and getattr(a.value, "id", None) == "rk"
+            }
+    return out
+
+
+def test_only_the_schrodinger_layer_runs_rk():
+    reads = {}
+    for path in sorted(SRC.glob("*.py")):
+        got = _rk_reads(ast.parse(path.read_text(), filename=str(path)))
+        if got is not None:
+            reads[path.stem] = got
+    assert reads == {"transforms": {"integrate_adaptive"}, "cli": {"IntegrationError"}}

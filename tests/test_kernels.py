@@ -101,7 +101,7 @@ def rk_theta(H: Hamiltonian, t: float, theta0: float, x_eval=()) -> tuple[float,
             return t * (h[0, 0] * c * c + 2.0 * h[0, 1] * s * c + h[1, 1] * s * s)
 
         inner = {p: p - acc for p in x_eval if acc < p < acc + seg.length}
-        xs, ys, _ = rk.integrate_adaptive(
+        xs, ys = rk.integrate_adaptive(
             f, 0.0, seg.length, theta, RK_TOL, x_eval=kinks(seg) + list(inner.values())
         )
         for p, off in inner.items():
@@ -117,7 +117,7 @@ def rk_transfer(H: Hamiltonian, z: complex) -> np.ndarray:
         def f(x, u, seg=seg):
             return z * (J @ seg.h_at(x) @ u.reshape(2, 2)).reshape(4)
 
-        _, ys, _ = rk.integrate_adaptive(
+        _, ys = rk.integrate_adaptive(
             f, 0.0, seg.length, np.eye(2, dtype=complex).reshape(4), RK_TOL, x_eval=kinks(seg)
         )
         T = ys[-1].reshape(2, 2) @ T

@@ -146,7 +146,7 @@ class TestRampReferences:
         def f(x, u):
             return z * (J @ H.h_at(x) @ u.reshape(2, 2)).reshape(4)
 
-        _, ys, _ = rk.integrate_adaptive(f, 0.0, 1.3, np.eye(2, dtype=complex).reshape(4), 1e-12)
+        _, ys = rk.integrate_adaptive(f, 0.0, 1.3, np.eye(2, dtype=complex).reshape(4), 1e-12)
         F = oracle.ramp_factor(0.6, -0.4, 1.3, z)
         assert np.max(np.abs(F - ys[-1].reshape(2, 2))) < 1e-10
         assert abs(np.linalg.det(F) - 1.0) < 1e-13
@@ -156,7 +156,7 @@ class TestRampReferences:
         def f(x, th):
             return t * math.cos(th - (0.6 - x / 1.3)) ** 2
 
-        _, ys, _ = rk.integrate_adaptive(f, 0.0, 1.3, 0.25, 1e-12)
+        _, ys = rk.integrate_adaptive(f, 0.0, 1.3, 0.25, 1e-12)
         assert oracle.ramp_theta(0.6, -0.4, 1.3, t, 0.25) == pytest.approx(float(ys[-1]), abs=1e-10)
 
     def test_theta_counts_turns(self):

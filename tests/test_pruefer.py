@@ -54,7 +54,7 @@ class TestStepSingular:
             c = math.cos(th - alpha)
             return t * c * c
 
-        _, ys, _ = rk.integrate_adaptive(f, 0.0, length, theta_in, 1e-11)
+        _, ys = rk.integrate_adaptive(f, 0.0, length, theta_in, 1e-11)
         assert abs(exact - float(ys[-1])) < 1e-9 * max(1.0, abs(exact))
 
     def test_continuous_in_t_length(self):

@@ -674,7 +674,7 @@ class TestZeroEigenvalue:
         p = plateau_profile([(3.0, -PI / 2)])
         chk = spectra.zero_eigenvalue_check(p)
         assert chk.is_eigenvalue
-        assert chk.integral == pytest.approx(0.0, abs=1e-12)
+        assert chk.body_integral == pytest.approx(0.0, abs=1e-12)
 
     def test_wrong_limit_false(self):
         p = plateau_profile([(1.0, 0.3)])
@@ -697,8 +697,8 @@ class TestZeroEigenvalue:
         chk = spectra.zero_eigenvalue_check(extract_phi(H), H.tail)
         assert chk.is_eigenvalue and chk.tail_converges
         # int_0^10 cos^2(0.02 x) dx = 5 + sin(0.4) / 0.08
-        assert chk.integral == pytest.approx(5.0 + math.sin(0.4) / 0.08, rel=1e-12)
-        assert chk.integral == pytest.approx(9.8677, abs=1e-4)
+        assert chk.body_integral == pytest.approx(5.0 + math.sin(0.4) / 0.08, rel=1e-12)
+        assert chk.body_integral == pytest.approx(9.8677, abs=1e-4)
 
     def test_declared_tail_is_read_mod_pi(self):
         # the drop 0 -> -2 aligns the tail P_{pi/2} to phi_inf = -3 pi/2
@@ -708,13 +708,13 @@ class TestZeroEigenvalue:
         assert phi.phi_infinity == pytest.approx(-1.5 * PI)
         chk = spectra.zero_eigenvalue_check(phi, H.tail)
         assert chk.is_eigenvalue and chk.tail_converges
-        assert chk.integral == pytest.approx(1.0 + math.cos(2.0) ** 2, rel=1e-12)
+        assert chk.body_integral == pytest.approx(1.0 + math.cos(2.0) ** 2, rel=1e-12)
 
     def test_declared_tail_off_the_axis_diverges(self):
         for gamma in (-0.5, 0.0, PI / 2 - 1e-6):
             H = single(PhiRamp(0.0, -0.2), length=10.0, tail=SingularHalfLine(gamma))
             chk = spectra.zero_eigenvalue_check(extract_phi(H), H.tail)
-            assert (chk.is_eigenvalue, chk.integral, chk.tail_converges) == (False, math.inf, False)
+            assert (chk.is_eigenvalue, chk.body_integral, chk.tail_converges) == (False, math.inf, False)
 
 
 class TestNegativeCountAtTruncation:

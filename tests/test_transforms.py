@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from canosc import spectra, transforms
+from canosc import rk, spectra, transforms
 from canosc.hamiltonian import (
     ConstantAngle,
     Hamiltonian,
@@ -117,7 +117,27 @@ class TestMolchanovClassic:
         assert molchanov_classic(xs, np.zeros_like(xs), [1.0], np.linspace(1, 5, 3)).verdict == "not_diverging"
 
 
+class TestRKCheckpoints:
+    def test_returns_exactly_the_checkpoints(self):
+        # x0, the x_eval points inside (x0, x1) sorted and once each, x1; no step points
+        x_eval = [2.5, -1.0, 0.7, 0.0, 0.7, 3.0, 9.0, 1.25]
+        xs, ys = rk.integrate_adaptive(lambda x, y: -y, 0.0, 3.0, 1.0, 1e-10, x_eval=x_eval)
+        assert xs == [0.0, 0.7, 1.25, 2.5, 3.0]
+        assert len(ys) == len(xs)
+        assert np.allclose(ys, np.exp(-np.array(xs)), rtol=0.0, atol=1e-9)
+
+
 class TestMolchanovNew:
+    def test_potential_continues_by_its_last_value(self):
+        # the grid ends at 8 < b = 10.5: V past it is V(8), as if the grid
+        # had one more node at b with that value
+        xs = np.linspace(0.0, 8.0, 161)
+        vs = 0.1 * xs
+        x_grid = np.linspace(1.0, 7.0, 7)
+        short = molchanov_new(SchrodingerProblem(grid=xs, values=vs, E0=-1.0), x_grid)
+        padded = SchrodingerProblem(grid=np.append(xs, 10.5), values=np.append(vs, vs[-1]), E0=-1.0)
+        assert short.G.tobytes() == molchanov_new(padded, x_grid).G.tobytes()
+
     def test_free_case_quarter_limit(self):
         # q = sinh: I1 = sinh(2x)/4 - x/2, I2 = coth(x) - 1, G -> 1/4
         res = molchanov_new(free_problem(), np.linspace(1.0, 10.0, 19))
