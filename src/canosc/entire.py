@@ -321,20 +321,25 @@ MAX_TERMS = 2**26
 _TAIL_ORDER = 2
 
 
-def _auto_terms(z: complex, alpha: float) -> int:
-    """Terms N past which the order-K tail (K = _TAIL_ORDER) is within 1e-12.
+def _auto_terms(z, alpha: float):
+    """Terms N past which the order-K tail (K = _TAIL_ORDER) is within 1e-12,
+    in one array pass: an int for a scalar z, else an int64 array.
 
     N >= (2|z|)^(1/alpha) keeps every zero near z among the exact factors,
     so |z/z_n| <= 1/2 beyond N (z_n >= n^alpha in both families), and the
     neglected sum_{n>N} sum_{k>K} (z/z_n)^k / k is at most
     2|z|^(K+1) N^(1-(K+1)alpha) / ((K+1)((K+1)alpha - 1)); N keeps that
-    below 1e-12.  Both are taken in logs, so no |z| overflows them.
+    below 1e-12.  Both are taken in logs, so no |z| overflows them.  An array
+    element past MAX_TERMS is a ValueError, raised before the cast to int64.
     """
-    lr = math.log(max(abs(z), 1.0))
+    lr = np.log(np.maximum(np.hypot(np.real(z), np.imag(z)), 1.0))
     p = (_TAIL_ORDER + 1) * alpha - 1.0
     n1 = (math.log(2.0) + lr) / alpha
     n2 = ((_TAIL_ORDER + 1) * lr + math.log(2e12 / ((_TAIL_ORDER + 1) * p))) / p
-    return max(50, math.ceil(math.exp(max(n1, n2))))
+    n = np.maximum(50.0, np.ceil(np.exp(np.maximum(n1, n2))))
+    if np.ndim(z) and n.max(initial=0) > MAX_TERMS:
+        raise ValueError(f"|z| = {abs(np.ravel(z)[n.argmax()]):g} needs {int(n.max())} terms; at most {MAX_TERMS}")
+    return n.astype(np.int64) if np.ndim(z) else int(n)
 
 
 def _a_zeros(alpha: float, count: int) -> np.ndarray:
@@ -422,42 +427,37 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
     of hadamard_a with scale = 1, and K = _TAIL_ORDER, elementwise; a scalar
     z is the 0-d case.
 
-    S_k = sum_{n>N} z_n^-k is :func:`_power_sum` at a = N + 1, and the
-    exponent is summed by Horner's rule in z: the terms of log(1 - z/z_n) =
-    -sum_k (z/z_n)^k / k beyond N up to order K.  N (chosen per element by
-    :func:`_auto_terms` if omitted, ValueError before any allocation past
+    S_k = sum_{n>N} z_n^-k is :func:`_power_sum` at a = N + 1.  N (from
+    :func:`_auto_terms` if omitted; ValueError before any allocation past
     MAX_TERMS) keeps every zero near z exact and the neglected order-(K+1)
     remainder below 1e-12.  A z or alpha that is not finite, or alpha <= 2,
-    is a ValueError.
-    Without ``log``, z within 1e-12 of a retained zero gives exactly 0.  Rows
-    of equal N share one set of tail sums and one slice of the zeros, and
-    are reduced in blocks of at most 2^11 entries (or one row): each element
-    has the bits, and no temporary outgrows the size, of a call at that z
-    alone.
+    is a ValueError.  Without ``log``, z within 1e-12 of a retained zero
+    gives exactly 0.  Elements of equal N share one set of tail sums and one
+    slice of the zeros, and are reduced in blocks of at most 2^11 entries
+    (or one row); the tail (Horner's rule in z) and the result are array
+    expressions: each element has the bits, and no temporary outgrows the
+    size, of a call at that z alone.
     """
     if not 2.0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and exceed 2, not {alpha}")
     zs = np.asarray(z).reshape(-1)
     if not np.isfinite(zs).all():
         raise ValueError("z must be finite")
-    vals = zs.tolist()
-    terms = [_auto_terms(v, alpha) for v in vals] if N is None else [N] * len(vals)
-    n_max = max(terms, default=0)
-    if n_max > MAX_TERMS:
-        raise ValueError(f"|z| = {abs(vals[terms.index(n_max)]):g} needs {n_max} terms; at most {MAX_TERMS}")
-    groups: dict[int, list[int]] = {}
-    for k, n in enumerate(terms):
-        groups.setdefault(n, []).append(k)
+    if N is not None and N > MAX_TERMS:
+        raise ValueError(f"N = {N} terms; at most {MAX_TERMS}")
+    terms = _auto_terms(zs, alpha) if N is None else np.full(zs.size, N)
+    ns, group = np.unique(terms, return_inverse=True)
     family = "c" if scaled else "a"
-    zeros = (hadamard_c_zeros if scaled else _a_zeros)(alpha, n_max)
+    zeros = (hadamard_c_zeros if scaled else _a_zeros)(alpha, int(terms.max(initial=0)))
     # S_K / K, ..., S_1 / 1: the Horner coefficients of each N
-    tail = {n: [_power_sum(alpha, n + 1.0, k, family) / k for k in range(_TAIL_ORDER, 0, -1)] for n in groups}
+    coef = [[_power_sum(alpha, n + 1.0, k, family) / k for k in range(_TAIL_ORDER, 0, -1)] for n in ns.tolist()]
     red = np.empty(zs.size, dtype=float if log else np.result_type(zs, float))
     near = np.empty(zs.size)  # min |z - z_n|, for the exact zeros
     with np.errstate(divide="ignore"):
-        for n, ks in groups.items():
+        for g, n in enumerate(ns.tolist()):
+            ks = np.flatnonzero(group == g)
             rows = max(1, 2048 // n)
-            for i in range(0, len(ks), rows):
+            for i in range(0, ks.size, rows):
                 kb = ks[i : i + rows]
                 w = zs[kb, None] / zeros[:n]
                 np.subtract(1.0, w, out=w)
@@ -467,21 +467,28 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
                 else:
                     red[kb] = w.prod(axis=1)
                     near[kb] = np.abs(np.subtract(zs[kb, None], zeros[:n], out=w)).min(axis=1)
-    out = []
-    for v, n, r, d in zip(vals, terms, red.tolist(), near.tolist()):
-        t = 0.0
-        for c in tail[n]:
-            t = (t + c) * v
-        scale = v if scaled else 1.0
-        if abs(scale) < 1e-300:
-            out.append(-math.inf if log else complex(scale))
-        elif log:
-            out.append(math.log(abs(scale)) + r - t.real)
-        else:
-            out.append(0j if d < 1e-12 * max(1.0, abs(v)) else scale * complex(r) * np.exp(-t))
-    if np.ndim(z) == 0:
-        return out[0]
-    return np.array(out, dtype=float if log else complex).reshape(np.shape(z))
+    # on real and imaginary parts, in CPython's order of complex arithmetic:
+    # u + c is (ur + c, ui + 0.0) and u * v is (ur vr - ui vi, ur vi + ui vr)
+    zr, zi = zs.real.astype(float), zs.imag.astype(float)
+    tr = ti = 0.0
+    for c in np.reshape(coef, (-1, _TAIL_ORDER))[group].T:
+        ur, ui = tr + c, ti + 0.0
+        tr, ti = ur * zr - ui * zi, ur * zi + ui * zr
+    absz = np.hypot(zr, zi)  # abs(z) to the bit, where np.abs is not
+    if log:  # log |z| by math.log, where np.log is not to the bit
+        lsc = np.array([math.log(v) if v >= 1e-300 else -math.inf for v in absz.tolist()]) if scaled else 0.0
+        out = lsc + red - tr
+    else:  # scale * r * exp(-t), where a real z has a real t and exp(-t)
+        e = np.exp(np.column_stack((-tr, -ti)).view(complex)[:, 0] if np.iscomplexobj(zs) else -tr)
+        sr, si = (zr, zi) if scaled else (1.0, 0.0)
+        pr, pim = sr * red.real - si * red.imag, sr * red.imag + si * red.real
+        out = np.column_stack((pr * e.real - pim * e.imag, pr * e.imag + pim * e.real)).view(complex)[:, 0]
+        exact = near < 1e-12 * np.maximum(1.0, absz)
+        tiny = (absz < 1e-300) & scaled  # disjoint from exact: every z_n >= 1
+        out[exact], out[tiny] = 0.0, zs[tiny]
+        if np.ndim(z) == 0 and np.iscomplexobj(zs) and not (exact | tiny)[0]:
+            return out[0]  # the per-element product is numpy's for a complex z
+    return out.reshape(np.shape(z)) if np.ndim(z) else out.item()
 
 
 def hadamard_a(z: complex, alpha: float, N: Optional[int] = None) -> complex:

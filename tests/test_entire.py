@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -363,6 +364,17 @@ class TestHadamard:
                 fn(np.array([1.0, -1e30j]), 3.0)
         assert not fail.called
 
+    @pytest.mark.parametrize("fn", [hadamard_a, hadamard_a_log, hadamard_c, hadamard_c_log])
+    @pytest.mark.filterwarnings("error")
+    def test_huge_array_element_raises_before_the_int_cast(self, fn):
+        # |z| = 1e300 at alpha = 2.0000001 needs about 1e182 terms: the count
+        # is checked as a float, with no int64 wraparound and no warning
+        fail = mock.Mock(side_effect=AssertionError("zeros built"))
+        with mock.patch.object(entire, "_a_zeros", fail), mock.patch.object(entire, "hadamard_c_zeros", fail):
+            with pytest.raises(ValueError, match=f"needs .* terms; at most {entire.MAX_TERMS}"):
+                fn(np.array([1.0, 1e300j]), 2.0000001)
+        assert not fail.called
+
     def test_term_cap_covers_alpha_near_two(self):
         assert entire._auto_terms(1e6, 2.0000001) <= entire.MAX_TERMS < entire._auto_terms(1e30, 3.0)
 
@@ -502,6 +514,44 @@ class TestBatchedHadamard:
         single = peak(z1)
         assert single > 16 * 15000  # one complex row of N entries was traced
         assert peak(Z) < 2 * single
+
+    def test_benchmark_grids_match_scalar_calls(self):
+        # the growth pool's 24 (family, alpha) fits, on their own 12 x 16 grid
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data", "growth.json")
+        with open(path) as f:
+            queries = json.load(f)["queries"]["hadamard"]
+        assert len(queries) == 24
+
+        def math_terms(z, alpha):  # the per-element formula with math's log and exp
+            K = entire._TAIL_ORDER
+            lr = math.log(max(abs(z), 1.0))
+            p = (K + 1) * alpha - 1.0
+            n1 = (math.log(2.0) + lr) / alpha
+            n2 = ((K + 1) * lr + math.log(2e12 / ((K + 1) * p))) / p
+            return max(50, math.ceil(math.exp(max(n1, n2))))
+
+        for q in queries:
+            a = q["args"]
+            fn = hadamard_a_log if a["family"] == "a" else hadamard_c_log
+            _, Z = entire._fit_grid(a["r_min"], a["r_max"], 12, 16)
+            terms = entire._auto_terms(Z, a["alpha"])
+            assert terms.dtype == np.int64 and terms.shape == Z.shape
+            assert terms.tolist() == [[math_terms(v, a["alpha"]) for v in row] for row in Z.tolist()]
+            alone = np.array([[fn(v, a["alpha"]) for v in row] for row in Z.tolist()])
+            assert_same_bits(fn(Z, a["alpha"]), alone)
+
+    def test_one_array_pass_per_call(self):
+        # N for the whole grid in one call, and K tail sums per distinct N:
+        # no Python step runs once per element
+        alpha = 3.0
+        _, Z = entire._fit_grid(1e2, 1e5, 12, 16)
+        distinct = np.unique(entire._auto_terms(Z, alpha)).size
+        assert 1 < distinct <= Z.shape[0]  # at most one N per radius
+        with mock.patch.object(entire, "_power_sum", wraps=entire._power_sum) as ps, \
+                mock.patch.object(entire, "_auto_terms", wraps=entire._auto_terms) as at:
+            hadamard_c_log(Z, alpha)
+        assert at.call_count == 1
+        assert ps.call_count == distinct * entire._TAIL_ORDER
 
 
 class TestHurwitzZeta:
