@@ -428,23 +428,24 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
     z is the 0-d case.
 
     S_k = sum_{n>N} z_n^-k is :func:`_power_sum` at a = N + 1.  N (from
-    :func:`_auto_terms` if omitted; ValueError before any allocation past
-    MAX_TERMS) keeps every zero near z exact and the neglected order-(K+1)
-    remainder below 1e-12.  A z or alpha that is not finite, or alpha <= 2,
-    is a ValueError.  Without ``log``, z within 1e-12 of a retained zero
-    gives exactly 0.  Elements of equal N share one set of tail sums and one
-    slice of the zeros, and are reduced in blocks of at most 2^11 entries
-    (or one row); the tail (Horner's rule in z) and the result are array
-    expressions: each element has the bits, and no temporary outgrows the
-    size, of a call at that z alone.
+    :func:`_auto_terms` if omitted) keeps every zero near z exact and the
+    neglected order-(K+1) remainder below 1e-12.  An explicit N is an
+    integer in [0, MAX_TERMS], else a ValueError before any allocation;
+    N = 0 is the pure tail product exp(-sum_k z^k S_k / k).  A z or alpha
+    that is not finite, or alpha <= 2, is a ValueError.  Without ``log``, z
+    within 1e-12 of a retained zero gives exactly 0.  Elements of equal N
+    share one set of tail sums and one slice of the zeros, and are reduced
+    in blocks of at most 2^11 entries (or one row); the tail (Horner's rule
+    in z) and the result are array expressions: each element has the bits,
+    and no temporary outgrows the size, of a call at that z alone.
     """
     if not 2.0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and exceed 2, not {alpha}")
     zs = np.asarray(z).reshape(-1)
     if not np.isfinite(zs).all():
         raise ValueError("z must be finite")
-    if N is not None and N > MAX_TERMS:
-        raise ValueError(f"N = {N} terms; at most {MAX_TERMS}")
+    if N is not None and not (isinstance(N, (int, np.integer)) and 0 <= N <= MAX_TERMS):
+        raise ValueError(f"N = {N!r} terms; need an integer from 0 to at most {MAX_TERMS}")
     terms = _auto_terms(zs, alpha) if N is None else np.full(zs.size, N)
     ns, group = np.unique(terms, return_inverse=True)
     family = "c" if scaled else "a"
@@ -456,7 +457,7 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
     with np.errstate(divide="ignore"):
         for g, n in enumerate(ns.tolist()):
             ks = np.flatnonzero(group == g)
-            rows = max(1, 2048 // n)
+            rows = max(1, 2048 // max(n, 1))
             for i in range(0, ks.size, rows):
                 kb = ks[i : i + rows]
                 w = zs[kb, None] / zeros[:n]
@@ -466,7 +467,7 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
                     red[kb] = np.log(a, out=a).sum(axis=1)
                 else:
                     red[kb] = w.prod(axis=1)
-                    near[kb] = np.abs(np.subtract(zs[kb, None], zeros[:n], out=w)).min(axis=1)
+                    near[kb] = np.abs(np.subtract(zs[kb, None], zeros[:n], out=w)).min(axis=1, initial=np.inf)
     # on real and imaginary parts, in CPython's order of complex arithmetic:
     # u + c is (ur + c, ui + 0.0) and u * v is (ur vr - ui vi, ur vi + ui vr)
     zr, zi = zs.real.astype(float), zs.imag.astype(float)

@@ -282,8 +282,9 @@ class Piece(NamedTuple):
 class Segment:
     length: float
     kind: SegmentKind
-    #: the kind's pieces at this length, built once
-    _pieces: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
+    #: the kind's pieces at this length, built once: one :class:`Piece` per
+    #: constant angle, ramp, matrix or table interval
+    pieces: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.length > 0.0):
@@ -292,18 +293,10 @@ class Segment:
         # only a table's pieces can end elsewhere
         if abs(pieces[-1].end - self.length) > 1e-12 * max(1.0, self.length):
             raise ValueError("PhiTable last offset must equal segment length")
-        object.__setattr__(self, "_pieces", pieces)
-
-    @property
-    def is_singular(self) -> bool:  # the constructor's merge only; computations read Piece.singular
-        return isinstance(self.kind, ConstantAngle)
+        object.__setattr__(self, "pieces", pieces)
 
     def h_at(self, offset: float) -> np.ndarray:
         return self.kind.h_at(offset, self.length)
-
-    def pieces(self) -> tuple[Piece, ...]:
-        """One :class:`Piece` per constant angle, ramp, matrix or table interval."""
-        return self._pieces
 
     def split(self, at: float) -> tuple["Segment", "Segment"]:
         """Split into two segments with lengths (at, length - at)."""
@@ -332,20 +325,7 @@ class Hamiltonian:
         segs = tuple(self.segments)
         if not segs:
             raise ValueError("need at least one segment")
-        # Merge adjacent constant-angle runs with equal angle mod pi
-        # (singular intervals are maximal by definition).
-        merged: list[Segment] = []
-        for seg in segs:
-            if (
-                merged
-                and merged[-1].is_singular
-                and seg.is_singular
-                and cong_mod_pi(merged[-1].kind.alpha, seg.kind.alpha)
-            ):
-                merged[-1] = Segment(merged[-1].length + seg.length, merged[-1].kind)
-            else:
-                merged.append(seg)
-        object.__setattr__(self, "segments", tuple(merged))
+        object.__setattr__(self, "segments", segs)
         tail = None if self.tail is None else Piece(0.0, math.inf, self.tail.gamma, self.tail.gamma)
         object.__setattr__(self, "_tail_piece", tail)
 
@@ -386,7 +366,7 @@ class Hamiltonian:
         for seg in self.segments:
             if acc >= L:
                 return
-            for p in seg._pieces:
+            for p in seg.pieces:
                 x = acc + p.offset
                 if x >= L:
                     break
@@ -423,7 +403,7 @@ def validate(H: Hamiltonian) -> ValidationReport:
     length, its pieces and the tail angle for non-finite numbers."""
     issues: list[tuple[int, str]] = []
     for i, seg in enumerate(H.segments):
-        if not all(map(math.isfinite, chain((seg.length,), *seg.pieces()))):
+        if not all(map(math.isfinite, chain((seg.length,), *seg.pieces))):
             issues.append((i, "length or piece values not finite"))
         k = seg.kind
         if isinstance(k, ConstantMatrix):
@@ -562,7 +542,7 @@ def extract_phi(H: Hamiltonian) -> PhiProfile:
     x = 0.0
     prev_end: Optional[float] = None
     for i, seg in enumerate(H.segments):
-        ps = seg.pieces()
+        ps = seg.pieces
         det = max(p.lam1 * p.lam2 for p in ps)
         if det > RANK_ONE_TOL:
             raise NotRankOne(i, det)

@@ -47,11 +47,6 @@ class SpectralWindow:
             raise ValueError("need s < t")
 
 
-#: a count is certified when both endpoint angles lie farther than this from
-#: the counting discontinuities beta + n pi
-CERTIFY_DIST = 1e-15
-
-
 @dataclass
 class CountResult:
     count: int
@@ -81,20 +76,21 @@ def count_bounded(
     """Number of eigenvalues of the [0, L] problem in [s, t).
 
     Ceil formula on the Pruefer angle with theta(0) = 0.  The steps are
-    closed forms, so the result is certified when both endpoint angles are
-    farther than CERTIFY_DIST, a fixed floor rather than a rounding bound,
-    from the counting discontinuities.  tol is unused; it stays because the
-    benchmark harness passes it positionally and criterion 11 by keyword.
+    closed forms, so the result is certified when each endpoint angle lies
+    farther from the counting discontinuities beta + n pi than the rounding
+    bound of its own walk (:func:`_angle_rounding`), the bound
+    :func:`halfline_count` floors F against.  tol is unused; it stays because
+    the benchmark harness passes it positionally and criterion 11 by keyword.
     """
     if not (0.0 <= beta < PI):
         raise ValueError("beta must lie in [0, pi)")
     if _is_full_singular_pi_half(H, L):
         # Trivial case: all spectral projections vanish.
         return CountResult(count=0, certified=True)
-    th_t = pruefer.integrate(H, w.t, 0.0, L).theta_end()
-    th_s = pruefer.integrate(H, w.s, 0.0, L).theta_end()
-    count = _ceil_level(th_t, beta) - _ceil_level(th_s, beta)
-    certified = all(_dist_to_grid(th - beta) > CERTIFY_DIST for th in (th_t, th_s))
+    tr_t = pruefer.integrate(H, w.t, 0.0, L)
+    tr_s = pruefer.integrate(H, w.s, 0.0, L)
+    count = _ceil_level(tr_t.theta_end(), beta) - _ceil_level(tr_s.theta_end(), beta)
+    certified = all(_dist_to_grid(tr.theta_end() - beta) > _angle_rounding(tr) for tr in (tr_t, tr_s))
     return CountResult(count=count, certified=certified)
 
 

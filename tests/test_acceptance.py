@@ -248,6 +248,7 @@ class TestCriterion7:
         )
 
 
+@pytest.mark.slow
 class TestCriterion8:
     def test_molchanov_consistency(self):
         xs = np.linspace(0.0, 20.0, 1001)

@@ -49,6 +49,14 @@ BIG_DROP = {
     ]
 }
 
+
+def after_equal_angles(h11, h12, h22):
+    """Two equal angle segments, then the given matrix as segments[2]."""
+    angle = {"length": 1.0, "kind": "angle", "alpha": 0.3}
+    matrix = {"length": 1.0, "kind": "matrix", "h11": h11, "h12": h12, "h22": h22}
+    return {"segments": [angle, dict(angle), matrix]}
+
+
 C_PLUS_TAIL = {
     "segments": [
         {"length": 1.0, "kind": "angle", "alpha": 0.5},
@@ -102,6 +110,17 @@ class TestValidate:
         assert doc["issues"][0][0] == 0
         assert "trace" in doc["issues"][0][1]
         assert doc["x_max"] == 1.0
+
+    def test_reports_name_the_document_index(self, run, tmp_path):
+        # equal adjacent angles stay two segments, so the faulty matrix is
+        # index 2 in the validation issues and in the walk's error
+        p = write_config(tmp_path, after_equal_angles(0.7, 0.0, 0.7))
+        code, out = run("validate", "--config", p)
+        assert code == 2
+        assert [i for i, _ in json.loads(out)["issues"]] == [2]
+        code, out = run("count", "--config", p, "--L", "3.0", "--window", "-5", "5")
+        assert code == 2
+        assert json.loads(out)["error"].startswith("invalid Hamiltonian: segment 2: trace")
 
 
 class TestTheta:
@@ -289,6 +308,14 @@ class TestClassify:
         code, out = run("classify", "--config", p)
         assert code == 0
         assert json.loads(out)["kind"] == "in_c_plus"
+
+    def test_witness_names_the_document_index(self, run, tmp_path):
+        p = write_config(tmp_path, after_equal_angles(0.4, 0.1, 0.6))
+        code, out = run("classify", "--config", p)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "not_semibounded"
+        assert doc["witness"].startswith("segment 2 has det H")
 
 
 class TestToDiagonal:

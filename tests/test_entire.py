@@ -365,6 +365,16 @@ class TestHadamard:
         assert not fail.called
 
     @pytest.mark.parametrize("fn", [hadamard_a, hadamard_a_log, hadamard_c, hadamard_c_log])
+    @pytest.mark.parametrize("N", [-1, 2.5, entire.MAX_TERMS + 1])
+    def test_bad_explicit_term_count_raises_before_allocating(self, fn, N):
+        # N must be an integer in [0, MAX_TERMS]; no zeros may be built
+        fail = mock.Mock(side_effect=AssertionError("zeros built"))
+        with mock.patch.object(entire, "_a_zeros", fail), mock.patch.object(entire, "hadamard_c_zeros", fail):
+            with pytest.raises(ValueError, match=f"at most {entire.MAX_TERMS}"):
+                fn(np.array([1.0, -2.0j]), 3.0, N=N)
+        assert not fail.called
+
+    @pytest.mark.parametrize("fn", [hadamard_a, hadamard_a_log, hadamard_c, hadamard_c_log])
     @pytest.mark.filterwarnings("error")
     def test_huge_array_element_raises_before_the_int_cast(self, fn):
         # |z| = 1e300 at alpha = 2.0000001 needs about 1e182 terms: the count
@@ -582,6 +592,15 @@ class TestHurwitzZeta:
             tail = mpmath.fsum(zm**k * mpmath.zeta(k * alpha, 4) / k for k in range(1, entire._TAIL_ORDER + 1))
             ref = complex(prod * mpmath.exp(-tail))
         assert abs(hadamard_a(z, alpha, N=3) - ref) <= 1e-14 * abs(ref)
+
+    def test_zero_terms_is_the_pure_tail(self):
+        # N = 0 keeps no exact factor: exp(-sum_{k<=K} z^k zeta(k alpha, 1) / k)
+        z, alpha = -2.5 + 1.5j, 3.0
+        with mpmath.workdps(40):
+            zm = mpmath.mpc(z)
+            tail = mpmath.fsum(zm**k * mpmath.zeta(k * alpha, 1) / k for k in range(1, entire._TAIL_ORDER + 1))
+            ref = complex(mpmath.exp(-tail))
+        assert abs(hadamard_a(z, alpha, N=0) - ref) <= 1e-14 * abs(ref)
 
     @pytest.mark.parametrize("fn", [hadamard_a, hadamard_a_log, hadamard_c, hadamard_c_log])
     def test_alpha_at_most_two_rejected(self, fn):

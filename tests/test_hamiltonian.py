@@ -91,15 +91,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Segment(0.0, ConstantAngle(0.0))
 
-    def test_adjacent_equal_angles_merged(self):
-        H = Hamiltonian(
-            (
-                Segment(1.0, ConstantAngle(PI / 3)),
-                Segment(2.0, ConstantAngle(PI / 3 - PI)),
-            )
+    def test_adjacent_equal_angles_kept_as_written(self):
+        # equal angles mod pi compose exactly, so the constructor keeps the
+        # caller's segments and every index names the one the caller wrote
+        segs = (
+            Segment(1.0, ConstantAngle(PI / 3)),
+            Segment(2.0, ConstantAngle(PI / 3 - PI)),
+            Segment(0.5, ConstantMatrix(MatrixH(0.7, 0.0, 0.7))),
         )
-        assert len(H.segments) == 1
-        assert H.segments[0].length == pytest.approx(3.0)
+        H = Hamiltonian(list(segs))
+        assert H.segments == segs
+        assert [i for i, _ in validate(H).issues] == [2]
+        with pytest.raises(ValueError, match=r"invalid Hamiltonian: segment 2: trace"):
+            next(H.walk(1.0))
 
     def test_increasing_ramp_rejected(self):
         with pytest.raises(ValueError):
@@ -301,7 +305,7 @@ class TestMemory:
             used = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert H.segments[0].pieces()  # H is alive while measured
+        assert H.segments[0].pieces  # H is alive while measured
         return used
 
     def test_walked_table_retains_little(self):

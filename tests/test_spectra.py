@@ -67,6 +67,20 @@ class TestCountBounded:
         tailed = single(ConstantAngle(PI / 2), tail=SingularHalfLine(0.3))
         assert not spectra._is_full_singular_pi_half(tailed, 3.0)
 
+    @pytest.mark.parametrize("gap, certified", [(1e-14, False), (1e-6, True)])
+    def test_certified_against_the_walk_rounding(self, gap, certified):
+        # theta(3; 40) is three closed-form steps, with a rounding bound of
+        # about 4.6e-14; an angle 1e-14 from a level is past a fixed 1e-15
+        # floor but inside that bound, so its count is not certified
+        H = Hamiltonian(tuple(Segment(1.0, ConstantAngle(a)) for a in (0.0, -0.7, -1.4)))
+        tr = pruefer.integrate(H, 40.0, 0.0, 3.0)
+        th = tr.theta_end()
+        beta = (th - gap) % PI
+        dist, bound = spectra._dist_to_grid(th - beta), spectra._angle_rounding(tr)
+        assert dist > 1e-15 and (dist > bound) is certified
+        res = spectra.count_bounded(H, 3.0, beta, SpectralWindow(-0.5, 40.0))
+        assert (res.count, res.certified) == (3, certified)
+
     def test_beta_range_enforced(self):
         H = single(ConstantAngle(0.0))
         with pytest.raises(ValueError):

@@ -37,6 +37,7 @@ def free_problem(x_max=16.0, n=801, e0=-1.0):
     return SchrodingerProblem(grid=xs, values=np.zeros_like(xs), E0=e0)
 
 
+@pytest.mark.slow
 class TestSchrodingerImport:
     def test_free_potential_profile(self):
         # p = cosh, q = sinh at E0 = -1: phi decreases toward arctan(1)
@@ -145,6 +146,7 @@ class TestMolchanovNew:
         assert res.G[-1] == pytest.approx(closed, rel=1e-3)
         assert res.verdict == "not_to_zero"
 
+    @pytest.mark.slow
     def test_airy_case_trends_to_zero(self):
         xs = np.linspace(0.0, 40.0, 2001)
         P = SchrodingerProblem(grid=xs, values=xs.copy(), E0=-1.0)
