@@ -318,7 +318,8 @@ def type_fit_imaginary(
 MAX_TERMS = 2**26
 #: powers K of z/z_n the tail keeps: log(1 - w) = -sum_{k<=K} w^k/k + O(w^(K+1)).
 #: Every K meets the 1e-12 of :func:`_auto_terms`; a larger K only takes fewer terms.
-_TAIL_ORDER = 2
+#: Past 4 the _power_sum calls and the 50-term floor take over, and no call is faster.
+_TAIL_ORDER = 4
 
 
 def _auto_terms(z, alpha: float):

@@ -82,7 +82,9 @@ def integrate_adaptive(f, x0, x1, y0, tol, x_eval=()):
             if err <= allowed:
                 x = x + h
                 y = y5
-                factor = _MAX_FACTOR if err == 0.0 else min(
+                # past allowed / err = 1e10 the min is _MAX_FACTOR anyway, and a
+                # subnormal err would overflow the division
+                factor = _MAX_FACTOR if err <= 1e-10 * allowed else min(
                     _MAX_FACTOR, _SAFETY * (allowed / err) ** 0.2
                 )
             else:

@@ -808,7 +808,7 @@ NON_FINITE_DOCS = [
 class TestExtremeInputsSweep:
     """Every subcommand, run with extreme but cheap inputs, ends in an exit
     code, never in an exception out of main.  hadamard at |z| = 1e30 would
-    need 4.1e12 terms, past entire.MAX_TERMS, and exits 2 before it
+    need 2.9e11 terms, past entire.MAX_TERMS, and exits 2 before it
     allocates any."""
 
     EXTREMES = ["1e300", "-1e300", "inf", "-inf", "nan"]

@@ -355,7 +355,7 @@ class TestHadamard:
 
     @pytest.mark.parametrize("fn", [hadamard_a, hadamard_a_log, hadamard_c, hadamard_c_log])
     def test_past_the_term_cap_raises_before_allocating(self, fn):
-        # |z| = 1e30 at alpha = 3 needs 4.1e12 terms; no zeros may be built
+        # |z| = 1e30 at alpha = 3 needs 2.9e11 terms; no zeros may be built
         fail = mock.Mock(side_effect=AssertionError("zeros built"))
         with mock.patch.object(entire, "_a_zeros", fail), mock.patch.object(entire, "hadamard_c_zeros", fail):
             with pytest.raises(ValueError, match=f"at most {entire.MAX_TERMS}"):
@@ -447,6 +447,15 @@ def assert_same_bits(got, ref):
 HADAMARD_FNS = list(HADAMARD_REF)
 
 
+def growth_pool_hadamard() -> list[dict]:
+    """The growth benchmark pool's 24 Hadamard fits (family, alpha, radii)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data", "growth.json")
+    with open(path) as f:
+        queries = json.load(f)["queries"]["hadamard"]
+    assert len(queries) == 24
+    return queries
+
+
 class TestBatchedHadamard:
     @given(
         st.integers(0, 2**32 - 1),
@@ -458,11 +467,11 @@ class TestBatchedHadamard:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_grid_matches_per_element_reference(self, seed, alpha, fn, N):
-        # radii from 1e-2 to 1e7 give many distinct N on one grid (four at
+        # radii from 1e-2 to 1e9 give many distinct N on one grid (four at
         # alpha = 5), and the 60 small radii one group of N = 50 that spans
         # several blocks
         rng = np.random.default_rng(seed)
-        r = np.concatenate([rng.uniform(0.0, 1.0, 60), np.geomspace(1e-2, 1e7, 10)])
+        r = np.concatenate([rng.uniform(0.0, 1.0, 60), np.geomspace(1e-2, 1e9, 10)])
         Z = (r * np.exp(2j * PI * rng.uniform(0.0, 1.0, r.size))).reshape(5, 14)
         if N is None:
             assert len({entire._auto_terms(v, alpha) for v in Z.flat}) > 3
@@ -505,10 +514,10 @@ class TestBatchedHadamard:
         assert type(fn(-3.7, 3.0)) is (float if log else complex)
 
     def test_grid_memory_stays_at_one_row(self):
-        # N ~ 2.3e4 at |z| = 1e8, alpha = 3: an (n_radii, n_phases, N) block
-        # would be ~70 MB; the grid must stay within twice one z's peak
-        alpha, z1 = 3.0, 1e8 * np.exp(0.37j)
-        radii = np.geomspace(1e5, 1e8, 12)
+        # N ~ 2.1e4 at |z| = 1e10, alpha = 3: an (n_radii, n_phases, N) block
+        # would be ~64 MB; the grid must stay within twice one z's peak
+        alpha, z1 = 3.0, 1e10 * np.exp(0.37j)
+        radii = np.geomspace(1e7, 1e10, 12)
         Z = radii[:, None] * np.exp(2j * PI * (np.arange(16) + 0.37) / 16)[None, :]
         assert entire._auto_terms(z1, alpha) > 15000
 
@@ -527,10 +536,7 @@ class TestBatchedHadamard:
 
     def test_benchmark_grids_match_scalar_calls(self):
         # the growth pool's 24 (family, alpha) fits, on their own 12 x 16 grid
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data", "growth.json")
-        with open(path) as f:
-            queries = json.load(f)["queries"]["hadamard"]
-        assert len(queries) == 24
+        queries = growth_pool_hadamard()
 
         def math_terms(z, alpha):  # the per-element formula with math's log and exp
             K = entire._TAIL_ORDER
@@ -549,6 +555,17 @@ class TestBatchedHadamard:
             assert terms.tolist() == [[math_terms(v, a["alpha"]) for v in row] for row in Z.tolist()]
             alone = np.array([[fn(v, a["alpha"]) for v in row] for row in Z.tolist()])
             assert_same_bits(fn(Z, a["alpha"]), alone)
+
+    def test_term_counts_are_pinned(self):
+        # the exact factors at the default K, which the README quotes
+        total = 0
+        for q in growth_pool_hadamard():
+            a = q["args"]
+            total += int(entire._auto_terms(entire._fit_grid(a["r_min"], a["r_max"], 12, 16)[1], a["alpha"]).sum())
+        assert total == 298272
+        _, Z = entire._fit_grid(1e2, 1e5, 12, 16)
+        assert entire._auto_terms(Z, 3.0).sum() == 25984
+        assert entire._auto_terms(Z, 5.0).sum() == 9600
 
     def test_one_array_pass_per_call(self):
         # N for the whole grid in one call, and K tail sums per distinct N:
@@ -674,9 +691,10 @@ class TestHadamardTails:
 
     @pytest.mark.parametrize("alpha", [2.2, 3.0, 3.53, 3.7, 4.9, 5.0, 7.3])
     def test_raising_the_tail_order_is_one_constant(self, alpha, monkeypatch):
-        # at K = 4 every S_k, k <= 4, keeps 1e-15 in both families, from the
-        # direct sum (N + 1 < 4 k alpha) to the expansion at a = 1e6, where
-        # a^(1 - k alpha) with k alpha rounded first was off by 1.2e-14
+        # at K = 4, the default, every S_k, k <= 4, keeps 1e-15 in both
+        # families, from the direct sum (N + 1 < 4 k alpha) to the expansion
+        # at a = 1e6, where a^(1 - k alpha) with k alpha rounded first was off
+        # by 1.2e-14; the patch holds K = 4 here if the default moves
         entire._expansion.cache_clear()
         monkeypatch.setattr(entire, "_TAIL_ORDER", 4)
         try:
@@ -704,6 +722,20 @@ class TestHadamardTails:
         for z in (-1e5, 3e4j, 1e5 * cmath.exp(0.37j), 2e3 * cmath.exp(0.01j), -7.3 + 2.0j, 0.4):
             v = fn(z, alpha)
             assert abs(v - _hadamard_log_mpmath(family, alpha, z)) <= 1e-12 * max(1.0, abs(v)), z
+
+    @pytest.mark.parametrize("family", ["a", "c"])
+    def test_benchmark_outer_row_matches_the_infinite_product(self, family):
+        # the pool's smallest alpha of each family, at its r_max = 1e5 row,
+        # where N is smallest against |z| and the tail carries the most
+        fits = [q["args"] for q in growth_pool_hadamard() if q["args"]["family"] == family]
+        a = min(fits, key=lambda a: a["alpha"])
+        assert a["r_max"] == 1e5
+        fn = hadamard_a_log if family == "a" else hadamard_c_log
+        _, Z = entire._fit_grid(a["r_min"], a["r_max"], 12, 16)
+        row = Z[-1, ::5]
+        got = fn(row, a["alpha"])
+        for z, v in zip(row.tolist(), got.tolist()):
+            assert abs(v - _hadamard_log_mpmath(family, a["alpha"], z)) <= 1e-12 * max(1.0, abs(v)), z
 
     @pytest.mark.parametrize("fn", HADAMARD_FNS)
     @pytest.mark.parametrize("alpha", [3.0, 3.5, 4.5])

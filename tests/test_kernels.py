@@ -132,6 +132,7 @@ class TestAgainstRK:
         ref, _ = rk_theta(H, t, theta0)
         assert pruefer.theta_at(H, t, theta0, H.x_max) == pytest.approx(ref, abs=1e-9)
 
+    @pytest.mark.slow
     @given(st.lists(tables(), min_size=1, max_size=2), st.floats(-20.0, 20.0), st.data())
     @settings(max_examples=25, deadline=None)
     def test_x_eval_inside_table_pieces(self, segs, t, data):

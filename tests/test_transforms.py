@@ -127,6 +127,15 @@ class TestRKCheckpoints:
         assert len(ys) == len(xs)
         assert np.allclose(ys, np.exp(-np.array(xs)), rtol=0.0, atol=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_error_norm_takes_the_largest_step_quietly(self):
+        # y' = c x^6 with c = 1e-310: the accepted steps' error norms are
+        # positive but subnormal, so allowed / err would overflow
+        c = 1e-310
+        xs, ys = rk.integrate_adaptive(lambda x, y: c * x**6, 0.0, 1.0, 0.0, 1e-10)
+        assert xs == [0.0, 1.0]
+        assert ys[-1] == pytest.approx(c / 7, rel=1e-6)
+
 
 class TestMolchanovNew:
     def test_potential_continues_by_its_last_value(self):
