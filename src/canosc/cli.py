@@ -22,6 +22,7 @@ additionally writes plot-ready columns.  Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -398,9 +399,9 @@ def cmd_hadamard(args):
         "z": [z.real, z.imag],
         "log_abs": fam_log(z, args.alpha),
     }
-    v = fam(z, args.alpha)
-    if abs(v) < 1e300:
-        out["value"] = [v.real, v.imag]
+    with contextlib.suppress(OverflowError):  # past the float range, log_abs alone answers
+        if abs(v := fam(z, args.alpha)) < 1e300:
+            out["value"] = [v.real, v.imag]
     if args.fit_order:
         fit = entire.order_fit(
             lambda zz: fam_log(zz, args.alpha), 1e2, 1e6, log_abs=True

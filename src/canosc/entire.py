@@ -318,7 +318,7 @@ def type_fit_imaginary(
 MAX_TERMS = 2**26
 #: powers K of z/z_n the tail keeps: log(1 - w) = -sum_{k<=K} w^k/k + O(w^(K+1)).
 #: Every K meets the 1e-12 of :func:`_auto_terms`; a larger K only takes fewer terms.
-#: Past 4 the _power_sum calls and the 50-term floor take over, and no call is faster.
+#: On the growth pool's fits K = 5 is 6 % faster and K = 6 no faster (README, Hadamard).
 _TAIL_ORDER = 4
 
 
@@ -390,55 +390,56 @@ def _expansion(alpha: float, family: str) -> tuple[tuple[float, ...], ...]:
     return tuple(out)
 
 
-def _power_sum(alpha: float, a: float, k: int, family: str) -> float:
-    """S_k = sum_{n>=a} z_n^-k for the zeros z_n = n^alpha of hadamard_a
-    (family "a", where it is zeta(k alpha, a) for any a > 0) or
-    (n^alpha + (n+1)^alpha)/2 of hadamard_c ("c", a a positive integer).
-
-    Below a = max(30, 4 k alpha) the terms (1/z_n)^k are summed directly
-    (until the rest, at most a^(1-s) (1/a + 1/(s-1)) with s = k alpha, is
-    below 1e-17 of the first).  From there on the 20 terms of
-    :func:`_expansion` reach double precision: the series of g(u)^k
-    converges for |u| < R = min(1, 2 sin(pi / (2 alpha))) in family c, its
-    nearest pole or branch point, and R a >= 12 there (in family a,
-    g^k = 1).  z_n^-k is taken as (1/z_n)^k, a^(1-k alpha) as
-    a^(1-alpha) (a^-alpha)^(k-1), and family c's (a/(a+1))^alpha through
-    log1p, so that neither k alpha nor a/(a+1) is rounded before a large
-    power.
+def _power_sum(alpha: float, a: float, family: str) -> tuple[int, tuple[float, ...]]:
+    """(e, T): T_k = 2^(k e) S_k, k <= K = _TAIL_ORDER, for S_k = sum_{n>=a} z_n^-k
+    over the zeros z_n = n^alpha of hadamard_a ("a", S_k = zeta(k alpha, a),
+    any a > 0) or (n^alpha + (n+1)^alpha)/2 of hadamard_c ("c", a a positive
+    integer); 2^e a^-alpha is in [1/2, 1), so T_k does not underflow where
+    z^k S_k is in range.  Below a = max(30, 4 k alpha) the (2^e / z_n)^k,
+    one list for every k, are summed directly, until the rest (at most
+    a^(1-s) (1/a + 1/(s-1)), s = k alpha) is below 1e-17 of the first; then
+    the 20 terms of :func:`_expansion` reach double precision (in family c
+    the series of g(u)^k converges for |u| < R = min(1, 2 sin(pi / (2 alpha))),
+    and R a >= 12).  No large power takes a rounded k alpha or a/(a+1).
     """
-    s = k * alpha
-    terms = []
-    while a < max(_EM_MIN_A, 4.0 * s):
-        if family == "c":
-            terms.append((2.0 * (a + 1.0) ** -alpha / (1.0 + math.exp(-alpha * math.log1p(1.0 / a)))) ** k)
+    e = -math.frexp(a**-alpha)[1]
+    inv, sums = [], []  # inv[i] = 2^e / z_n at n = a + i
+    for k in range(1, _TAIL_ORDER + 1):
+        s, b, terms = k * alpha, a, []
+        stop, c1 = max(_EM_MIN_A, 4.0 * s), 1.0 / (s - 1.0)
+        while b < stop:
+            i = len(terms)
+            if i == len(inv):
+                c = 2.0 * (b + 1.0) ** -alpha / (1.0 + math.exp(-alpha * math.log1p(1.0 / b))) if family == "c" else b**-alpha
+                inv.append(math.ldexp(c, e))
+            terms.append(inv[i] ** k)
+            b += 1.0
+            if b * math.ldexp(b**-alpha, e) ** k * (1.0 / b + c1) <= 1e-17 * terms[0]:
+                break
         else:
-            terms.append((a**-alpha) ** k)
-        a += 1.0
-        if a ** (1.0 - s) * (1.0 / a + 1.0 / (s - 1.0)) <= 1e-17 * terms[0]:
-            return math.fsum(terms)
-    acc = 0.0
-    for p in reversed(_expansion(alpha, family)[k - 1]):
-        acc = acc / a + p
-    return math.fsum(terms + [a ** (1.0 - alpha) * (a**-alpha) ** (k - 1) * acc])
+            acc = 0.0
+            for p in reversed(_expansion(alpha, family)[k - 1]):
+                acc = acc / b + p
+            terms.append(math.ldexp(b ** (1.0 - alpha), e) * math.ldexp(b**-alpha, e) ** (k - 1) * acc)
+        sums.append(math.fsum(terms))
+    return e, tuple(sums)
 
 
 def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False):
     """scale * prod_{n<=N} (1 - z/z_n) * exp(-sum_{k<=K} z^k S_k / k), or
     log |.|, over the zeros of hadamard_c with scale = z if ``scaled``, else
-    of hadamard_a with scale = 1, and K = _TAIL_ORDER, elementwise; a scalar
-    z is the 0-d case.
-
-    S_k = sum_{n>N} z_n^-k is :func:`_power_sum` at a = N + 1.  N (from
-    :func:`_auto_terms` if omitted) keeps every zero near z exact and the
-    neglected order-(K+1) remainder below 1e-12.  An explicit N is an
-    integer in [0, MAX_TERMS], else a ValueError before any allocation;
-    N = 0 is the pure tail product exp(-sum_k z^k S_k / k).  A z or alpha
-    that is not finite, or alpha <= 2, is a ValueError.  Without ``log``, z
-    within 1e-12 of a retained zero gives exactly 0.  Elements of equal N
-    share one set of tail sums and one slice of the zeros, and are reduced
-    in blocks of at most 2^11 entries (or one row); the tail (Horner's rule
-    in z) and the result are array expressions: each element has the bits,
-    and no temporary outgrows the size, of a call at that z alone.
+    of hadamard_a with scale = 1 (K = _TAIL_ORDER, S_k from :func:`_power_sum`
+    at a = N + 1, N from :func:`_auto_terms` if omitted), elementwise; a
+    scalar z is the 0-d case.  Without ``log``, z within 1e-12 of a retained
+    zero gives 0, and a value past the float range is an OverflowError.  The
+    log is real: with z = x + iy and u = 1/z_n, log |1 - z u| is half of
+    log(a^2 + b^2), a = (z_n - x) u (exact near a zero), b = y u, both times
+    2^-s, s >= 0 the least with max(|x|, |y|) < 2^(s + 510), so the squares
+    stay finite; below max(|x|, |y|) = 1/2 it is half of log1p(p (p - 2) +
+    b^2), p = x u.  One stable argsort of the term counts groups the
+    elements; a group shares its tail sums and zeros and is reduced in blocks
+    of at most 2^14 entries (or one row).  Each element has the bits, and no
+    temporary outgrows the size, of a call at that z alone.
     """
     if not 2.0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and exceed 2, not {alpha}")
@@ -448,48 +449,59 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
     if N is not None and not (isinstance(N, (int, np.integer)) and 0 <= N <= MAX_TERMS):
         raise ValueError(f"N = {N!r} terms; need an integer from 0 to at most {MAX_TERMS}")
     terms = _auto_terms(zs, alpha) if N is None else np.full(zs.size, N)
-    ns, group = np.unique(terms, return_inverse=True)
     family = "c" if scaled else "a"
     zeros = (hadamard_c_zeros if scaled else _a_zeros)(alpha, int(terms.max(initial=0)))
-    # S_K / K, ..., S_1 / 1: the Horner coefficients of each N
-    coef = [[_power_sum(alpha, n + 1.0, k, family) / k for k in range(_TAIL_ORDER, 0, -1)] for n in ns.tolist()]
-    red = np.empty(zs.size, dtype=float if log else np.result_type(zs, float))
-    near = np.empty(zs.size)  # min |z - z_n|, for the exact zeros
-    with np.errstate(divide="ignore"):
-        for g, n in enumerate(ns.tolist()):
-            ks = np.flatnonzero(group == g)
-            rows = max(1, 2048 // max(n, 1))
-            for i in range(0, ks.size, rows):
-                kb = ks[i : i + rows]
-                w = zs[kb, None] / zeros[:n]
-                np.subtract(1.0, w, out=w)
-                if log:
-                    a = np.abs(w)
-                    red[kb] = np.log(a, out=a).sum(axis=1)
+    zeros = zeros[: np.searchsorted(zeros, np.inf)]  # a zero past the float range has the factor 1
+    big = np.maximum(np.abs(zs.real), np.abs(zs.imag))
+    key = 2 * terms + (big >= 0.5)  # N, then the log1p form (0) or the squared one (1)
+    order = np.argsort(key, kind="stable")
+    key, zo, s = key[order], zs[order], np.maximum(np.frexp(big[order])[1] - 510, 0)
+    m = np.ldexp(1.0, -s)[:, None] if s.any() else None
+    red, near = np.empty(zs.size, dtype=float if log else np.result_type(zs, float)), np.empty(zs.size)
+    coef, i, n_sums = np.empty((zs.size, _TAIL_ORDER + 1)), 0, None  # 2^-e, T_K / K, ..., T_1 / 1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while i < zs.size:
+            j = int(np.searchsorted(key, key[i], side="right"))
+            n, squared = divmod(int(key[i]), 2)
+            if n != n_sums:  # both forms of one N share its tail sums
+                (e, T), n_sums, u = _power_sum(alpha, n + 1.0, family), n, 1.0 / zeros[:n]
+            coef[i:j] = [math.ldexp(1.0, -e)] + [T[k - 1] / k for k in range(_TAIL_ORDER, 0, -1)]
+            rows = max(1, 2**14 // max(n, 1))
+            for blk in (slice(b0, min(b0 + rows, j)) for b0 in range(i, j, rows)):
+                if not log:
+                    red[blk] = (1.0 - zo[blk, None] / zeros[:n]).prod(axis=1)
+                    near[blk] = np.abs(zo[blk, None] - zeros[:n]).min(axis=1, initial=np.inf)
+                    continue
+                b = np.multiply.outer(zo.imag[blk], u)
+                if squared:
+                    a = zeros[:n] - zo.real[blk, None]
+                    a *= u
+                    if m is not None:
+                        a *= m[blk]
+                        b *= m[blk]
+                    a *= a
                 else:
-                    red[kb] = w.prod(axis=1)
-                    near[kb] = np.abs(np.subtract(zs[kb, None], zeros[:n], out=w)).min(axis=1, initial=np.inf)
-    # on real and imaginary parts, in CPython's order of complex arithmetic:
-    # u + c is (ur + c, ui + 0.0) and u * v is (ur vr - ui vi, ur vi + ui vr)
-    zr, zi = zs.real.astype(float), zs.imag.astype(float)
-    tr = ti = 0.0
-    for c in np.reshape(coef, (-1, _TAIL_ORDER))[group].T:
-        ur, ui = tr + c, ti + 0.0
-        tr, ti = ur * zr - ui * zi, ur * zi + ui * zr
-    absz = np.hypot(zr, zi)  # abs(z) to the bit, where np.abs is not
-    if log:  # log |z| by math.log, where np.log is not to the bit
-        lsc = np.array([math.log(v) if v >= 1e-300 else -math.inf for v in absz.tolist()]) if scaled else 0.0
-        out = lsc + red - tr
-    else:  # scale * r * exp(-t), where a real z has a real t and exp(-t)
-        e = np.exp(np.column_stack((-tr, -ti)).view(complex)[:, 0] if np.iscomplexobj(zs) else -tr)
-        sr, si = (zr, zi) if scaled else (1.0, 0.0)
-        pr, pim = sr * red.real - si * red.imag, sr * red.imag + si * red.real
-        out = np.column_stack((pr * e.real - pim * e.imag, pr * e.imag + pim * e.real)).view(complex)[:, 0]
-        exact = near < 1e-12 * np.maximum(1.0, absz)
-        tiny = (absz < 1e-300) & scaled  # disjoint from exact: every z_n >= 1
-        out[exact], out[tiny] = 0.0, zs[tiny]
-        if np.ndim(z) == 0 and np.iscomplexobj(zs) and not (exact | tiny)[0]:
-            return out[0]  # the per-element product is numpy's for a complex z
+                    a = np.multiply.outer(zo.real[blk], u)
+                    a *= a - 2.0
+                b *= b
+                a += b
+                red[blk] = (np.log if squared else np.log1p)(a, out=a).sum(axis=1)
+                if squared and m is not None:
+                    red[blk] += (2.0 * u.size * math.log(2.0)) * s[blk]
+            i = j
+        w = zo * coef[:, 0]  # z / 2^e, exactly
+        t = functools.reduce(lambda t, c: (t + c) * w, coef.T[1:], 0.0)  # Horner's rule
+        if log:
+            out = (np.log(np.abs(zo)) if scaled else 0.0) + 0.5 * red - np.real(t)
+        else:
+            out = np.asarray((zo * red if scaled else red) * np.exp(-t), dtype=complex)
+            exact = near < 1e-12 * np.maximum(1.0, np.abs(zo))
+            out[exact] = 0.0
+            if not np.isfinite(out).all():
+                raise OverflowError(f"|hadamard_{family}(z)| passes the float range; use hadamard_{family}_log")
+            if np.ndim(z) == 0 and np.iscomplexobj(zs) and not exact[0]:
+                return out[0]  # the per-element product is numpy's for a complex z
+    out[order] = out.copy()
     return out.reshape(np.shape(z)) if np.ndim(z) else out.item()
 
 

@@ -356,6 +356,16 @@ class TestHadamard:
         assert doc["expected_order"] == pytest.approx(1.0 / 3.0)
         assert abs(doc["fitted_order"] - 1.0 / 3.0) < 0.15
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_value_past_the_float_range_is_left_out_quietly(self, capsys):
+        # |A(1e200 (1 + i))| = exp(4.03e6) at alpha = 40: log_abs, and no value
+        code = cli.main(["hadamard", "--family", "a", "--alpha", "40", "--z", "1e200", "1e200"])
+        out = capsys.readouterr()
+        assert code == 0 and out.err == ""
+        doc = json.loads(out.out)
+        assert "value" not in doc
+        assert doc["log_abs"] == pytest.approx(4031686.7242105715, rel=1e-12)
+
     def test_z_takes_at_most_two_values(self, run):
         code, out = run("hadamard", "--alpha", "3.0", "--z", "1", "2", "3")
         assert code == 1

@@ -385,6 +385,19 @@ class TestHadamard:
                 fn(np.array([1.0, 1e300j]), 2.0000001)
         assert not fail.called
 
+    @pytest.mark.parametrize("fn, z, alpha", [
+        (hadamard_a, -1e12, 5.0), (hadamard_c, -1e12, 5.0), (hadamard_a, 1e200 + 1e200j, 40.0),
+        (hadamard_a, np.array([2.0j, -1e12]), 5.0), (hadamard_c, np.array([[2.0j], [1e200 + 1e200j]]), 40.0),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_past_the_float_range_raises_overflow(self, fn, z, alpha):
+        # log |A(-1e12)| is about 1341 at alpha = 5: the value leaves the
+        # float range, which is an OverflowError naming the log form, never a NaN
+        with pytest.raises(OverflowError, match=f"use {fn.__name__}_log"):
+            fn(z, alpha)
+        v = {hadamard_a: hadamard_a_log, hadamard_c: hadamard_c_log}[fn](z, alpha)
+        assert np.isfinite(v).all() and np.max(v) > 1300.0
+
     def test_term_cap_covers_alpha_near_two(self):
         assert entire._auto_terms(1e6, 2.0000001) <= entire.MAX_TERMS < entire._auto_terms(1e30, 3.0)
 
@@ -397,24 +410,47 @@ class TestHadamard:
 
 def _hadamard_at(z, alpha, N, family, log, scale):
     """One z at a time, with its own zeros and tail sums: the per-element
-    formula the batched Hadamard products must reproduce bit for bit.  The
-    tail is sum_{k<=K} z^k S_k / k, S_k = _power_sum(alpha, N + 1, k, family),
-    by Horner's rule from k = K down."""
+    formula the batched Hadamard products must reproduce bit for bit.  Every
+    step is numpy arithmetic on 1-element arrays (numpy scalars may round
+    otherwise).  With (e, T) = _power_sum(alpha, N + 1, family), the tail
+    sum_{k<=K} z^k S_k / k is Horner's rule from k = K down in w = z / 2^e
+    on T_k / k.  log |1 - z/z_n| is half of log((z_n - x)^2 u^2 + (y u)^2)
+    with u = 1/z_n, each factor scaled by 2^-s past max(|x|, |y|) = 2^509,
+    or half of log1p(p (p - 2) + (y u)^2), p = x u, below max(|x|, |y|) = 1/2."""
+    zz = np.array([z])
     if N is None:
         N = entire._auto_terms(z, alpha)
-    if abs(scale) < 1e-300:
-        return -math.inf if log else complex(scale)
     zeros = (hadamard_c_zeros if family == "c" else entire._a_zeros)(alpha, N)
-    tail = 0.0
+    zeros = zeros[np.isfinite(zeros)]
+    e, T = entire._power_sum(alpha, N + 1.0, family)
+    w, t = zz * np.array([math.ldexp(1.0, -e)]), 0.0
     for k in range(entire._TAIL_ORDER, 0, -1):
-        tail = (tail + entire._power_sum(alpha, N + 1.0, k, family) / k) * z
-    if log:
-        with np.errstate(divide="ignore"):
-            s = float(np.sum(np.log(np.abs(1.0 - z / zeros))))
-        return math.log(abs(scale)) + s - float(tail.real)
-    if np.min(np.abs(z - zeros)) < 1e-12 * max(1.0, abs(z)):
-        return 0.0 + 0.0j
-    return scale * complex(np.prod(1.0 - z / zeros)) * np.exp(-tail)
+        t = (t + np.array([T[k - 1] / k])) * w
+    absz = np.abs(zz)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if log:
+            x, y = zz.real.astype(float), zz.imag.astype(float)
+            big = max(abs(x[0]), abs(y[0]))
+            u = 1.0 / zeros
+            b = np.multiply.outer(y, u)
+            if big >= 0.5:
+                s = max(0, math.frexp(big)[1] - 510)
+                a = (zeros - x[:, None]) * u
+                if s:
+                    a, b = a * math.ldexp(1.0, -s), b * math.ldexp(1.0, -s)
+                red = np.log(a * a + b * b).sum(axis=1)
+                if s:
+                    red = red + (2.0 * u.size * math.log(2.0)) * np.array([s])
+            else:
+                p = np.multiply.outer(x, u)
+                red = np.log1p(p * (p - 2.0) + b * b).sum(axis=1)
+            lsc = np.log(absz) if family == "c" else 0.0
+            return (lsc + 0.5 * red - np.real(t)).item()
+        if np.abs(zz[:, None] - zeros).min(initial=np.inf) < 1e-12 * max(1.0, absz[0]):
+            return 0.0 + 0.0j
+        red = (1.0 - zz[:, None] / zeros).prod(axis=1)
+        out = np.asarray((zz * red if family == "c" else red) * np.exp(-t), dtype=complex)
+    return out[0] if np.iscomplexobj(zz) else out.item()
 
 
 #: public function -> (family, log) of its reference; family c is scaled by z
@@ -475,7 +511,13 @@ class TestBatchedHadamard:
         Z = (r * np.exp(2j * PI * rng.uniform(0.0, 1.0, r.size))).reshape(5, 14)
         if N is None:
             assert len({entire._auto_terms(v, alpha) for v in Z.flat}) > 3
-        assert_same_bits(fn(Z, alpha, N), hadamard_ref(fn, Z, alpha, N))
+        ref = hadamard_ref(fn, Z, alpha, N)
+        if not np.isfinite(ref).all():
+            # a value past the float range raises; the rest keep their bits without it
+            with pytest.raises(OverflowError, match="_log"):
+                fn(Z, alpha, N)
+            Z, ref = Z[np.isfinite(ref)], ref[np.isfinite(ref)]
+        assert_same_bits(fn(Z, alpha, N), ref)
 
     @given(st.integers(0, 2**32 - 1), st.floats(2.2, 5.0), st.sampled_from(HADAMARD_FNS))
     @settings(max_examples=60, deadline=None)
@@ -568,8 +610,8 @@ class TestBatchedHadamard:
         assert entire._auto_terms(Z, 5.0).sum() == 9600
 
     def test_one_array_pass_per_call(self):
-        # N for the whole grid in one call, and K tail sums per distinct N:
-        # no Python step runs once per element
+        # N for the whole grid in one call, and one _power_sum call (all K
+        # tail sums) per distinct N: no Python step runs once per element
         alpha = 3.0
         _, Z = entire._fit_grid(1e2, 1e5, 12, 16)
         distinct = np.unique(entire._auto_terms(Z, alpha)).size
@@ -578,11 +620,17 @@ class TestBatchedHadamard:
                 mock.patch.object(entire, "_auto_terms", wraps=entire._auto_terms) as at:
             hadamard_c_log(Z, alpha)
         assert at.call_count == 1
-        assert ps.call_count == distinct * entire._TAIL_ORDER
+        assert ps.call_count == distinct
+
+
+def power_sums(alpha, a, family):
+    """[S_1, ..., S_K] from _power_sum's T_k = 2^(k e) S_k."""
+    e, T = entire._power_sum(alpha, a, family)
+    return [math.ldexp(t, -k * e) for k, t in enumerate(T, 1)]
 
 
 class TestHurwitzZeta:
-    """Family a's power sum at k = 1 is the Hurwitz zeta: _power_sum(s, a, 1, "a") = zeta(s, a)."""
+    """Family a's power sum at k = 1 is the Hurwitz zeta: power_sums(s, a, "a")[0] = zeta(s, a)."""
 
     @given(st.floats(2.0, 8.0, exclude_min=True), st.floats(0.0, 7.0))
     @settings(max_examples=200, deadline=None)
@@ -590,14 +638,14 @@ class TestHurwitzZeta:
         a = 2.0 * 10.0 ** (log_a * (math.log10(5e6) / 7.0))  # a in [2, 1e7]
         with mpmath.workdps(40):
             ref = mpmath.zeta(s, a)
-        assert abs(entire._power_sum(s, a, 1, "a") - ref) <= 1e-15 * ref
+        assert abs(power_sums(s, a, "a")[0] - ref) <= 1e-15 * ref
 
     @pytest.mark.parametrize("s", [2.0 + 1e-9, 3.0, 5.5, 8.0])
     def test_small_integer_a_matches_mpmath(self, s):
         for a in range(2, 60):
             with mpmath.workdps(40):
                 ref = mpmath.zeta(s, a)
-            assert abs(entire._power_sum(s, float(a), 1, "a") - ref) <= 1e-15 * ref
+            assert abs(power_sums(s, float(a), "a")[0] - ref) <= 1e-15 * ref
 
     def test_explicit_small_n_tail(self):
         # the tail exp(-sum_{k<=K} z^k zeta(k alpha, N + 1) / k) is exact for
@@ -633,7 +681,7 @@ class TestHurwitzZeta:
             # mpmath subtracts from zeta(s) at integer a: it needs digits past zeta(s, a)'s exponent
             with mpmath.workdps(30 + int(s * math.log10(a))):
                 ref = mpmath.zeta(s, a)
-            assert abs(entire._power_sum(s, a, 1, "a") - ref) <= 1e-15 * ref
+            assert abs(power_sums(s, a, "a")[0] - ref) <= 1e-15 * ref
 
 
 def _c_tail_mpmath(alpha, N, k, J=24):
@@ -687,7 +735,7 @@ class TestHadamardTails:
     def test_c_tail_matches_mpmath(self, alpha, N):
         for k in range(1, entire._TAIL_ORDER + 1):
             ref = float(_c_tail_mpmath(alpha, N, k))
-            assert abs(entire._power_sum(alpha, N + 1.0, k, "c") - ref) <= 1e-15 * ref, k
+            assert abs(power_sums(alpha, N + 1.0, "c")[k - 1] - ref) <= 1e-15 * ref, k
 
     @pytest.mark.parametrize("alpha", [2.2, 3.0, 3.53, 3.7, 4.9, 5.0, 7.3])
     def test_raising_the_tail_order_is_one_constant(self, alpha, monkeypatch):
@@ -704,7 +752,7 @@ class TestHadamardTails:
                     with mpmath.workdps(30 + int(k * alpha * math.log10(N + 2))):
                         ref_a = float(mpmath.zeta(k * mpmath.mpf(alpha), N + 1))
                     for family, ref in (("a", ref_a), ("c", float(_c_tail_mpmath(alpha, N, k)))):
-                        v = entire._power_sum(alpha, N + 1.0, k, family)
+                        v = power_sums(alpha, N + 1.0, family)[k - 1]
                         assert abs(v - ref) <= 1e-15 * ref, (family, N, k)
             for family, fn in (("a", hadamard_a_log), ("c", hadamard_c_log)):
                 for z in (-1e5, 3e4j, 1e5 * cmath.exp(0.37j), -7.3 + 2.0j):
@@ -763,6 +811,66 @@ class TestHadamardTails:
         with np.errstate(over="ignore"):  # n^alpha is inf past the float range
             for alpha in (50.0, 100.0, 1e3, 1e300):
                 assert not np.isnan(fn(Z, alpha)).any()
+
+
+#: log |A(z)| at alpha = 40 (auto N = 119 031) from _hadamard_log_mpmath.  Past
+#: |z| u_1 = 1e154 an unscaled (1 - x u)^2 overflows; at z = -1e200 a tail
+#: sum S_2 ~ 1e-403 that underflows moves the value by 1.3e-3
+A40_LOG = {1e200 + 1e200j: 4031686.7242105715, -1e200: 4003848.2805202063}
+
+
+class TestHadamardLogForm:
+    """The real-arithmetic log form where it is hardest: past the range of
+    the squares, next to a retained zero, and at tiny |z|."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_past_the_range_of_the_squares(self):
+        for z, ref in A40_LOG.items():
+            assert abs(hadamard_a_log(z, 40.0) - ref) <= 1e-12 * ref, z
+
+    @pytest.mark.slow
+    def test_past_the_range_of_the_squares_against_mpmath(self):
+        # the reference values above: 1.2e5 exact factors each, about 6 s
+        for z, ref in A40_LOG.items():
+            assert abs(_hadamard_log_mpmath("a", 40.0, z) - ref) <= 1e-15 * ref, z
+
+    @pytest.mark.parametrize("family", ["a", "c"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_next_to_a_retained_zero(self, family):
+        # integer alpha keeps the zeros exact; z within 1e-6 relative of z_n,
+        # 1e-9 z_n off the axis, where 1 - x u would lose six digits
+        fn = hadamard_a_log if family == "a" else hadamard_c_log
+        for alpha in (3.0, 4.0):
+            zeros = (hadamard_c_zeros if family == "c" else entire._a_zeros)(alpha, 12)
+            for zn, sign in zip(zeros[[0, 1, 4, 11]], (1.0, -1.0, -1.0, 1.0)):
+                z = complex(zn * (1.0 + sign * 1e-6), -sign * 1e-9 * zn)
+                v = fn(z, alpha)
+                assert abs(v - _hadamard_log_mpmath(family, alpha, z)) <= 1e-12 * max(1.0, abs(v)), (alpha, z)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_z(self):
+        # |z| <= 1e-3: family a's log is O(|z|) and within 1e-15 absolute;
+        # family c's adds log |z|, whose own rounding is near 1e-15
+        rng = np.random.default_rng(22)
+        zs = [1e-3, -1e-3, 1e-3j, 0.0] + list(10.0 ** rng.uniform(-12.0, -3.0, 6) * np.exp(2j * PI * rng.uniform(0.0, 1.0, 6)))
+        for z, alpha in zip(zs, rng.uniform(2.2, 6.0, len(zs))):
+            assert abs(hadamard_a_log(z, alpha) - _hadamard_log_mpmath("a", alpha, z)) <= 1e-15, (z, alpha)
+            if z:
+                v = hadamard_c_log(z, alpha)
+                assert abs(v - _hadamard_log_mpmath("c", alpha, z)) <= 1e-15 * abs(v), (z, alpha)
+        assert hadamard_a_log(0.0, 3.0) == 0.0 and hadamard_a(0.0, 3.0) == 1.0
+
+    @pytest.mark.parametrize("fn", [hadamard_a_log, hadamard_c_log])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_mixing_huge_and_ordinary_elements(self, fn):
+        # 2^-s scales only the huge elements (s > 0 past 2^509), so every
+        # element keeps the bits of its call alone
+        Z = np.array([[1e200 + 1e200j, -1e200, 3.0 - 4.0j, 2.0**510 * (1 + 1j)],
+                      [1e-4j, 0.0, 5e4 * cmath.exp(0.37j), -(2.0**509)]])
+        got = fn(Z, 40.0)
+        assert_same_bits(got, hadamard_ref(fn, Z, 40.0))
+        assert_same_bits(got, np.array([[fn(v, 40.0) for v in row] for row in Z.tolist()]))
+        assert np.isfinite(got[Z != 0]).all()
 
 
 class TestTypeFit:
