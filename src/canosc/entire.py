@@ -318,7 +318,7 @@ def type_fit_imaginary(
 MAX_TERMS = 2**26
 #: powers K of z/z_n the tail keeps: log(1 - w) = -sum_{k<=K} w^k/k + O(w^(K+1)).
 #: Every K meets the 1e-12 of :func:`_auto_terms`; a larger K only takes fewer terms.
-#: On the growth pool's fits K = 5 is 6 % faster and K = 6 no faster (README, Hadamard).
+#: On the growth pool's fits K = 5 is 6 % faster per fit, K = 6 no faster (README).
 _TAIL_ORDER = 4
 
 
@@ -431,7 +431,7 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
     of hadamard_a with scale = 1 (K = _TAIL_ORDER, S_k from :func:`_power_sum`
     at a = N + 1, N from :func:`_auto_terms` if omitted), elementwise; a
     scalar z is the 0-d case.  Without ``log``, z within 1e-12 of a retained
-    zero gives 0, and a value past the float range is an OverflowError.  The
+    zero gives 0, and a product that overflows is an OverflowError.  The
     log is real: with z = x + iy and u = 1/z_n, log |1 - z u| is half of
     log(a^2 + b^2), a = (z_n - x) u (exact near a zero), b = y u, both times
     2^-s, s >= 0 the least with max(|x|, |y|) < 2^(s + 510), so the squares
@@ -498,7 +498,7 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
             exact = near < 1e-12 * np.maximum(1.0, np.abs(zo))
             out[exact] = 0.0
             if not np.isfinite(out).all():
-                raise OverflowError(f"|hadamard_{family}(z)| passes the float range; use hadamard_{family}_log")
+                raise OverflowError(f"hadamard_{family}(z) overflows the float range; use hadamard_{family}_log")
             if np.ndim(z) == 0 and np.iscomplexobj(zs) and not exact[0]:
                 return out[0]  # the per-element product is numpy's for a complex z
     out[order] = out.copy()

@@ -415,7 +415,7 @@ def _hadamard_at(z, alpha, N, family, log, scale):
     otherwise).  With (e, T) = _power_sum(alpha, N + 1, family), the tail
     sum_{k<=K} z^k S_k / k is Horner's rule from k = K down in w = z / 2^e
     on T_k / k.  log |1 - z/z_n| is half of log((z_n - x)^2 u^2 + (y u)^2)
-    with u = 1/z_n, each factor scaled by 2^-s past max(|x|, |y|) = 2^509,
+    with u = 1/z_n, each factor scaled by 2^-s from max(|x|, |y|) = 2^510 on,
     or half of log1p(p (p - 2) + (y u)^2), p = x u, below max(|x|, |y|) = 1/2."""
     zz = np.array([z])
     if N is None:
@@ -863,7 +863,7 @@ class TestHadamardLogForm:
     @pytest.mark.parametrize("fn", [hadamard_a_log, hadamard_c_log])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_grid_mixing_huge_and_ordinary_elements(self, fn):
-        # 2^-s scales only the huge elements (s > 0 past 2^509), so every
+        # 2^-s scales only the huge elements (s > 0 from 2^510 on), so every
         # element keeps the bits of its call alone
         Z = np.array([[1e200 + 1e200j, -1e200, 3.0 - 4.0j, 2.0**510 * (1 + 1j)],
                       [1e-4j, 0.0, 5e4 * cmath.exp(0.37j), -(2.0**509)]])
