@@ -400,8 +400,8 @@ def cmd_hadamard(args):
         "log_abs": fam_log(z, args.alpha),
     }
     with contextlib.suppress(OverflowError):  # past the float range, log_abs alone answers
-        if abs(v := fam(z, args.alpha)) < 1e300:
-            out["value"] = [v.real, v.imag]
+        v = fam(z, args.alpha)
+        out["value"] = [v.real, v.imag]
     if args.fit_order:
         fit = entire.order_fit(
             lambda zz: fam_log(zz, args.alpha), 1e2, 1e6, log_abs=True

@@ -430,16 +430,19 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
     log |.|, over the zeros of hadamard_c with scale = z if ``scaled``, else
     of hadamard_a with scale = 1 (K = _TAIL_ORDER, S_k from :func:`_power_sum`
     at a = N + 1, N from :func:`_auto_terms` if omitted), elementwise; a
-    scalar z is the 0-d case.  Without ``log``, z within 1e-12 of a retained
-    zero gives 0, and a product that overflows is an OverflowError.  The
-    log is real: with z = x + iy and u = 1/z_n, log |1 - z u| is half of
+    scalar z is the 0-d case and gives a Python float or complex.  The log
+    is real: with z = x + iy and u = 1/z_n, log |1 - z u| is half of
     log(a^2 + b^2), a = (z_n - x) u (exact near a zero), b = y u, both times
     2^-s, s >= 0 the least with max(|x|, |y|) < 2^(s + 510), so the squares
     stay finite; below max(|x|, |y|) = 1/2 it is half of log1p(p (p - 2) +
-    b^2), p = x u.  One stable argsort of the term counts groups the
-    elements; a group shares its tail sums and zeros and is reduced in blocks
-    of at most 2^14 entries (or one row).  Each element has the bits, and no
-    temporary outgrows the size, of a call at that z alone.
+    b^2), p = x u, and a = 1 - p.  The value is scale * exp(L - t) * P, L
+    the log's sum without log |scale|, t the tail sum and P the product of
+    the unit phasors (a - ib) / |a - ib| (2^-s cancels): a zero hit exactly
+    has a = b = 0, so L = -inf and the value 0, and a value past the float
+    range is an OverflowError.  One stable argsort of the term counts groups
+    the elements; a group shares its tail sums and zeros and is reduced in
+    blocks of at most 2^14 entries (or one row).  Each element has the bits,
+    and no temporary outgrows the size, of a call at that z alone.
     """
     if not 2.0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and exceed 2, not {alpha}")
@@ -457,7 +460,7 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
     order = np.argsort(key, kind="stable")
     key, zo, s = key[order], zs[order], np.maximum(np.frexp(big[order])[1] - 510, 0)
     m = np.ldexp(1.0, -s)[:, None] if s.any() else None
-    red, near = np.empty(zs.size, dtype=float if log else np.result_type(zs, float)), np.empty(zs.size)
+    red, phasor = np.empty(zs.size), None if log else np.empty(zs.size, dtype=complex)
     coef, i, n_sums = np.empty((zs.size, _TAIL_ORDER + 1)), 0, None  # 2^-e, T_K / K, ..., T_1 / 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while i < zs.size:
@@ -468,10 +471,6 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
             coef[i:j] = [math.ldexp(1.0, -e)] + [T[k - 1] / k for k in range(_TAIL_ORDER, 0, -1)]
             rows = max(1, 2**14 // max(n, 1))
             for blk in (slice(b0, min(b0 + rows, j)) for b0 in range(i, j, rows)):
-                if not log:
-                    red[blk] = (1.0 - zo[blk, None] / zeros[:n]).prod(axis=1)
-                    near[blk] = np.abs(zo[blk, None] - zeros[:n]).min(axis=1, initial=np.inf)
-                    continue
                 b = np.multiply.outer(zo.imag[blk], u)
                 if squared:
                     a = zeros[:n] - zo.real[blk, None]
@@ -479,10 +478,12 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
                     if m is not None:
                         a *= m[blk]
                         b *= m[blk]
-                    a *= a
                 else:
                     a = np.multiply.outer(zo.real[blk], u)
-                    a *= a - 2.0
+                if not log:  # the factors' unit phasors; a zero factor's stays 0
+                    f = (a if squared else 1.0 - a) - 1j * b
+                    phasor[blk] = np.divide(f, np.abs(f), out=f, where=f != 0.0).prod(axis=1)
+                a *= a if squared else a - 2.0
                 b *= b
                 a += b
                 red[blk] = (np.log if squared else np.log1p)(a, out=a).sum(axis=1)
@@ -494,19 +495,16 @@ def _hadamard(z, alpha: float, N: Optional[int], log: bool, scaled: bool = False
         if log:
             out = (np.log(np.abs(zo)) if scaled else 0.0) + 0.5 * red - np.real(t)
         else:
-            out = np.asarray((zo * red if scaled else red) * np.exp(-t), dtype=complex)
-            exact = near < 1e-12 * np.maximum(1.0, np.abs(zo))
-            out[exact] = 0.0
+            out = np.exp(0.5 * red - t) * (zo * phasor if scaled else phasor)
             if not np.isfinite(out).all():
                 raise OverflowError(f"hadamard_{family}(z) overflows the float range; use hadamard_{family}_log")
-            if np.ndim(z) == 0 and np.iscomplexobj(zs) and not exact[0]:
-                return out[0]  # the per-element product is numpy's for a complex z
     out[order] = out.copy()
     return out.reshape(np.shape(z)) if np.ndim(z) else out.item()
 
 
 def hadamard_a(z: complex, alpha: float, N: Optional[int] = None) -> complex:
-    """prod_{n>=1} (1 - z / n^alpha), partial product with tail correction."""
+    """prod_{n>=1} (1 - z / n^alpha), partial product with tail correction,
+    as the exponential of the log form's pass (:func:`_hadamard`)."""
     return _hadamard(z, alpha, N, log=False)
 
 

@@ -238,9 +238,10 @@ def halfline_count(
             L_values=[H.x_max],
             F_values=[float(res.count)],
         )
-    schedule = sorted(float(L) for L in L_schedule)
-    if not schedule or schedule[0] <= 0.0:
-        raise ValueError("L_schedule must be positive and nonempty")
+    schedule = [float(L) for L in L_schedule]
+    if not (schedule and all(0.0 < L < math.inf for L in schedule)):  # before a NaN unorders the sort
+        raise ValueError(f"L_schedule must be nonempty, positive and finite, not {schedule}")
+    schedule.sort()
     if schedule[-1] > H.x_max + 1e-12:
         raise ValueError("L_schedule exceeds X_max")
     L_max = schedule[-1]

@@ -299,11 +299,11 @@ class DiagonalSystem:
 def canonical_to_diagonal(phi: PhiProfile) -> DiagonalSystem:
     """Diagonal system of a rank-one profile via t = -tan(phi(x)).
 
-    Plateaus of phi become dw point masses ((1+t^2) w({t}) = plateau length,
-    emitted as h = 1 cells); strictly decreasing stretches contribute cells
-    with dT = dw + dt and h = dw/dT, using exact per-piece integrals of
-    cos^2(phi) dx; jumps of phi contribute nothing.  Profiles whose range
-    does not fit in (-pi/2, pi/2 - delta], delta = DIAGONAL_MARGIN, are
+    Every piece gives one cell with dT = dw + dt and h = dw/dT, where
+    dw = int cos^2(phi) dx exactly and dt = tan(phi0) - tan(phi1); a plateau
+    has dt = 0, so it is a dw point mass ((1+t^2) w({t}) = plateau length)
+    with h = 1 exactly.  Jumps of phi contribute nothing.  Profiles whose
+    range does not fit in (-pi/2, pi/2 - delta], delta = DIAGONAL_MARGIN, are
     rotated first (recorded in ``rotation_applied``); a total drop
     >= pi - delta cannot be accommodated and raises SplitRequired.
     """
@@ -322,17 +322,11 @@ def canonical_to_diagonal(phi: PhiProfile) -> DiagonalSystem:
     cells: list[DiagonalSegment] = []
     t0 = -math.tan(phi.phi_start)
     for piece in phi.pieces:
-        length = piece.end - piece.offset
-        if piece.singular:
-            t = -math.tan(piece.phi0)
-            w_mass = length / (1.0 + t * t)
-            cells.append(DiagonalSegment(deltaT=w_mass, h=1.0))
-        else:
-            # exact cell integrals: dw-mass = int cos^2(phi) dx, dt from tan
-            w_mass = piece.int_cos2()
-            dt = -math.tan(piece.phi1) + math.tan(piece.phi0)
-            dT = w_mass + dt
-            cells.append(DiagonalSegment(deltaT=dT, h=w_mass / dT))
+        # exact cell integrals: dw-mass = int cos^2(phi) dx, dt from tan (0 on a plateau)
+        w_mass = piece.int_cos2()
+        dt = -math.tan(piece.phi1) + math.tan(piece.phi0)
+        dT = w_mass + dt
+        cells.append(DiagonalSegment(deltaT=dT, h=w_mass / dT))
         # jumps between pieces carry no dw and no dt inside the range gap
     return DiagonalSystem(tuple(cells), t0=t0, rotation_applied=gamma)
 

@@ -756,9 +756,11 @@ class TestNegativeNumbers:
         code, out = run("count", "--config", p, "--window", "-1e3", "0", "--L", "2")
         assert code == 0
         assert json.loads(out)["inputs"]["window"] == [-1000.0, 0.0]
+        # -inf reaches the count as a value (a usage error would exit 1),
+        # which rejects a spectral parameter that is not finite
         code, out = run("count", "--config", p, "--window", "-inf", "0", "--L", "2")
-        assert code == 0
-        assert json.loads(out)["inputs"]["window"] == ["-inf", 0.0]
+        assert code == 2
+        assert json.loads(out)["error"] == "t must be finite, not -inf"
 
     def test_m_endpoints_minus_t(self, run, tmp_path):
         p = write_config(tmp_path, LONG_RAMP)
@@ -802,6 +804,24 @@ class TestNumericFailuresExitTwo:
             code, out = run(*[paths.get(a, a) for a in argv])
         assert code == 2
         assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("argv, error", [
+        (["count", "--config", "{ramp}", "--window", "-inf", "5", "--L", "4"], "t must be finite, not -inf"),
+        (["locate", "--config", "{ramp}", "--window", "-inf", "5", "--L", "4"], "t must be finite, not -inf"),
+        (["count", "--config", "{stairs}", "--L", "3e-5", "--beta", "1.8708", "--window", "-inf", "0"],
+         "t must be finite, not -inf"),
+        (["count", "--config", "{ramp}", "--window", "0", "5", "--schedule", "1", "nan", "2"],
+         "L_schedule must be nonempty, positive and finite, not [1.0, nan, 2.0]"),
+    ], ids=["count", "locate", "staircase", "schedule"])
+    def test_not_finite_spectral_parameter_is_named(self, run, tmp_path, argv, error):
+        # at t = -inf each singular step of the staircase lands on its
+        # stationary point and counts 2 (the exact count is 1); the others
+        # would fail on an unrelated NaN or angle
+        stairs = {"segments": [{"length": 1e-5, "kind": "angle", "alpha": a} for a in (1.2, -1.2, 0.3)]}
+        paths = {"{ramp}": write_config(tmp_path, RAMP), "{stairs}": write_config(tmp_path, stairs, "stairs.json")}
+        code, out = run(*[paths.get(a, a) for a in argv])
+        assert code == 2
+        assert json.loads(out)["error"] == error
 
 
 #: documents that parse but hold a non-finite number: the gate rejects each

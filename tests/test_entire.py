@@ -391,12 +391,44 @@ class TestHadamard:
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_past_the_float_range_raises_overflow(self, fn, z, alpha):
-        # log |A(-1e12)| is about 1341 at alpha = 5: the value leaves the
+        # log |A(-1e12)| is about 1324 at alpha = 5 (1335 for C): the value leaves the
         # float range, which is an OverflowError naming the log form, never a NaN
         with pytest.raises(OverflowError, match=f"use {fn.__name__}_log"):
             fn(z, alpha)
         v = {hadamard_a: hadamard_a_log, hadamard_c: hadamard_c_log}[fn](z, alpha)
         assert np.isfinite(v).all() and np.max(v) > 1300.0
+
+    @pytest.mark.parametrize("z", [4.642e7 + 0.5, 3e7 + 1j])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_value_inside_the_float_range(self, z):
+        # log |A| = 640.9 and 552.6 at alpha = 3: the product of the N exact
+        # factors alone would overflow, the value does not
+        v, L = hadamard_a(z, 3.0), hadamard_a_log(z, 3.0)
+        assert cmath.isfinite(v) and L > 550.0
+        assert abs(math.log(abs(v)) - L) <= 1e-15 * L  # a few ulps of L
+        ref = _hadamard_mpmath("a", 3.0, z)
+        assert abs(v - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("family", ["a", "c"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_plain_form_is_the_exponential_of_the_log_form(self, family):
+        # 80 random points: a value below the end of the float range is
+        # within 1e-12 of the 40-digit product (exp of a sum loses
+        # eps |log A|), one past it raises
+        fn, fn_log = (hadamard_a, hadamard_a_log) if family == "a" else (hadamard_c, hadamard_c_log)
+        rng = np.random.default_rng(23)
+        kept = 0
+        for alpha, r, phase in zip(rng.uniform(2.2, 6.0, 80), 10.0 ** rng.uniform(-3.0, 7.0, 80), rng.uniform(0.0, 1.0, 80)):
+            z = r * cmath.exp(2j * PI * phase)
+            L = fn_log(z, alpha)
+            if L > 709.8:
+                with pytest.raises(OverflowError):
+                    fn(z, alpha)
+            elif L < 709.7:
+                ref = _hadamard_mpmath(family, alpha, z)
+                assert abs(fn(z, alpha) - ref) <= 1e-12 * abs(ref), (alpha, z)
+                kept += 1
+        assert kept >= 40
 
     def test_term_cap_covers_alpha_near_two(self):
         assert entire._auto_terms(1e6, 2.0000001) <= entire.MAX_TERMS < entire._auto_terms(1e30, 3.0)
@@ -413,10 +445,13 @@ def _hadamard_at(z, alpha, N, family, log, scale):
     formula the batched Hadamard products must reproduce bit for bit.  Every
     step is numpy arithmetic on 1-element arrays (numpy scalars may round
     otherwise).  With (e, T) = _power_sum(alpha, N + 1, family), the tail
-    sum_{k<=K} z^k S_k / k is Horner's rule from k = K down in w = z / 2^e
-    on T_k / k.  log |1 - z/z_n| is half of log((z_n - x)^2 u^2 + (y u)^2)
-    with u = 1/z_n, each factor scaled by 2^-s from max(|x|, |y|) = 2^510 on,
-    or half of log1p(p (p - 2) + (y u)^2), p = x u, below max(|x|, |y|) = 1/2."""
+    t = sum_{k<=K} z^k S_k / k is Horner's rule from k = K down in w = z / 2^e
+    on T_k / k.  log |1 - z/z_n| is half of log(a^2 + b^2), a = (z_n - x) u,
+    b = y u, u = 1/z_n, each factor scaled by 2^-s from max(|x|, |y|) = 2^510
+    on, or half of log1p(p (p - 2) + b^2), a = 1 - p, p = x u, below
+    max(|x|, |y|) = 1/2.  The value is scale * exp(L - t) * P, L the sum of
+    those halves and P the product of the phasors (a - ib) / |a - ib|, a
+    zero factor's left at 0."""
     zz = np.array([z])
     if N is None:
         N = entire._auto_terms(z, alpha)
@@ -426,31 +461,29 @@ def _hadamard_at(z, alpha, N, family, log, scale):
     w, t = zz * np.array([math.ldexp(1.0, -e)]), 0.0
     for k in range(entire._TAIL_ORDER, 0, -1):
         t = (t + np.array([T[k - 1] / k])) * w
-    absz = np.abs(zz)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, y = zz.real.astype(float), zz.imag.astype(float)
+        big = max(abs(x[0]), abs(y[0]))
+        u = 1.0 / zeros
+        b = np.multiply.outer(y, u)
+        if big >= 0.5:
+            s = max(0, math.frexp(big)[1] - 510)
+            a = (zeros - x[:, None]) * u
+            if s:
+                a, b = a * math.ldexp(1.0, -s), b * math.ldexp(1.0, -s)
+            f = a - 1j * b
+            red = np.log(a * a + b * b).sum(axis=1)
+            if s:
+                red = red + (2.0 * u.size * math.log(2.0)) * np.array([s])
+        else:
+            p = np.multiply.outer(x, u)
+            f = (1.0 - p) - 1j * b
+            red = np.log1p(p * (p - 2.0) + b * b).sum(axis=1)
         if log:
-            x, y = zz.real.astype(float), zz.imag.astype(float)
-            big = max(abs(x[0]), abs(y[0]))
-            u = 1.0 / zeros
-            b = np.multiply.outer(y, u)
-            if big >= 0.5:
-                s = max(0, math.frexp(big)[1] - 510)
-                a = (zeros - x[:, None]) * u
-                if s:
-                    a, b = a * math.ldexp(1.0, -s), b * math.ldexp(1.0, -s)
-                red = np.log(a * a + b * b).sum(axis=1)
-                if s:
-                    red = red + (2.0 * u.size * math.log(2.0)) * np.array([s])
-            else:
-                p = np.multiply.outer(x, u)
-                red = np.log1p(p * (p - 2.0) + b * b).sum(axis=1)
-            lsc = np.log(absz) if family == "c" else 0.0
+            lsc = np.log(np.abs(zz)) if family == "c" else 0.0
             return (lsc + 0.5 * red - np.real(t)).item()
-        if np.abs(zz[:, None] - zeros).min(initial=np.inf) < 1e-12 * max(1.0, absz[0]):
-            return 0.0 + 0.0j
-        red = (1.0 - zz[:, None] / zeros).prod(axis=1)
-        out = np.asarray((zz * red if family == "c" else red) * np.exp(-t), dtype=complex)
-    return out[0] if np.iscomplexobj(zz) else out.item()
+        P = np.divide(f, np.abs(f), out=f, where=f != 0.0).prod(axis=1)
+        return (np.exp(0.5 * red - t) * (zz * P if family == "c" else P)).item()
 
 
 #: public function -> (family, log) of its reference; family c is scaled by z
@@ -469,6 +502,19 @@ def hadamard_ref(fn, z, alpha, N=None):
     z = np.asarray(z)
     out = [_hadamard_at(v, alpha, N, family, log, v if family == "c" else 1.0) for v in z.flat]
     return np.array(out, dtype=float if log else complex).reshape(z.shape)
+
+
+def _hadamard_mpmath(family, alpha, z):
+    """The plain product at 40 digits over the same N factors and the same
+    float tail sums S_k as hadamard_a or hadamard_c: what the one-pass value
+    must match to within its rounding."""
+    N = entire._auto_terms(z, alpha)
+    zeros = (hadamard_c_zeros if family == "c" else entire._a_zeros)(alpha, N)
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z)
+        head = mpmath.fprod(1 - zm / mpmath.mpf(zn) for zn in zeros[np.isfinite(zeros)].tolist())
+        tail = mpmath.fsum(zm**k * mpmath.mpf(Sk) / k for k, Sk in enumerate(power_sums(alpha, N + 1.0, family), 1))
+        return complex(head * mpmath.exp(-tail) * (zm if family == "c" else 1))
 
 
 def assert_same_bits(got, ref):
@@ -535,14 +581,18 @@ class TestBatchedHadamard:
         assert hadamard_c_log(0.0, 3.0) == -math.inf and hadamard_c_log(Z, 3.0)[2] == -math.inf
         assert hadamard_c(0.0, 3.0) == 0.0 and hadamard_c(Z, 3.0)[0] == 0.0
 
-    def test_near_retained_zero_is_exact_zero(self):
-        # 1e-12 * max(1, |z|) is the distance below which a zero counts as hit
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_near_retained_zero_keeps_its_digits(self):
+        # a zero hit exactly gives 0.0; one 5e-12 away keeps its digits
         Z = np.array([[8.0 + 5e-12j, 27.0 - 1e-11, 2.0], [4.5 + 1e-12j, 1.0, -3.0]])
         for fn in HADAMARD_FNS:
             got = fn(Z, 3.0)
             assert_same_bits(got, hadamard_ref(fn, Z, 3.0))
-        assert np.all(hadamard_a(Z, 3.0)[0, :2] == 0.0) and hadamard_a(Z, 3.0)[1, 1] == 0.0
-        assert hadamard_c(Z, 3.0)[1, 0] == 0.0
+        assert hadamard_a(Z, 3.0)[1, 1] == 0.0 and hadamard_a(1.0, 3.0) == 0.0 and hadamard_c(4.5, 3.0) == 0.0
+        for family, fn in (("a", hadamard_a), ("c", hadamard_c)):
+            for z, v in zip(Z.flat, fn(Z, 3.0).flat):
+                ref = _hadamard_mpmath(family, 3.0, complex(z))
+                assert abs(v - ref) <= 1e-12 * abs(ref), (family, z)
 
     @pytest.mark.parametrize("fn", HADAMARD_FNS)
     def test_shapes_and_scalar_types(self, fn):
@@ -551,9 +601,9 @@ class TestBatchedHadamard:
             Z = np.full(shape, -3.7 + 1.2j)
             out = fn(Z, 3.0)
             assert np.shape(out) == shape
-        assert type(fn(-3.7 + 1.2j, 3.0)) is (float if log else np.complex128)
-        # a real z multiplies a real exp(tail) into a Python complex
-        assert type(fn(-3.7, 3.0)) is (float if log else complex)
+        # a scalar z gives a Python float (log forms) or complex, whatever its type
+        for z in (-3.7 + 1.2j, -3.7, np.complex128(-3.7 + 1.2j), np.float64(-3.7), -4, 1.0):
+            assert type(fn(z, 3.0)) is (float if log else complex), z
 
     def test_grid_memory_stays_at_one_row(self):
         # N ~ 2.1e4 at |z| = 1e10, alpha = 3: an (n_radii, n_phases, N) block

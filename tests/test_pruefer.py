@@ -112,6 +112,15 @@ class TestIntegrate:
         H = single(ConstantMatrix(MatrixH(0.5, 0.0, 0.5)), length=2.0)
         assert pruefer.theta_at(H, 3.0, 0.0, 2.0) == pytest.approx(3.0, abs=1e-8)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_t_not_finite_raises(self, t):
+        # theta(L; +-inf) is a limit the walk does not define yet: a ValueError, not an angle
+        H = single(ConstantAngle(0.4))
+        with pytest.raises(ValueError, match=f"t must be finite, not {t}"):
+            pruefer.integrate(H, t, 0.0, 1.0)
+        with pytest.raises(ValueError, match=f"t must be finite, not {t}"):
+            pruefer.theta_at(H, t, 0.0, 1.0)
+
 
 class TestSweep:
     """theta(L; t) as a function of the spectral parameter t."""

@@ -315,6 +315,13 @@ class TestHalfLine:
         with pytest.raises(ValueError):
             spectra.halfline_count(H, SpectralWindow(0.0, 1.0), [0.5, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_schedule_not_finite_rejected(self, bad):
+        # a NaN would leave the sort unordered and fail later, in the floor of F
+        H = single(PhiRamp(PI / 2, -PI / 2), length=4.0)
+        with pytest.raises(ValueError, match="L_schedule must be nonempty, positive and finite"):
+            spectra.halfline_count(H, SpectralWindow(0.0, 5.0), [1.0, bad, 2.0])
+
     @pytest.mark.parametrize(
         "F, outcome",
         [(-1e-16, ("stabilized", 0)), (1 - 1e-6, ("stabilized", 0)), (1 - 1e-15, ("inconclusive", None)),
@@ -742,3 +749,12 @@ class TestNegativeCountAtTruncation:
         c = spectra.classify_semibounded(H)
         for L in (0.7, 1.5, 3.0):
             assert spectra.negative_count_at_truncation(H, L) <= c.n_bound
+
+    def test_unbounded_floor_raises(self):
+        # P_1.2, P_-1.2, P_0.3 on three intervals of 1e-5: one negative
+        # eigenvalue, but t = -inf puts each singular step on its stationary
+        # point and counts 2; -inf is a ValueError until the limit is defined
+        H = Hamiltonian(tuple(Segment(1e-5, ConstantAngle(a)) for a in (1.2, -1.2, 0.3)))
+        assert spectra.negative_count_at_truncation(H, 3e-5, T_floor=1e6) == 1
+        with pytest.raises(ValueError, match="t must be finite"):
+            spectra.negative_count_at_truncation(H, 3e-5, T_floor=math.inf)

@@ -199,6 +199,13 @@ class TestDiagonal:
         assert seg.deltaT == pytest.approx(ell / (1.0 + math.tan(alpha) ** 2))
         assert D.t0 == pytest.approx(-math.tan(alpha))
 
+    def test_plateau_cell_is_its_exact_integral(self):
+        # a plateau takes the one cell rule: dt = 0, h = w / w = 1 and dT = l cos^2(phi)
+        rng = np.random.default_rng(23)
+        for phi, ell in zip(rng.uniform(-1.5, 1.5, 50), rng.uniform(0.1, 3.0, 50)):
+            seg, c = canonical_to_diagonal(plateau_profile([(float(ell), float(phi))])).segments[0], math.cos(phi)
+            assert seg.h == 1.0 and seg.deltaT == ell * c * c, (phi, ell)
+
     def test_jump_gives_two_point_masses(self):
         D = canonical_to_diagonal(plateau_profile([(1.0, 0.5), (2.0, -0.5)]))
         assert [s.h for s in D.segments] == [1.0, 1.0]
