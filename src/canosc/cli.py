@@ -133,16 +133,12 @@ def _tolerances(doc: dict, override=None) -> float:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+        return repr(float(obj))
     return obj
 
 

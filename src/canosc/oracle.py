@@ -1,50 +1,56 @@
 """Independent verification engines.
 
-Everything here deliberately avoids the adaptive integrators used by the
-main path.  Transfer matrices for piecewise-constant-angle systems are
-assembled from the exact nilpotent factors 1 + t*l*J*P_alpha alone, and
-eigenvalues are counted by sign changes of the boundary functional.  The
-Riccati comparison solutions give closed-form sandwich bounds for angle
-trajectories on C/x tails.  Ramp factors and ramp Pruefer angles are
-computed in mpmath from the matrix exponential of the rotating-frame
-generator, at 30 digits.
+Everything here deliberately avoids the adaptive integrators and the walked
+pieces of the main path.  A piecewise-constant-angle system is exact linear
+algebra: its transfer matrices are products of the nilpotent factors
+1 + t*l*J*P_alpha, and the eigenvalues of its [0, L] problem are those of one
+symmetric Green matrix (:func:`singular_spectrum`), which the eigenvalue
+counts read.  The Riccati comparison solutions give closed-form sandwich
+bounds for angle trajectories on C/x tails.  Ramp factors and ramp Pruefer
+angles are computed in mpmath from the matrix exponential of the
+rotating-frame generator, at 30 digits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from .hamiltonian import PI, ConstantAngle, Hamiltonian
+from .hamiltonian import HALF_PI, ConstantAngle, Hamiltonian, cong_mod_pi
 
 
-def _exact_transfer(H: Hamiltonian, L: float, lam: float) -> np.ndarray:
-    """T(L; lam) via the exact product of singular-interval factors."""
-    T = np.eye(2)
-    acc = 0.0
+def _angle_pieces(H: Hamiltonian, L: float) -> list[tuple[float, float]]:
+    """(alpha, length) of each constant-angle piece of H on (0, L), the tail's
+    included."""
+    out, acc = [], 0.0
     for seg in H.segments:
         if acc >= L:
             break
         if not isinstance(seg.kind, ConstantAngle):
             raise ValueError("exact product path needs piecewise-constant angles")
-        span = min(seg.length, L - acc)
-        a = seg.kind.alpha
-        c, s = math.cos(a), math.sin(a)
-        # J @ P_alpha = [[-sc, -s^2], [c^2, sc]], squares to zero
-        F = np.eye(2) + lam * span * np.array([[-s * c, -s * s], [c * c, s * c]])
-        T = F @ T
+        out.append((seg.kind.alpha, min(seg.length, L - acc)))
         acc += seg.length
     if L > acc:
         if H.tail is None:
             raise ValueError("L beyond X_max")
-        a = H.tail.gamma
-        c, s = math.cos(a), math.sin(a)
-        span = L - acc
-        F = np.eye(2) + lam * span * np.array([[-s * c, -s * s], [c * c, s * c]])
-        T = F @ T
+        out.append((H.tail.gamma, L - acc))
+    return out
+
+
+def _factor(alpha: float, length: float, lam: float) -> np.ndarray:
+    """The transfer factor 1 + lam*length*J*P_alpha of one piece."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    # J @ P_alpha = [[-sc, -s^2], [c^2, sc]], squares to zero
+    return np.eye(2) + lam * length * np.array([[-s * c, -s * s], [c * c, s * c]])
+
+
+def _exact_transfer(H: Hamiltonian, L: float, lam: float) -> np.ndarray:
+    """T(L; lam) via the exact product of singular-interval factors."""
+    T = np.eye(2)
+    for alpha, length in _angle_pieces(H, L):
+        T = _factor(alpha, length, lam) @ T
     return T
 
 
@@ -55,85 +61,56 @@ def boundary_functional(H: Hamiltonian, L: float, beta: float, lam: float) -> fl
     return u1 * math.sin(beta) - u2 * math.cos(beta)
 
 
-@dataclass
-class SignChangeScan:
-    values: np.ndarray
-    roots: list[tuple[float, float]]  # bracketing intervals after bisection
-    suspicious: list[float]  # near-zero magnitude without a sign change
+def singular_spectrum(H: Hamiltonian, L: float, beta: float) -> np.ndarray:
+    """Every eigenvalue of the [0, L] problem with u(0) = e_0 and u(L) || e_beta,
+    ascending.
 
-
-def _bisect_root(f, lo: float, hi: float, width: float = 1e-9) -> tuple[float, float]:
-    flo = f(lo)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, mid
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return lo, hi
-
-
-def scan(
-    H: Hamiltonian,
-    L: float,
-    beta: float,
-    w: tuple[float, float],
-    grid_step: float,
-) -> SignChangeScan:
-    s, t = w
-    n = max(int(math.ceil((t - s) / grid_step)), 2)
-    grid = np.linspace(s, t, n + 1)
-    f = lambda lam: boundary_functional(H, L, beta, lam)
-    vals = np.array([f(g) for g in grid])
-    roots = []
-    suspicious = []
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    for i in range(n):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append((a, a))
-        elif (fa < 0) != (fb < 0):
-            roots.append(_bisect_root(f, a, b))
-        elif min(abs(fa), abs(fb)) < 1e-10 * scale and fa != 0.0:
-            # a grazing near-zero with no sign change: possible double root
-            suspicious.append(float(a if abs(fa) < abs(fb) else b))
-    # a root exactly at the right endpoint belongs to the next window
-    roots = [r for r in roots if s <= 0.5 * (r[0] + r[1]) < t]
-    return SignChangeScan(vals, roots, suspicious)
-
-
-def count_by_sign_changes(
-    H: Hamiltonian,
-    L: float,
-    beta: float,
-    w: tuple[float, float],
-    grid_step: float | None = None,
-) -> int:
-    """Eigenvalue count in [s, t) by sign changes of the boundary functional.
-
-    The grid is refined (step halved) until two successive scans agree, which
-    guards against steps wider than the minimal eigenvalue gap.
+    On piece i (angle alpha_i, length l_i) c_i = e_i^T u is constant and u
+    gains (t - t0) l_i c_i J e_i over the solution at t0.  So an eigenvector
+    solves c = (t - t0) K D c with D = diag(l_i) and K the Green matrix at t0,
+    K[k, i] = -b_max(i,k) a_min(i,k) / w: a_i and b_i are e_i^T u at t0 for
+    u from e_0 and for u back from e_beta, and w is their Wronskian.  The
+    eigenvalues are t0 + 1/mu for the nonzero eigenvalues mu of the symmetric
+    D^1/2 K D^1/2 (Gantmacher and Krein's Green matrices).  t0 is the one of
+    0 and +-1/sum(l) at which the boundary functional, normalised, is
+    farthest from 0; at t0 = 0 it is sin(beta), which vanishes at beta = 0.
+    A mu within n eps S of 0 counts as 0, where S = sum(l_i |f_i|^2) |g| / |w|
+    bounds the size of the entries before cancellation (f_i and g as below).
+    When every piece is perpendicular to e_0, u = e_0 at every t and there
+    is no eigenvalue.
     """
+    pieces = _angle_pieces(H, L)
+    if all(cong_mod_pi(alpha, HALF_PI) for alpha, _ in pieces):
+        return np.empty(0)
+    ell = np.array([length for _, length in pieces])
+    v_r = np.array([math.cos(beta), math.sin(beta)])
+
+    def at_shift(t0):
+        # f_i = Phi(x_i)^T e_i for the fundamental matrix Phi at t0, so that
+        # a_i = f_i^T e_0 and b_i = f_i^T g with g = Phi(L)^-1 e_beta
+        f, Phi = [], np.eye(2)
+        for alpha, length in pieces:
+            f.append(Phi.T @ (math.cos(alpha), math.sin(alpha)))
+            Phi = _factor(alpha, length, t0) @ Phi
+        w = v_r[0] * Phi[1, 0] - v_r[1] * Phi[0, 0]
+        g = np.array([[Phi[1, 1], -Phi[0, 1]], [-Phi[1, 0], Phi[0, 0]]]) @ v_r
+        return abs(w) / math.hypot(Phi[0, 0], Phi[1, 0]), t0, np.array(f), g, w
+
+    shifts = (0.0, 1.0 / ell.sum(), -1.0 / ell.sum())
+    _, t0, f, g, w = max(map(at_shift, shifts), key=lambda r: r[0])
+    root = np.sqrt(ell)
+    # eigvalsh reads the lower triangle, where max(i, k) = k
+    mu = np.linalg.eigvalsh(np.tril(-np.outer(root * (f @ g), root * f[:, 0]) / w))
+    noise = mu.size * np.finfo(float).eps * (ell @ (f * f).sum(axis=1)) * np.linalg.norm(g) / abs(w)
+    return np.sort(t0 + 1.0 / mu[np.abs(mu) > noise])
+
+
+def count_by_sign_changes(H: Hamiltonian, L: float, beta: float, w: tuple[float, float]) -> int:
+    """Eigenvalue count in [s, t): the eigenvalues of :func:`singular_spectrum`
+    in the window, each a sign change of :func:`boundary_functional`."""
     s, t = w
-    if grid_step is None:
-        grid_step = (t - s) / 64.0
-    prev = None
-    for _ in range(12):
-        res = scan(H, L, beta, w, grid_step)
-        n = len(res.roots)
-        if res.suspicious:
-            grid_step /= 2.0
-            prev = None
-            continue
-        if prev is not None and n == prev:
-            return n
-        prev = n
-        grid_step /= 2.0
-    return prev if prev is not None else len(res.roots)
+    ev = singular_spectrum(H, L, beta)
+    return int(np.count_nonzero((s <= ev) & (ev < t)))
 
 
 # ---------------------------------------------------------------------------

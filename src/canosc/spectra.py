@@ -242,8 +242,6 @@ def halfline_count(
     if not (schedule and all(0.0 < L < math.inf for L in schedule)):  # before a NaN unorders the sort
         raise ValueError(f"L_schedule must be nonempty, positive and finite, not {schedule}")
     schedule.sort()
-    if schedule[-1] > H.x_max + 1e-12:
-        raise ValueError("L_schedule exceeds X_max")
     L_max = schedule[-1]
     tr_t = pruefer.integrate(H, w.t, 0.0, L_max, x_eval=schedule)
     tr_s = pruefer.integrate(H, w.s, 0.0, L_max, x_eval=schedule)

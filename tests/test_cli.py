@@ -93,6 +93,29 @@ class TestValidate:
         assert doc["valid"] is False
         assert "segments[0]" in doc["error"]
 
+    @pytest.mark.parametrize("segment, message", [
+        ({"kind": "angle", "alpha": 0.0}, "'length'"),
+        ({"length": 1.0, "alpha": 0.0}, "'kind'"),
+        ({"length": 1.0, "kind": "angle"}, "'alpha'"),
+        ({"length": "one", "kind": "angle", "alpha": 0.0}, "could not convert"),
+        ({"length": 0.0, "kind": "angle", "alpha": 0.0}, "length must be positive"),
+        ({"length": -1.0, "kind": "angle", "alpha": 0.0}, "length must be positive"),
+    ])
+    def test_bad_segment_names_its_index(self, run, tmp_path, segment, message):
+        doc = {"segments": [TWO_ANGLES["segments"][0], segment]}
+        p = write_config(tmp_path, doc)
+        code, out = run("validate", "--config", p)
+        doc = json.loads(out)
+        assert code == 2 and doc.keys() == {"valid", "error"} and doc["valid"] is False
+        assert doc["error"].startswith("segments[1]: ") and message in doc["error"]
+        code, out = run("count", "--config", p, "--L", "1.0", "--window", "-5", "5")
+        assert code == 2 and json.loads(out)["error"].startswith("segments[1]: ")
+
+    def test_no_segments_exits_two(self, run, tmp_path):
+        code, out = run("validate", "--config", write_config(tmp_path, {"segments": []}))
+        assert code == 2
+        assert json.loads(out) == {"valid": False, "error": "need at least one segment"}
+
     def test_usage_error_exits_one(self, run):
         code, _ = run("validate")  # --config missing
         assert code == 1
@@ -978,3 +1001,9 @@ class TestExtremeInputsSweep:
         code, out = run("hadamard", "--family", family, "--alpha", "3", "--z", "1e30")
         assert code == 2
         assert "terms; at most" in json.loads(out)["error"]
+
+
+def test_emit_writes_non_finite_floats_as_strings(capsys):
+    # a numpy float is a float: it takes the same rule, never JSON's Infinity
+    cli.emit({"a": np.float64("inf"), "b": [-math.inf, np.float64("nan")], "c": np.float64(0.5)})
+    assert json.loads(capsys.readouterr().out) == {"a": "inf", "b": ["-inf", "nan"], "c": 0.5}

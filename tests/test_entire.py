@@ -267,6 +267,11 @@ class TestOrderFit:
         fit = order_fit(lambda z: hadamard_a_log(z, 3.0), 1e2, 1e8, log_abs=True)
         assert fit.order == pytest.approx(1.0 / 3.0, abs=0.1)
 
+    def test_bounded_function_is_order_zero(self):
+        # log M(r) = log 0.5 < 0 on every circle: no growth to fit
+        fit = order_fit(lambda z: np.full(z.shape, 0.5), 1e2, 1e6)
+        assert (fit.order, fit.residual) == (0.0, 0.0)
+
     def test_radius_ratio_enforced(self):
         with pytest.raises(ValueError):
             order_fit(lambda z: z, 1.0, 10.0)

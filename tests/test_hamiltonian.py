@@ -126,6 +126,14 @@ class TestExtractPhi:
         assert phi.value(0.5) == pytest.approx(PI / 4)
         assert phi.value(1.5) == pytest.approx(-PI / 4)
 
+    def test_to_hamiltonian_round_trips_a_ramp(self):
+        prof = PhiProfile((Piece(0.0, 1.0, 0.4, 0.4), Piece(1.0, 3.0, 0.2, -0.6)), -0.9)
+        H = prof.to_hamiltonian()
+        assert [s.kind for s in H.segments] == [ConstantAngle(0.4), PhiRamp(0.2, -0.6)]
+        assert H.tail == SingularHalfLine(-0.9)
+        back = extract_phi(H)
+        assert (back.pieces, back.phi_infinity) == (prof.pieces, prof.phi_infinity)
+
     def test_full_rank_segment_raises(self):
         H = single(ConstantMatrix(MatrixH(0.5, 0.0, 0.5)))
         with pytest.raises(NotRankOne) as exc:

@@ -64,3 +64,14 @@ def test_only_the_schrodinger_layer_runs_rk():
         if got is not None:
             reads[path.stem] = got
     assert reads == {"transforms": {"integrate_adaptive"}, "cli": {"IntegrationError"}}
+
+
+def test_the_oracle_reads_only_the_hamiltonian():
+    # canosc.oracle is the independent reference: it takes the segments from
+    # canosc.hamiltonian and computes everything else itself
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    local = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.level > 0:
+            local |= {n.module} if n.module else {a.name for a in n.names}
+    assert local == {"hamiltonian"}

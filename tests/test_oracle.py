@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from canosc import oracle, pruefer, rk, spectra
-from canosc.hamiltonian import ConstantAngle, Hamiltonian, PhiRamp, Segment
+from canosc.hamiltonian import ConstantAngle, Hamiltonian, PhiRamp, Segment, SingularHalfLine
 from canosc.spectra import SpectralWindow
 
 PI = math.pi
@@ -75,6 +76,90 @@ class TestSignChangeCount:
             ours = spectra.count_bounded(H, H.x_max, beta, w).count
             theirs = oracle.count_by_sign_changes(H, H.x_max, beta, (w.s, w.t))
             assert ours == theirs
+
+
+#: (length, alpha) of a 7-segment system with two close eigenvalue pairs,
+#: 0.49 and 0.40 apart
+CLOSE_PAIRS = (
+    (0.9119170632291206, 1.6396570322488255),
+    (0.5112457614672375, 2.0670452526993746),
+    (2.272009687675807, 1.6403497589048923),
+    (0.5058535143482972, 1.305148128071938),
+    (2.7591729960447076, 2.1971880725346704),
+    (1.793962083694803, 1.140251676832337),
+    (0.9950079974867575, 1.4808403354303534),
+)
+
+
+@st.composite
+def staircases(draw):
+    """(H, L, beta): 1-8 angle segments, a tail half of the time, L inside
+    the segments or, with the tail, past X_max."""
+    segs = draw(st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8))
+    tail = draw(st.none() | st.floats(-3.0, 3.0).map(SingularHalfLine))
+    H = Hamiltonian(tuple(Segment(ell, ConstantAngle(a)) for ell, a in segs), tail=tail)
+    L = H.x_max * draw(st.floats(0.3, 1.0 if tail is None else 1.5))
+    beta = draw(st.sampled_from([0.0, 1e-12, PI - 1e-12]) | st.floats(0.0, PI, exclude_max=True))
+    return H, L, beta
+
+
+class TestSingularSpectrum:
+    def test_flat_system_has_no_eigenvalue(self):
+        # u = e_0 at every t, so the functional is sin(0) = 0 for every t
+        H = single(ConstantAngle(PI / 2))
+        assert oracle.count_by_sign_changes(H, 1.0, 0.0, (-3.0, 3.0)) == 0
+        assert oracle.singular_spectrum(H, 1.0, 0.0).size == 0
+
+    def test_close_pairs_are_all_counted(self):
+        H = Hamiltonian(tuple(Segment(ell, ConstantAngle(a)) for ell, a in CLOSE_PAIRS))
+        beta, w = 2.9425512599741794, SpectralWindow(-50.69218368372931, 31.353513924019538)
+        assert oracle.count_by_sign_changes(H, H.x_max, beta, (w.s, w.t)) == 7
+        ev = oracle.singular_spectrum(H, H.x_max, beta)
+        assert ev == pytest.approx([-18.9734, -2.0319, -1.5410, -0.1329, 2.1730, 6.5581, 6.9555], abs=1e-4)
+        res = spectra.count_bounded(H, H.x_max, beta, w)
+        assert (res.count, res.certified) == (7, True)
+        assert spectra.locate_eigenvalues(H, H.x_max, beta, w) == pytest.approx(ev, rel=1e-9)
+
+    def test_short_staircase_has_one_negative_eigenvalue(self):
+        H = Hamiltonian(tuple(Segment(1e-5, ConstantAngle(a)) for a in (1.2, -1.2, 0.3)))
+        ev = oracle.singular_spectrum(H, 3e-5, 1.8707963267948966)
+        assert ev == pytest.approx([-182556.46686269, 214342.93936925], rel=1e-9)
+        assert np.count_nonzero(ev < 0.0) == 1
+
+    @given(st.floats(0.1, 3.0), st.floats(-1.5, 1.5), st.floats(0.01, PI - 0.01))
+    @settings(max_examples=60, deadline=None)
+    def test_single_piece_closed_form(self, ell, alpha, beta):
+        # u(L) = e_0 + t l cos(alpha) J e_alpha is parallel to e_beta at one t
+        assume(abs(math.cos(alpha) * math.cos(alpha - beta)) > 1e-3)
+        ev = oracle.singular_spectrum(single(ConstantAngle(alpha), ell), ell, beta)
+        closed = math.sin(beta) / (ell * math.cos(alpha) * math.cos(alpha - beta))
+        assert ev == pytest.approx([closed], rel=1e-12)
+
+    @given(staircases())
+    @settings(max_examples=60, deadline=None)
+    def test_functional_vanishes_at_each_eigenvalue(self, system):
+        # the functional near lam is at most the product of the factor
+        # norms, 1 + |lam| l each, as is lam times its derivative
+        H, L, beta = system
+        for lam in oracle.singular_spectrum(H, L, beta):
+            scale = math.prod(1.0 + abs(lam) * ell for _, ell in oracle._angle_pieces(H, L))
+            assert abs(oracle.boundary_functional(H, L, beta, lam)) <= 1e-9 * scale
+
+    @given(staircases(), st.floats(-10.0, 10.0), st.floats(0.5, 30.0))
+    @settings(max_examples=40, deadline=None)
+    def test_locate_agrees(self, system, s, width):
+        H, L, beta = system
+        w, tol = SpectralWindow(s, s + width), 1e-9
+        ev = oracle.singular_spectrum(H, L, beta)
+        assume(np.all(np.abs(np.subtract.outer(ev, [w.s, w.t])) > 1e-6))
+        ev = ev[(w.s <= ev) & (ev < w.t)]
+        eigs = spectra.locate_eigenvalues(H, L, beta, w, tol)
+        assert len(eigs) == len(ev)
+        for lam, ref in zip(eigs, ev):
+            # the bound TestLocateSecant puts on locate against a bisection
+            h = 1e-6 * max(1.0, abs(ref))
+            slope = (pruefer.theta_at(H, ref + h, 0.0, L) - pruefer.theta_at(H, ref - h, 0.0, L)) / (2 * h)
+            assert abs(lam - ref) <= 1.01 * tol / slope + 1e-13 * max(1.0, abs(ref))
 
 
 class TestEulerComparison:

@@ -737,6 +737,12 @@ class TestZeroEigenvalue:
             chk = spectra.zero_eigenvalue_check(extract_phi(H), H.tail)
             assert (chk.is_eigenvalue, chk.body_integral, chk.tail_converges) == (False, math.inf, False)
 
+    def test_flat_just_above_minus_half_pi_false(self):
+        # phi(inf) passes the 1e-9 limit check, but phi + pi/2 = 1e-10 does
+        # not decay, so cos^2(phi) has an infinite integral
+        chk = spectra.zero_eigenvalue_check(plateau_profile([(4.0, -PI / 2 + 1e-10)]))
+        assert (chk.is_eigenvalue, chk.tail_converges) == (False, False)
+
 
 class TestNegativeCountAtTruncation:
     def test_c_plus_has_none(self):

@@ -288,6 +288,12 @@ class TestDeBrangesType:
             debranges_type(a) + debranges_type(b)
         )
 
+    def test_empty_cell_is_p_half_pi(self):
+        D = DiagonalSystem((DiagonalSegment(1.0, 0.5), DiagonalSegment(2.0, 0.0)), t0=0.0)
+        H = diagonal_to_hamiltonian(D)
+        assert H.segments[1].kind == ConstantAngle(PI / 2)
+        assert np.allclose(H.h_at(2.0), np.diag([0.0, 1.0]))
+
     def test_roundtrip_hamiltonian_valid(self):
         D = DiagonalSystem(
             (DiagonalSegment(1.0, 1.0), DiagonalSegment(0.5, 0.25)), t0=0.0
