@@ -31,17 +31,6 @@ PI = math.pi
 HALF_PI = math.pi / 2
 
 
-def e_alpha(alpha: float) -> np.ndarray:
-    """Unit vector (cos a, sin a)."""
-    return np.array([math.cos(alpha), math.sin(alpha)])
-
-
-def p_alpha(alpha: float) -> np.ndarray:
-    """Rank-one projection onto e_alpha."""
-    c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[c * c, s * c], [s * c, s * s]])
-
-
 def rotation(gamma: float) -> np.ndarray:
     c, s = math.cos(gamma), math.sin(gamma)
     return np.array([[c, -s], [s, c]])
@@ -89,10 +78,10 @@ class MatrixH:
 # ---------------------------------------------------------------------------
 # segment kinds
 #
-# Every kind answers the same four questions about a segment of the given
-# length: H at an offset (h_at), its closed-form pieces (pieces), the two
-# kinds left and right of an interior cut (split), and the kind of the
-# conjugated system R_gamma H R_{-gamma} (rotated).
+# Every kind answers the same three questions about a segment of the given
+# length: its closed-form pieces (pieces), the two kinds left and right of an
+# interior cut (split), and the kind of the conjugated system
+# R_gamma H R_{-gamma} (rotated).
 
 
 @dataclass(frozen=True)
@@ -100,9 +89,6 @@ class ConstantAngle:
     """H = P_alpha on the whole segment (a singular-interval piece)."""
 
     alpha: float
-
-    def h_at(self, offset: float, length: float) -> np.ndarray:
-        return p_alpha(self.alpha)
 
     def pieces(self, length: float) -> tuple[Piece, ...]:
         return (Piece(0.0, length, self.alpha, self.alpha),)
@@ -120,14 +106,13 @@ class ConstantMatrix:
 
     matrix: MatrixH
 
-    def h_at(self, offset: float, length: float) -> np.ndarray:
-        return self.matrix.as_array()
-
     def pieces(self, length: float) -> tuple[Piece, ...]:
         """One piece in the eigenbasis: lam1 the larger eigenvalue."""
         m, phi = self.matrix, self.matrix.angle()
         lam1 = 0.5 * float(m.trace + math.hypot(m.h11 - m.h22, 2.0 * m.h12))
-        return (Piece(0.0, length, phi, phi, lam1, float(m.det) / lam1),)
+        # lam1 = 0 only where both eigenvalues are at most 0: lam2 = trace - lam1
+        lam2 = float(m.det) / lam1 if lam1 else float(m.trace)
+        return (Piece(0.0, length, phi, phi, lam1, lam2),)
 
     def split(self, at: float, length: float) -> tuple["ConstantMatrix", "ConstantMatrix"]:
         return self, self
@@ -151,9 +136,6 @@ class PhiRamp:
 
     def _phi_at(self, offset: float, length: float) -> float:
         return self.phi_start + (self.phi_end - self.phi_start) * offset / length
-
-    def h_at(self, offset: float, length: float) -> np.ndarray:
-        return p_alpha(self._phi_at(offset, length))
 
     def pieces(self, length: float) -> tuple[Piece, ...]:
         return (Piece(0.0, length, self.phi_start, self.phi_end),)
@@ -209,9 +191,6 @@ class PhiTable:
         if offset <= p.offset or offset >= p.end:
             return p.phi0 if offset <= p.offset else p.phi1
         return (p.phi1 - p.phi0) / (p.end - p.offset) * (offset - p.offset) + p.phi0
-
-    def h_at(self, offset: float, length: float) -> np.ndarray:
-        return p_alpha(self.phi_at(offset))
 
     def pieces(self, length: float) -> tuple[Piece, ...]:
         """One piece per table interval: the stored tuple itself."""
@@ -295,9 +274,6 @@ class Segment:
             raise ValueError("PhiTable last offset must equal segment length")
         object.__setattr__(self, "pieces", pieces)
 
-    def h_at(self, offset: float) -> np.ndarray:
-        return self.kind.h_at(offset, self.length)
-
     def split(self, at: float) -> tuple["Segment", "Segment"]:
         """Split into two segments with lengths (at, length - at)."""
         if not (0.0 < at < self.length):
@@ -332,26 +308,6 @@ class Hamiltonian:
     @property
     def x_max(self) -> float:
         return sum(s.length for s in self.segments)
-
-    def boundaries(self) -> list[float]:
-        out = [0.0]
-        for s in self.segments:
-            out.append(out[-1] + s.length)
-        return out
-
-    def h_at(self, x: float) -> np.ndarray:
-        if x > self.x_max:
-            if self.tail is None:
-                raise ValueError(f"x = {x} beyond X_max = {self.x_max} and no tail")
-            return p_alpha(self.tail.gamma)
-        if x < 0.0:
-            raise ValueError("x must be nonnegative")
-        acc = 0.0
-        for seg in self.segments[:-1]:
-            if x < acc + seg.length:
-                return seg.h_at(x - acc)
-            acc += seg.length
-        return self.segments[-1].h_at(min(x - acc, self.segments[-1].length))
 
     def walk(self, L: float):
         """(x, piece, span) for every piece that meets (0, L): x its start, span
@@ -501,18 +457,6 @@ class PhiProfile:
         """Shift by a multiple of pi so that phi(0+) lies in (-pi/2, pi/2]."""
         n = math.ceil((self.phi_start - HALF_PI) / PI - 1e-12)
         return self.shifted(-n * PI) if n else self
-
-    def to_hamiltonian(self, tail: bool = True) -> Hamiltonian:
-        """Encode P_phi back into segments (plateaus/ramps, jumps free)."""
-        segs = []
-        for p in self.pieces:
-            length = p.end - p.offset
-            if p.singular:
-                segs.append(Segment(length, ConstantAngle(p.phi0)))
-            else:
-                segs.append(Segment(length, PhiRamp(p.phi0, p.phi1)))
-        t = SingularHalfLine(self.phi_infinity) if tail else None
-        return Hamiltonian(tuple(segs), tail=t)
 
 
 class NotRankOne(Exception):

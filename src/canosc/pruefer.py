@@ -88,10 +88,6 @@ class PrueferTrajectory:
     def theta_end(self) -> float:
         return float(self.thetas[-1])
 
-    def value(self, x: float) -> float:
-        """theta at x, linear interpolation between samples."""
-        return float(np.interp(x, self.xs, self.thetas))
-
 
 def integrate(
     H: Hamiltonian,

@@ -25,9 +25,9 @@ from canosc.hamiltonian import (
     Segment,
     SingularHalfLine,
     extract_phi,
-    p_alpha,
 )
 from canosc.spectra import SpectralWindow
+from refs import p_alpha
 
 PI = math.pi
 J = np.array([[0.0, -1.0], [1.0, 0.0]])

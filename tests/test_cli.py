@@ -145,6 +145,17 @@ class TestValidate:
         assert code == 2
         assert json.loads(out)["error"].startswith("invalid Hamiltonian: segment 2: trace")
 
+    def test_zero_matrix_is_reported_not_raised(self, run, tmp_path):
+        # the zero matrix has no larger eigenvalue to divide by; it is a
+        # trace issue of its own segment like any other
+        p = write_config(tmp_path, after_equal_angles(0.0, 0.0, 0.0))
+        code, out = run("validate", "--config", p)
+        assert code == 2
+        assert json.loads(out)["issues"] == [[2, "trace = 0.0, expected 1"]]
+        code, out = run("count", "--config", p, "--L", "3.0", "--window", "-5", "5")
+        assert code == 2
+        assert json.loads(out) == {"error": "invalid Hamiltonian: segment 2: trace = 0.0, expected 1"}
+
 
 class TestTheta:
     def test_closed_form_single_interval(self, run, tmp_path):

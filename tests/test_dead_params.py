@@ -14,17 +14,14 @@ import canosc
 
 SRC = pathlib.Path(canosc.__file__).parent
 
-# Every segment kind answers h_at(offset, length), pieces(length) and
-# split(at, length) (see hamiltonian's "segment kinds"): a kind whose answer
-# does not depend on an argument still takes it.
+# Every segment kind answers pieces(length) and split(at, length) (see
+# hamiltonian's "segment kinds"): a kind whose answer does not depend on an
+# argument still takes it.
 _PROTOCOL = "segment-kind protocol"
 #: "module.qualname" -> (unread parameters, reason)
 ALLOWED = {
-    "hamiltonian.ConstantAngle.h_at": ({"offset", "length"}, _PROTOCOL),
     "hamiltonian.ConstantAngle.split": ({"at", "length"}, _PROTOCOL),
-    "hamiltonian.ConstantMatrix.h_at": ({"offset", "length"}, _PROTOCOL),
     "hamiltonian.ConstantMatrix.split": ({"at", "length"}, _PROTOCOL),
-    "hamiltonian.PhiTable.h_at": ({"length"}, _PROTOCOL),
     "hamiltonian.PhiTable.pieces": ({"length"}, _PROTOCOL),
     # the benchmark harness passes these positionally and criterion 11 by
     # keyword, so they go with the next benchmark change

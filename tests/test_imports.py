@@ -1,8 +1,9 @@
-"""canosc imports the standard library and numpy, and mpmath in oracle.py only.
+"""canosc imports the standard library and numpy only.
 
-pyproject.toml declares numpy as the one dependency and mpmath as a test
-extra, for the independent references of :mod:`canosc.oracle`.  An import of
-anything else would fail on an install made from those declarations.
+pyproject.toml declares numpy as the one dependency, and mpmath as a test
+extra for the independent references in ``tests/refs.py``.  An import of
+anything else in ``src/canosc``, mpmath included, would fail on an install
+made from the one dependency.
 
 Inside canosc, only the Schroedinger layer (:mod:`canosc.transforms`) runs
 the adaptive RK of :mod:`canosc.rk`, and the CLI catches its error: every
@@ -17,7 +18,7 @@ import canosc
 
 SRC = pathlib.Path(canosc.__file__).parent
 #: module -> packages it may import besides the standard library and numpy
-EXTRA = {"oracle": {"mpmath"}}
+EXTRA = {}
 
 
 def _top_level_imports(tree: ast.Module):

@@ -35,6 +35,7 @@ from canosc.hamiltonian import (
     rotation,
     truncate_with_tail,
 )
+import refs
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 RK_TOL = 1e-12
@@ -96,7 +97,7 @@ def rk_theta(H: Hamiltonian, t: float, theta0: float, x_eval=()) -> tuple[float,
     theta, acc, at = theta0, 0.0, {}
     for seg in H.segments:
         def f(x, th, seg=seg):
-            h = seg.h_at(x)
+            h = refs.segment_h(seg, x)
             c, s = math.cos(th), math.sin(th)
             return t * (h[0, 0] * c * c + 2.0 * h[0, 1] * s * c + h[1, 1] * s * s)
 
@@ -115,7 +116,7 @@ def rk_transfer(H: Hamiltonian, z: complex) -> np.ndarray:
     T = np.eye(2, dtype=complex)
     for seg in H.segments:
         def f(x, u, seg=seg):
-            return z * (J @ seg.h_at(x) @ u.reshape(2, 2)).reshape(4)
+            return z * (J @ refs.segment_h(seg, x) @ u.reshape(2, 2)).reshape(4)
 
         _, ys = rk.integrate_adaptive(
             f, 0.0, seg.length, np.eye(2, dtype=complex).reshape(4), RK_TOL, x_eval=kinks(seg)
@@ -138,13 +139,13 @@ class TestAgainstRK:
     def test_x_eval_inside_table_pieces(self, segs, t, data):
         H = Hamiltonian(tuple(segs))
         pts = data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4))
-        ends = H.boundaries()
+        ends = np.cumsum([0.0] + [s.length for s in H.segments])
         x_eval = sorted({p * H.x_max for p in pts} - set(ends))
         assume(x_eval)
         _, ref = rk_theta(H, t, 0.2, x_eval)
         tr = pruefer.integrate(H, t, 0.2, H.x_max, x_eval=x_eval)
         for x in x_eval:
-            assert tr.value(x) == pytest.approx(ref[x], abs=1e-9)
+            assert np.interp(x, tr.xs, tr.thetas) == pytest.approx(ref[x], abs=1e-9)
 
     @given(ramps(), st.floats(0.0, 10.0), angles)
     @settings(max_examples=30, deadline=None)
@@ -324,6 +325,26 @@ class TestStoredPieces:
             a, b = table.split(at, length)
             assert a.points == tuple(left) and b.points == tuple(right)
         assert table.rotated(0.3).points == tuple((o, p + 0.3) for o, p in pts)
+
+    @given(
+        st.tuples(ramps(), matrices(), tables(), constant_angles),
+        st.lists(segments, max_size=3),
+        st.randoms(use_true_random=False),
+        st.builds(SingularHalfLine, angles),
+        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_walked_pieces_reproduce_h(self, kinds, extra, rnd, tail, fracs):
+        # lam1 P_phi + lam2 P_{phi + pi/2} on each walked piece, tail included,
+        # against H(x) read from the kinds' own fields
+        segs = list(kinds) + extra
+        rnd.shuffle(segs)
+        H = Hamiltonian(tuple(segs), tail=tail)
+        for x, piece, span in H.walk(H.x_max + 1.0):
+            for f in fracs:
+                phi = piece.phi(f * span)
+                got = piece.lam1 * refs.p_alpha(phi) + piece.lam2 * refs.p_alpha(phi + math.pi / 2)
+                assert np.max(np.abs(got - refs.h_at(H, x + f * span))) <= 1e-12
 
     @given(tailed, st.floats(-20.0, 20.0), angles, st.floats(0.0, 1.5))
     @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from canosc import oracle, pruefer, rk, spectra
 from canosc.hamiltonian import ConstantAngle, Hamiltonian, PhiRamp, Segment, SingularHalfLine
 from canosc.spectra import SpectralWindow
+import refs
 
 PI = math.pi
 
@@ -166,41 +167,41 @@ class TestEulerComparison:
     def test_key_inequality(self):
         a, C = 1.0, 0.1
         for x in np.geomspace(1.001, 1e4, 60):
-            assert oracle.euler_comparison_alpha(float(x), a, C) < -C / x
+            assert refs.euler_comparison_alpha(float(x), a, C) < -C / x
 
     def test_riccati_residual(self):
         a, C = 2.0, 0.2
         h = 1e-5
         for x0 in (3.0, 10.0, 200.0):
             lhs = (
-                oracle.euler_comparison_alpha(x0 + h, a, C)
-                - oracle.euler_comparison_alpha(x0 - h, a, C)
+                refs.euler_comparison_alpha(x0 + h, a, C)
+                - refs.euler_comparison_alpha(x0 - h, a, C)
             ) / (2 * h)
-            v = oracle.euler_comparison_alpha(x0, a, C)
+            v = refs.euler_comparison_alpha(x0, a, C)
             assert abs(lhs - (v * v + C / x0**2)) < 1e-8
 
     def test_blows_down_at_left_endpoint(self):
         a, C = 1.0, 0.1
-        assert oracle.euler_comparison_alpha(1.0 + 1e-9, a, C) < -1e6
+        assert refs.euler_comparison_alpha(1.0 + 1e-9, a, C) < -1e6
 
     def test_critical_constant_rejected(self):
         with pytest.raises(ValueError):
-            oracle.euler_comparison_alpha(2.0, 1.0, 0.25)
+            refs.euler_comparison_alpha(2.0, 1.0, 0.25)
         with pytest.raises(ValueError):
-            oracle.euler_comparison_alpha(0.5, 1.0, 0.1)
+            refs.euler_comparison_alpha(0.5, 1.0, 0.1)
 
 
 class TestRiccatiBranches:
     def test_lower_branch_never_reaches_zero(self):
         a, C = 1.0, 0.2
         xs = np.geomspace(1.0001, 1e6, 200)
-        vals = oracle.riccati_lower_theta(xs, a, C)
+        vals = refs.riccati_lower_theta(xs, a, C)
         assert np.all(vals < 0.0)
 
     def test_upper_branch_crosses_zero_before_b(self):
         a, b, B, eps = 1.0, 10.0, 2.0, 0.3  # eps < 1 - 1/B
         xs = np.linspace(a, b, 2000)
-        vals = oracle.riccati_upper_alpha(xs, a, b, B, theta0=-5.0, eps=eps)
+        vals = refs.riccati_upper_alpha(xs, a, b, B, theta0=-5.0, eps=eps)
         signs = np.sign(vals[np.isfinite(vals)])
         assert signs[0] < 0 < signs[-1]
 
@@ -229,10 +230,10 @@ class TestRampReferences:
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
         def f(x, u):
-            return z * (J @ H.h_at(x) @ u.reshape(2, 2)).reshape(4)
+            return z * (J @ refs.h_at(H, x) @ u.reshape(2, 2)).reshape(4)
 
         _, ys = rk.integrate_adaptive(f, 0.0, 1.3, np.eye(2, dtype=complex).reshape(4), 1e-12)
-        F = oracle.ramp_factor(0.6, -0.4, 1.3, z)
+        F = refs.ramp_factor(0.6, -0.4, 1.3, z)
         assert np.max(np.abs(F - ys[-1].reshape(2, 2))) < 1e-10
         assert abs(np.linalg.det(F) - 1.0) < 1e-13
 
@@ -242,12 +243,12 @@ class TestRampReferences:
             return t * math.cos(th - (0.6 - x / 1.3)) ** 2
 
         _, ys = rk.integrate_adaptive(f, 0.0, 1.3, 0.25, 1e-12)
-        assert oracle.ramp_theta(0.6, -0.4, 1.3, t, 0.25) == pytest.approx(float(ys[-1]), abs=1e-10)
+        assert refs.ramp_theta(0.6, -0.4, 1.3, t, 0.25) == pytest.approx(float(ys[-1]), abs=1e-10)
 
     def test_theta_counts_turns(self):
         # psi = theta - phi turns at the mean rate sqrt((t + kappa) kappa), so
         # sqrt(80.77 * 0.77) * 1.3 / pi = 3.3 half-turns; every branch is kept
-        th = oracle.ramp_theta(0.6, -0.4, 1.3, 80.0, 0.0)
+        th = refs.ramp_theta(0.6, -0.4, 1.3, 80.0, 0.0)
         assert 3.0 * PI < th < 4.0 * PI
         assert th == pytest.approx(
             pruefer.theta_at(single(PhiRamp(0.6, -0.4), length=1.3), 80.0, 0.0, 1.3), abs=1e-12
