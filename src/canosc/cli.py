@@ -335,7 +335,12 @@ def cmd_order(args):
 
 
 def _load_potential(path: str):
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if data.shape[1] < 2:  # an empty file reads as shape (0, 1)
+        raise ConfigError(f"{path}: columns x,V required, found {data.shape[1]} in {len(data)} rows")
     return data[:, 0], data[:, 1]
 
 
@@ -429,7 +434,7 @@ class _Parser(argparse.ArgumentParser):
 CONFIG = ("--config", dict(required=True, help="system JSON document"))
 DEGREES = ("--degrees", dict(action="store_true", help="angles given in degrees"))
 CSV = ("--csv", dict(help="write plot-ready columns to this path"))
-TOL = ("--tol", dict(type=float, help="tolerance override (the stopping rule of locate)"))
+TOL = ("--tol", dict(type=float, help="tolerance override, echoed in inputs; changes no answer"))
 STRICT = ("--strict", dict(action="store_true", help="exit 3 on inconclusive"))
 WINDOW = ("--window", dict(type=float, nargs=2, required=True, metavar=("S", "T")))
 POTENTIAL = ("--potential", dict(required=True, help="CSV with columns x,V"))
@@ -523,7 +528,7 @@ def main(argv=None) -> int:
     try:
         doc, columns, inconclusive = args.fn(args)
     except (
-        ConfigError, ValueError, ArithmeticError, NotRankOne, spectra.NoUniqueRoot,
+        ConfigError, ValueError, ArithmeticError, NotRankOne,
         transforms.SplitRequired, transforms.AssumptionViolated, rk.IntegrationError,
     ) as exc:
         emit({"error": str(exc)})

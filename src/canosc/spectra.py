@@ -53,8 +53,10 @@ class CountResult:
     certified: bool
 
 
-def _ceil_level(theta: float, beta: float) -> int:
-    return math.ceil((theta - beta) / PI)
+def _level(theta: float, beta: float) -> float:
+    """v = (theta - beta) / pi.  The count takes its ceiling, and locate puts
+    a point left of level n's eigenvalue exactly when v <= n."""
+    return (theta - beta) / PI
 
 
 def _is_full_singular_pi_half(H: Hamiltonian, L: float) -> bool:
@@ -89,7 +91,7 @@ def count_bounded(
         return CountResult(count=0, certified=True)
     tr_t = pruefer.integrate(H, w.t, 0.0, L)
     tr_s = pruefer.integrate(H, w.s, 0.0, L)
-    count = _ceil_level(tr_t.theta_end(), beta) - _ceil_level(tr_s.theta_end(), beta)
+    count = math.ceil(_level(tr_t.theta_end(), beta)) - math.ceil(_level(tr_s.theta_end(), beta))
     certified = all(_dist_to_grid(tr.theta_end() - beta) > _angle_rounding(tr) for tr in (tr_t, tr_s))
     return CountResult(count=count, certified=certified)
 
@@ -98,10 +100,6 @@ def _dist_to_grid(v: float) -> float:
     """Distance of v to the nearest multiple of pi."""
     r = v / PI
     return abs(r - round(r)) * PI
-
-
-class NoUniqueRoot(Exception):
-    """theta(L; .) sits on a target level over the whole window."""
 
 
 def locate_eigenvalues(
@@ -113,55 +111,49 @@ def locate_eigenvalues(
 ) -> list[float]:
     """Eigenvalues in [s, t), by a bracketed secant on the monotone angle map.
 
-    Level n's eigenvalue is where theta(L; .) crosses beta + n pi.  Its
-    bracket is the tightest one among the angles already evaluated (at s, at
-    t and at every earlier iterate, earlier levels included), so a level
-    after the first starts from the previous level's root at no cost.  Each
-    step takes the secant point of the bracket, or its midpoint when the
-    secant point is not inside it, and halves the stale endpoint's value
-    after two steps on the same side (regula falsi, Illinois variant).  A
-    point is accepted when |theta - target| < tol or the bracket it was taken
-    from is narrower than 1e-14 max(1, |point|).  A map flat on the target
-    level over the whole window has no unique root: NoUniqueRoot.
+    Every level is decided by the count's rule: with v = (theta(L; .) - beta)
+    / pi (:func:`_level`), whose ceiling :func:`count_bounded` takes, level
+    n's eigenvalue is where ceil(v) steps past n, and a point lies left of it
+    exactly when v <= n.  So the levels are ceil(v(s)) <= n < ceil(v(t)),
+    and a map flat across the window has none.  Each level starts from the
+    tightest bracket among the points already evaluated, earlier levels'
+    included, and takes the secant point of f = v - n, or the midpoint when
+    that is not inside; a stale end's f is scaled by f_prev / (f_prev +
+    f_new) (regula falsi, Pegasus variant).  A level stops in t, when f = 0
+    at its left end or its bracket is narrower than 1e-14 max(1, |lo|,
+    |hi|), and answers that left end.  tol is unused; it stays because the
+    benchmark harness passes it positionally.
     """
     if _is_full_singular_pi_half(H, L):
         return []
-    th_s = pruefer.theta_at(H, w.s, 0.0, L)
-    th_t = pruefer.theta_at(H, w.t, 0.0, L)
-    if th_s == th_t and abs(math.remainder(th_s - beta, PI)) < tol:
-        raise NoUniqueRoot(f"angle map flat at level {th_s:g} on [{w.s:g}, {w.t:g}]")
-    seen = [(w.s, th_s), (w.t, th_t)]
+
+    def level(t):
+        return _level(pruefer.theta_at(H, t, 0.0, L), beta)
+
+    seen = [(w.s, level(w.s)), (w.t, level(w.t))]
     out = []
-    for n in range(_ceil_level(th_s, beta), _ceil_level(th_t, beta)):
-        target = beta + n * PI
-        # theta(L; .) is nondecreasing: f <= 0 left of the root, f > 0 right of it
-        lo, f_lo = max((x, th - target) for x, th in seen if th <= target)
-        hi, f_hi = min((x, th - target) for x, th in seen if th > target and x > lo)
-        if abs(f_lo) < tol:
-            out.append(lo)
-            continue
+    for n in range(math.ceil(seen[0][1]), math.ceil(seen[1][1])):
+        # v is nondecreasing: f <= 0 left of the root, f > 0 right of it
+        lo, f_lo = max((x, v - n) for x, v in seen if v <= n)
+        hi, f_hi = min((x, v - n) for x, v in seen if v > n and x > lo)
         side = 0
-        for _ in range(200):
+        while f_lo < 0.0 and hi - lo >= 1e-14 * max(1.0, abs(lo), abs(hi)):
             x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
-            th = pruefer.theta_at(H, x, 0.0, L)
-            seen.append((x, th))
-            f = th - target
-            if abs(f) < tol or hi - lo < 1e-14 * max(1.0, abs(x)):
-                break
-            if f < 0.0:
-                lo, f_lo = x, f
+            v = level(x)
+            seen.append((x, v))
+            f = v - n
+            if f <= 0.0:
                 if side < 0:
-                    f_hi *= 0.5
-                side = -1
+                    f_hi *= f_lo / (f_lo + f)
+                lo, f_lo, side = x, f, -1
             else:
-                hi, f_hi = x, f
                 if side > 0:
-                    f_lo *= 0.5
-                side = 1
-        out.append(x)
-    return sorted(out)
+                    f_lo *= f_hi / (f_hi + f)
+                hi, f_hi, side = x, f, 1
+        out.append(lo)
+    return out
 
 
 @dataclass
@@ -204,17 +196,18 @@ def halfline_count(
 ) -> HalfLineCount:
     """dim E(s, t) of the half-line problem via floor((theta_t - theta_s)/pi).
 
-    With a singular tail attached the problem is exactly the bounded one
-    with boundary condition gamma + pi/2, and the count is final.  Otherwise
-    F(L) is evaluated along the schedule.  F above DIVERGENCE_THRESHOLD
-    is divergent.  For t > 0 and no declared tail, a resolved tail model
-    (:func:`implied_tail`) is consulted next: when its bounds on
-    min sigma_ess satisfy s <= lower and upper < t the window holds
-    essential spectrum and the answer is divergent; when they meet [s, t)
-    in any other way it is inconclusive.  Both carry the model as witness,
-    so such an answer rests on the fitted tail, not on the truncations.
-    Otherwise the floor must agree on the last three points to count as
-    stabilized.
+    The schedule must be nonempty, positive and finite, tail or not
+    (ValueError).  With a singular tail attached the problem is exactly the
+    bounded one with boundary condition gamma + pi/2, and the count is
+    final.  Otherwise F(L) is evaluated along the schedule.  F above
+    DIVERGENCE_THRESHOLD is divergent.  For t > 0 and no declared tail, a
+    resolved tail model (:func:`implied_tail`) is consulted next: when its
+    bounds on min sigma_ess satisfy s <= lower and upper < t the window
+    holds essential spectrum and the answer is divergent; when they meet
+    [s, t) in any other way it is inconclusive.  Both carry the model as
+    witness, so such an answer rests on the fitted tail, not on the
+    truncations.  Otherwise the floor must agree on the last three points to
+    count as stabilized.
 
     F is floored against a rounding bound, not a fixed slack.  Each sampled
     angle is taken to be within ANGLE_STEP_ULPS * eps * max(|theta|, pi) per
@@ -230,6 +223,9 @@ def halfline_count(
     tol only reaches :func:`count_bounded`, which does not use it; it stays
     because the benchmark harness passes it positionally.
     """
+    schedule = [float(L) for L in L_schedule]
+    if not (schedule and all(0.0 < L < math.inf for L in schedule)):  # before a NaN unorders the sort
+        raise ValueError(f"L_schedule must be nonempty, positive and finite, not {schedule}")
     if H.tail is not None:
         res = count_bounded(H, H.x_max, _natural_beta(H.tail.gamma), w, tol)
         return HalfLineCount(
@@ -238,9 +234,6 @@ def halfline_count(
             L_values=[H.x_max],
             F_values=[float(res.count)],
         )
-    schedule = [float(L) for L in L_schedule]
-    if not (schedule and all(0.0 < L < math.inf for L in schedule)):  # before a NaN unorders the sort
-        raise ValueError(f"L_schedule must be nonempty, positive and finite, not {schedule}")
     schedule.sort()
     L_max = schedule[-1]
     tr_t = pruefer.integrate(H, w.t, 0.0, L_max, x_eval=schedule)

@@ -1,6 +1,7 @@
 """Independent references for the tests: H(x) from each segment kind's own
-fields, mpmath ramp factors and ramp Pruefer angles, and the Riccati
-comparison closed forms.
+fields, mpmath ramp factors and ramp Pruefer angles, the Riccati
+comparison closed forms, and the level and rounding allowance of a located
+root.
 
 The RK references of the kernel tests integrate :func:`segment_h` and
 :func:`h_at`, which read the angle alpha, the MatrixH entries, the ramp's
@@ -17,6 +18,7 @@ import math
 import mpmath
 import numpy as np
 
+from canosc import pruefer
 from canosc.hamiltonian import (
     ConstantAngle,
     ConstantMatrix,
@@ -170,3 +172,19 @@ def riccati_upper_alpha(
     denom = 1.0 - c0 * (1.0 - eps) * (x - a)
     with np.errstate(divide="ignore"):
         return c0 / denom + B / b
+
+
+def level(H: Hamiltonian, L: float, beta: float, t: float) -> float:
+    """v = (theta(L; t) - beta) / pi, whose ceiling the count takes."""
+    return (pruefer.theta_at(H, t, 0.0, L) - beta) / math.pi
+
+
+def walk_rounding(H: Hamiltonian, L: float, ref: float) -> float:
+    """How far in t a computed and an exact crossing of theta(L; .) may lie
+    apart at ref: twice the walk's rounding bound, 8 eps (pieces + 1)
+    max(pi, |theta|), over the slope there."""
+    th = pruefer.theta_at(H, ref, 0.0, L)
+    h = 1e-6 * max(1.0, abs(ref))
+    slope = (pruefer.theta_at(H, ref + h, 0.0, L) - pruefer.theta_at(H, ref - h, 0.0, L)) / (2 * h)
+    pieces = len(list(H.walk(L)))
+    return 2 * 8 * math.ulp(1.0) * (pieces + 1) * max(math.pi, abs(th)) / slope

@@ -280,6 +280,17 @@ class TestCount:
         assert out == ""
         assert "error: count:" in err
 
+    @pytest.mark.parametrize("tail", [None, {"type": "singular", "gamma": -1.0}], ids=["no_tail", "tail"])
+    @pytest.mark.parametrize("bad", ["nan", "-1", "inf"])
+    def test_bad_schedule_exits_two_with_or_without_tail(self, run, tmp_path, tail, bad):
+        doc = {"segments": [{"length": 1.0, "kind": "angle", "alpha": 0.3}]}
+        if tail is not None:
+            doc["tail"] = tail
+        argv = ["count", "--config", write_config(tmp_path, doc), "--window", "0", "5", "--schedule", bad]
+        code, out = run(*argv)
+        assert code == 2
+        assert json.loads(out)["error"].startswith("L_schedule must be nonempty, positive and finite")
+
     def test_bounded_beta_defaults_to_zero(self, run, tmp_path):
         p = write_config(tmp_path, TWO_ANGLES)
         argv = ["count", "--config", p, "--L", "2", "--window", "-5", "5"]
@@ -472,6 +483,17 @@ class TestPotentialCommands:
         code, out = run("molchanov", "--potential", free_csv, "--x-grid", "1", "5", n)
         assert code == 2
         assert "last half" in json.loads(out)["error"]
+
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @pytest.mark.parametrize("content", [None, "", "0\n1\n2\n"], ids=["missing", "empty", "one_column"])
+    @pytest.mark.parametrize("argv", [["schrodinger-import", "--e0", "-1"], ["molchanov", "--mode", "new"]])
+    def test_unreadable_potential_exits_two(self, run, tmp_path, content, argv):
+        path = tmp_path / "pot.csv"
+        if content is not None:
+            path.write_text(content)
+        code, out = run(*argv, "--potential", str(path))
+        assert code == 2
+        assert json.loads(out)["error"].startswith(str(path))
 
     @pytest.mark.parametrize("n", ["0", "2.7"])
     def test_x_grid_count_must_be_a_positive_integer(self, run, free_csv, n):

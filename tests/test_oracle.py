@@ -157,10 +157,12 @@ class TestSingularSpectrum:
         eigs = spectra.locate_eigenvalues(H, L, beta, w, tol)
         assert len(eigs) == len(ev)
         for lam, ref in zip(eigs, ev):
-            # the bound TestLocateSecant puts on locate against a bisection
-            h = 1e-6 * max(1.0, abs(ref))
-            slope = (pruefer.theta_at(H, ref + h, 0.0, L) - pruefer.theta_at(H, ref - h, 0.0, L)) / (2 * h)
-            assert abs(lam - ref) <= 1.01 * tol / slope + 1e-13 * max(1.0, abs(ref))
+            # the count's rule, as TestLocateSecant checks it
+            v = refs.level(H, L, beta, lam)
+            n = math.ceil(v)
+            assert v == n or n < refs.level(H, L, beta, lam + 2e-14 * max(1.0, abs(lam)))
+            # the walk's rounding over the slope, plus the oracle's own error
+            assert abs(lam - ref) <= refs.walk_rounding(H, L, ref) + 1e-13 * max(1.0, abs(ref))
 
 
 class TestEulerComparison:

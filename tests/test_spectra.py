@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canosc import entire, pruefer, spectra, transforms
+from canosc import entire, oracle, pruefer, spectra, transforms
 from canosc.hamiltonian import (
     ConstantAngle,
     ConstantMatrix,
@@ -20,8 +20,10 @@ from canosc.hamiltonian import (
     extract_phi,
 )
 from canosc.spectra import SpectralWindow
+import refs
 
 PI = math.pi
+EPS = math.ulp(1.0)
 
 
 def single(kind, length=1.0, tail=None):
@@ -168,6 +170,30 @@ class TestLocate:
             th = pruefer.theta_at(H, lam, 0.0, 1.8)
             assert spectra._dist_to_grid(th - beta) < 1e-6
 
+    @pytest.mark.parametrize("d", [1e-4, 1e-6])
+    def test_small_slope_matches_oracle(self, d):
+        # theta(1; .) on P_{pi/2 - d} crosses 0 at t = 0 with slope theta' = d^2
+        # there; a stop in angle, |theta| < tol, lands about tol / d^2 away
+        H, w = single(ConstantAngle(PI / 2 - d)), SpectralWindow(-1.0, 1.0)
+        (ref,) = oracle.singular_spectrum(H, 1.0, 0.0)
+        (lam,) = spectra.locate_eigenvalues(H, 1.0, 0.0, w)
+        assert abs(lam - ref) <= 8 * EPS * PI / d**2
+
+    def test_flat_within_rounding_is_empty_like_the_count(self):
+        # at d = 1e-8 both ends of the window round onto level 0
+        H, w = single(ConstantAngle(PI / 2 - 1e-8)), SpectralWindow(-1.0, 1.0)
+        assert spectra.count_bounded(H, 1.0, 0.0, w).count == 0
+        assert spectra.locate_eigenvalues(H, 1.0, 0.0, w) == []
+        assert oracle.singular_spectrum(H, 1.0, 0.0).size == 0
+
+    def test_subnormal_angle_lies_on_its_level(self):
+        # theta(L; 0) = 5e-324 > 0, but 5e-324 / pi underflows to level 0, so
+        # the count places one eigenvalue in [0, 1) and locate finds it at 0
+        H, w = single(PhiRamp(2.2250738585072014e-308, 0.0), 1.4296875), SpectralWindow(0.0, 1.0)
+        assert pruefer.theta_at(H, 0.0, 0.0, H.x_max) == 5e-324
+        assert spectra.count_bounded(H, H.x_max, 0.0, w).count == 1
+        assert spectra.locate_eigenvalues(H, H.x_max, 0.0, w) == [0.0]
+
 
 lengths = st.floats(0.1, 1.5)
 angles = st.floats(-1.5, 1.5)
@@ -199,13 +225,13 @@ def secant_segments(draw):
 secant_systems = st.lists(secant_segments(), min_size=1, max_size=4).map(lambda s: Hamiltonian(tuple(s)))
 
 
-def bisection_root(H, L, target, lo, hi):
-    """theta(L; lam) = target by plain bisection to the last bit."""
+def bisection_root(H, L, beta, n, lo, hi):
+    """The step of ceil(v) past n by plain bisection to the last bit."""
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        if pruefer.theta_at(H, mid, 0.0, L) - target < 0.0:
+        if refs.level(H, L, beta, mid) <= n:
             lo = mid
         else:
             hi = mid
@@ -222,22 +248,17 @@ class TestLocateSecant:
         assert eigs == sorted(eigs)
         for lam in eigs:
             assert w.s <= lam < w.t
-            th = pruefer.theta_at(H, lam, 0.0, L)
-            n = round((th - beta) / PI)
-            target = beta + n * PI
-            # the stopping rule: |theta - target| < tol, or lam was taken from
-            # a bracket of the target narrower than 1e-14 max(1, |lam|)
-            d = 1e-14 * max(1.0, abs(lam))
-            assert abs(th - target) < tol or (
-                pruefer.theta_at(H, lam - d, 0.0, L) <= target < pruefer.theta_at(H, lam + d, 0.0, L)
-            )
-            ref = bisection_root(H, L, target, w.s, w.t)
-            h = 1e-6 * max(1.0, abs(ref))
-            slope = (pruefer.theta_at(H, ref + h, 0.0, L) - pruefer.theta_at(H, ref - h, 0.0, L)) / (2 * h)
-            assert abs(lam - ref) <= 1.01 * tol / slope + 1e-13 * max(1.0, abs(ref))
+            # the count's rule: lam is the left end of a bracket of level n,
+            # v(lam) <= n < v(hi), that is exact (v = n) or narrower than
+            # 1e-14 max(1, |lo|, |hi|), which lam + 2e-14 max(1, |lam|) passes
+            v = refs.level(H, L, beta, lam)
+            n = math.ceil(v)
+            assert v == n or n < refs.level(H, L, beta, lam + 2e-14 * max(1.0, abs(lam)))
+            ref = bisection_root(H, L, beta, n, w.s, w.t)
+            assert abs(lam - ref) <= refs.walk_rounding(H, L, ref) + 2e-14 * max(1.0, abs(ref))
 
     def test_midpoint_fallback_when_secant_leaves_bracket(self, monkeypatch):
-        # f(s) = -1.5 tol against f(t) = 3: the secant point s + 5e-10 rounds
+        # theta - pi is -1.5e-9 at s against 3 at t: the secant point s + 5e-10 rounds
         # to s = 1e8, so the first iterate is the midpoint
         H, tol, s = single(ConstantAngle(0.0)), 1e-9, 1e8
         calls = []
@@ -268,16 +289,23 @@ class TestLocateSecant:
         assert all(a < b for a, b in zip(eigs, eigs[1:]))
         levels = [round((theta_at(H, lam, 0.0, L) - beta) / PI) for lam in eigs]
         assert levels == list(range(levels[0], levels[0] + len(eigs)))
-        # bisection to the same tol takes about 30 evaluations per level here
+        # bisection of [s, t) to the same bracket width takes about 50 per level here
         assert len(evals) < 2 + 15 * len(eigs)
 
     def test_flat_map_on_target_has_no_unique_root(self, monkeypatch):
-        # theta(L; .) = beta on the whole window: every point meets the angle condition
-        H = single(ConstantAngle(0.0))
-        monkeypatch.setattr(pruefer, "theta_at", lambda H, t, theta0, L, tol=1e-9: 0.6 + PI)
-        with pytest.raises(spectra.NoUniqueRoot):
-            spectra.locate_eigenvalues(H, 1.0, 0.6, SpectralWindow(-3.0, 3.0))
-        assert spectra.locate_eigenvalues(H, 1.0, 0.5, SpectralWindow(-3.0, 3.0)) == []
+        # theta(L; .) = 0.6 + pi on the whole window: both ends have the same
+        # ceiling, on the level (beta = 0.6) or off it (0.5), so no level
+        # steps and locate answers [], as the count answers 0
+        H, w = single(ConstantAngle(0.0)), SpectralWindow(-3.0, 3.0)
+
+        def flat(H, t, theta0, L, x_eval=()):
+            return pruefer.PrueferTrajectory(t, theta0, np.array([0.0, L]), np.array([theta0, 0.6 + PI]))
+
+        monkeypatch.setattr(pruefer, "integrate", flat)
+        monkeypatch.setattr(pruefer, "theta_at", lambda *a: flat(*a).theta_end())
+        for beta in (0.6, 0.5):
+            assert spectra.locate_eigenvalues(H, 1.0, beta, w) == []
+            assert spectra.count_bounded(H, 1.0, beta, w).count == 0
 
     @given(secant_systems, st.floats(-30.0, 30.0), angles)
     @settings(max_examples=30, deadline=None)
