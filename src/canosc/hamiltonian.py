@@ -57,9 +57,6 @@ class MatrixH:
     def trace(self) -> float:
         return self.h11 + self.h22
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.h11, self.h12], [self.h12, self.h22]])
-
     def angle(self) -> float:
         """Projection angle mod pi, meaningful when det ~ 0."""
         return 0.5 * math.atan2(2.0 * self.h12, self.h11 - self.h22)
@@ -78,10 +75,9 @@ class MatrixH:
 # ---------------------------------------------------------------------------
 # segment kinds
 #
-# Every kind answers the same three questions about a segment of the given
-# length: its closed-form pieces (pieces), the two kinds left and right of an
-# interior cut (split), and the kind of the conjugated system
-# R_gamma H R_{-gamma} (rotated).
+# A kind answers one question: the closed-form pieces of a segment of the
+# given length.  Cutting and turning act on those pieces, in Segment.split and
+# rotate, and give a Pieces kind whatever the kind they start from.
 
 
 @dataclass(frozen=True)
@@ -92,12 +88,6 @@ class ConstantAngle:
 
     def pieces(self, length: float) -> tuple[Piece, ...]:
         return (Piece(0.0, length, self.alpha, self.alpha),)
-
-    def split(self, at: float, length: float) -> tuple["ConstantAngle", "ConstantAngle"]:
-        return self, self
-
-    def rotated(self, gamma: float) -> "ConstantAngle":
-        return ConstantAngle(self.alpha + gamma)
 
 
 @dataclass(frozen=True)
@@ -114,14 +104,6 @@ class ConstantMatrix:
         lam2 = float(m.det) / lam1 if lam1 else float(m.trace)
         return (Piece(0.0, length, phi, phi, lam1, lam2),)
 
-    def split(self, at: float, length: float) -> tuple["ConstantMatrix", "ConstantMatrix"]:
-        return self, self
-
-    def rotated(self, gamma: float) -> "ConstantMatrix":
-        r = rotation(gamma)
-        m = r @ self.matrix.as_array() @ r.T
-        return ConstantMatrix(MatrixH(m[0, 0], m[0, 1], m[1, 1]))
-
 
 @dataclass(frozen=True)
 class PhiRamp:
@@ -134,18 +116,8 @@ class PhiRamp:
         if self.phi_end > self.phi_start + 1e-15:
             raise ValueError("PhiRamp requires phi_end <= phi_start")
 
-    def _phi_at(self, offset: float, length: float) -> float:
-        return self.phi_start + (self.phi_end - self.phi_start) * offset / length
-
     def pieces(self, length: float) -> tuple[Piece, ...]:
         return (Piece(0.0, length, self.phi_start, self.phi_end),)
-
-    def split(self, at: float, length: float) -> tuple["PhiRamp", "PhiRamp"]:
-        mid = self._phi_at(at, length)
-        return PhiRamp(self.phi_start, mid), PhiRamp(mid, self.phi_end)
-
-    def rotated(self, gamma: float) -> "PhiRamp":
-        return PhiRamp(self.phi_start + gamma, self.phi_end + gamma)
 
 
 class PhiTable:
@@ -184,32 +156,23 @@ class PhiTable:
     def __repr__(self) -> str:
         return f"PhiTable(points={self.points!r})"
 
-    def phi_at(self, offset: float) -> float:
-        """phi at offset, with the bits np.interp gives on the samples."""
-        i = bisect.bisect_right(self._pieces, offset, key=lambda p: p.offset)
-        p = self._pieces[max(i - 1, 0)]
-        if offset <= p.offset or offset >= p.end:
-            return p.phi0 if offset <= p.offset else p.phi1
-        return (p.phi1 - p.phi0) / (p.end - p.offset) * (offset - p.offset) + p.phi0
-
     def pieces(self, length: float) -> tuple[Piece, ...]:
         """One piece per table interval: the stored tuple itself."""
         return self._pieces
 
-    def split(self, at: float, length: float) -> tuple["PhiTable", "PhiTable"]:
-        """Cut the sample list, interpolating at the split point."""
-        mid = self.phi_at(at)
-        left = [(p.offset, p.phi0) for p in self._pieces if p.offset < at] + [(at, mid)]
-        right = [(0.0, mid)] + [(p.end - at, p.phi1) for p in self._pieces if p.end > at]
-        if abs(right[-1][0] - (length - at)) > 1e-12:
-            right[-1] = (length - at, right[-1][1])
-        return PhiTable(left), PhiTable(right)
 
-    def rotated(self, gamma: float) -> "PhiTable":
-        return PhiTable((o, p + gamma) for o, p in self.points)
+@dataclass(frozen=True)
+class Pieces:
+    """A segment given by its pieces, offsets from the segment start: what
+    :meth:`Segment.split` and :func:`rotate` make of a segment of any kind."""
+
+    chain: tuple[Piece, ...]
+
+    def pieces(self, length: float) -> tuple[Piece, ...]:
+        return self.chain
 
 
-SegmentKind = Union[ConstantAngle, ConstantMatrix, PhiRamp, PhiTable]
+SegmentKind = Union[ConstantAngle, ConstantMatrix, PhiRamp, PhiTable, Pieces]
 
 
 class Piece(NamedTuple):
@@ -269,17 +232,29 @@ class Segment:
         if not (self.length > 0.0):
             raise ValueError("segment length must be positive")
         pieces = self.kind.pieces(self.length)
-        # only a table's pieces can end elsewhere
+        # only a table's or a chain's pieces can end elsewhere
         if abs(pieces[-1].end - self.length) > 1e-12 * max(1.0, self.length):
             raise ValueError("PhiTable last offset must equal segment length")
         object.__setattr__(self, "pieces", pieces)
 
     def split(self, at: float) -> tuple["Segment", "Segment"]:
-        """Split into two segments with lengths (at, length - at)."""
+        """Split into two segments with lengths (at, length - at).  The piece
+        across the cut is cut there, both halves taking its Piece.phi; pieces
+        right of it move by -at.  An invalid segment is a ValueError."""
         if not (0.0 < at < self.length):
             raise ValueError("split point must be interior")
-        left, right = self.kind.split(at, self.length)
-        return Segment(at, left), Segment(self.length - at, right)
+        require_valid(Hamiltonian((self,)))
+        left, right = [], []
+        for p in self.pieces:
+            if p.end <= at:
+                left.append(p)
+            elif p.offset >= at:
+                right.append(p._replace(offset=p.offset - at, end=p.end - at))
+            else:
+                mid = p.phi(at - p.offset)
+                left.append(p._replace(end=at, phi1=mid))
+                right.append(p._replace(offset=0.0, end=p.end - at, phi0=mid))
+        return Segment(at, Pieces(tuple(left))), Segment(self.length - at, Pieces(tuple(right)))
 
 
 @dataclass(frozen=True)
@@ -314,10 +289,10 @@ class Hamiltonian:
         its length inside (0, L).  Past X_max the tail is one more piece;
         without a tail, L beyond X_max is a ValueError.  Every computation on
         H walks, so the walk is their gate: it first raises ValueError for an
-        invalid H (:func:`require_valid`), then for L < 0 or NaN."""
+        invalid H (:func:`require_valid`), then for L < 0, inf or NaN."""
         require_valid(self)
-        if not L >= 0.0:
-            raise ValueError(f"L = {L} must be nonnegative")
+        if not 0.0 <= L < math.inf:
+            raise ValueError(f"L must be finite and nonnegative, not {L}")
         acc = 0.0
         for seg in self.segments:
             if acc >= L:
@@ -507,8 +482,12 @@ def extract_phi(H: Hamiltonian) -> PhiProfile:
 
 
 def rotate(H: Hamiltonian, gamma: float) -> Hamiltonian:
-    """Conjugate the coefficient function, H_gamma = R_gamma H R_{-gamma}."""
-    segs = tuple(Segment(seg.length, seg.kind.rotated(gamma)) for seg in H.segments)
+    """Conjugate the coefficient function, H_gamma = R_gamma H R_{-gamma}:
+    every piece's phi0 and phi1 move by gamma, its lam1 and lam2 stay.  An
+    invalid H is a ValueError."""
+    require_valid(H)
+    segs = [Segment(s.length, Pieces(tuple(p._replace(phi0=p.phi0 + gamma, phi1=p.phi1 + gamma) for p in s.pieces)))
+            for s in H.segments]
     tail = None if H.tail is None else SingularHalfLine(H.tail.gamma + gamma)
     return Hamiltonian(segs, tail=tail)
 

@@ -101,10 +101,12 @@ def integrate(
     Every piece advances in closed form (see :func:`advance`).  Every piece
     boundary and every requested x_eval point appears among the samples; an
     x_eval point inside a piece is reached from the piece start.  L may
-    exceed X_max when a singular tail is attached; t must be finite.
+    exceed X_max when a singular tail is attached; t and theta0 must be finite.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, not {t}")
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, not {theta0}")
     eval_pts = sorted({float(x) for x in x_eval if 0.0 < float(x) < L})
     xs = [0.0]
     thetas = [float(theta0)]
@@ -133,10 +135,12 @@ def theta_at(H: Hamiltonian, t: float, theta0: float, L: float) -> float:
     Walks the pieces and keeps only the running angle: the same
     :func:`advance` calls as :func:`integrate` without x_eval, so the result
     is ``integrate(H, t, theta0, L).theta_end()`` bit for bit, without
-    building the sampled trajectory; a t that is not finite is a ValueError.
+    building the sampled trajectory; a t or theta0 not finite is a ValueError.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, not {t}")
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, not {theta0}")
     theta = float(theta0)
     for _, piece, span in H.walk(L):
         theta = advance(theta, piece, span, t)

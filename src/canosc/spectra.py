@@ -59,6 +59,11 @@ def _level(theta: float, beta: float) -> float:
     return (theta - beta) / PI
 
 
+def _check_beta(beta: float) -> None:
+    if not (0.0 <= beta < PI):
+        raise ValueError("beta must lie in [0, pi)")
+
+
 def _is_full_singular_pi_half(H: Hamiltonian, L: float) -> bool:
     """True when H = P_{pi/2} on (0, L) in any encoding: the walked pieces
     that start before L - 1e-12 (a sliver of the next is allowed) are at
@@ -84,8 +89,7 @@ def count_bounded(
     :func:`halfline_count` floors F against.  tol is unused; it stays because
     the benchmark harness passes it positionally and criterion 11 by keyword.
     """
-    if not (0.0 <= beta < PI):
-        raise ValueError("beta must lie in [0, pi)")
+    _check_beta(beta)
     if _is_full_singular_pi_half(H, L):
         # Trivial case: all spectral projections vanish.
         return CountResult(count=0, certified=True)
@@ -122,8 +126,10 @@ def locate_eigenvalues(
     f_new) (regula falsi, Pegasus variant).  A level stops in t, when f = 0
     at its left end or its bracket is narrower than 1e-14 max(1, |lo|,
     |hi|), and answers that left end.  tol is unused; it stays because the
-    benchmark harness passes it positionally.
+    benchmark harness passes it positionally.  beta must lie in [0, pi), as
+    for the count.
     """
+    _check_beta(beta)
     if _is_full_singular_pi_half(H, L):
         return []
 
@@ -333,20 +339,29 @@ def m_endpoints(phi: PhiProfile) -> tuple[float, float]:
     return _neg_tan_extended(phi.phi_start), _neg_tan_extended(phi.phi_infinity)
 
 
+#: |adj(U) e_beta| must exceed the product's rounding this many times over
+PULLBACK_MARGIN = 1e6
+
+
 def m_halfline_real(H: Hamiltonian, minus_t: float) -> float:
     """m(minus_t) for minus_t < 0 via truncation at L = X_max with tail P_phi(L).
 
     The square-integrable direction of the tail, e_beta with beta = phi(L) +
     pi/2, is pulled back to x = 0 through T = e^s U (det T = 1, so
     T^-1 = e^s adj(U)); the result f1(0)/f2(0), an extended real, does not
-    depend on e^s, so it stays finite where |T| leaves the float range.
+    depend on e^s, so it stays finite where |T| leaves the float range.  f
+    shrinks as |minus_t| grows; within PULLBACK_MARGIN of U's rounding (an
+    ulp per factor) f1/f2 is noise, and that is a FloatingPointError.
     """
     if minus_t >= 0.0:
         raise ValueError("minus_t must be negative")
-    beta = _natural_beta(extract_phi(H).pieces[-1].phi1)
+    phi = extract_phi(H)
+    beta = _natural_beta(phi.pieces[-1].phi1)
     (a, b), (c, d) = entire.transfer_matrix_log(H, H.x_max, complex(minus_t))[0].real
     f1 = d * math.cos(beta) - b * math.sin(beta)
     f2 = a * math.sin(beta) - c * math.cos(beta)
+    if max(abs(f1), abs(f2)) < PULLBACK_MARGIN * len(phi.pieces) * math.ulp(1.0):
+        raise FloatingPointError(f"m({minus_t}): the pulled-back vector is within rounding of the transfer product")
     if f2 == 0.0:
         return math.inf
     return float(f1 / f2)

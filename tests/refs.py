@@ -7,7 +7,9 @@ The RK references of the kernel tests integrate :func:`segment_h` and
 :func:`h_at`, which read the angle alpha, the MatrixH entries, the ramp's
 two ends, the table's points and the tail's gamma, never the walked
 ``Piece`` s, so checking ``pieces`` against such an RK run is a check
-against an independent H(x).  canosc itself needs numpy alone; mpmath is a test
+against an independent H(x).  The one exception is a ``Pieces`` segment (a
+segment after ``Segment.split`` or ``rotate``), which has no fields but its
+chain and is read from it.  canosc itself needs numpy alone; mpmath is a test
 dependency.
 """
 
@@ -26,6 +28,7 @@ from canosc.hamiltonian import (
     PhiProfile,
     PhiRamp,
     PhiTable,
+    Pieces,
     Segment,
     SingularHalfLine,
 )
@@ -50,6 +53,12 @@ def segment_h(seg: Segment, offset: float) -> np.ndarray:
     if isinstance(k, PhiTable):
         offs, phis = zip(*k.points)
         return p_alpha(float(np.interp(offset, offs, phis)))
+    if isinstance(k, Pieces):
+        # a cut or turned segment is its chain: lam1 P_phi + lam2 P_{phi + pi/2}
+        # on the piece holding the offset, phi linear between the piece's ends
+        p = next((p for p in k.chain if offset < p.end), k.chain[-1])
+        phi = p.phi0 + (p.phi1 - p.phi0) * (offset - p.offset) / (p.end - p.offset)
+        return p.lam1 * p_alpha(phi) + p.lam2 * p_alpha(phi + math.pi / 2)
     raise TypeError(f"unknown segment kind {k!r}")
 
 

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -868,16 +869,47 @@ class TestNumericFailuresExitTwo:
          "t must be finite, not -inf"),
         (["count", "--config", "{ramp}", "--window", "0", "5", "--schedule", "1", "nan", "2"],
          "L_schedule must be nonempty, positive and finite, not [1.0, nan, 2.0]"),
-    ], ids=["count", "locate", "staircase", "schedule"])
+        (["count", "--config", "{tailed}", "--L", "inf", "--window", "-1", "1"],
+         "L must be finite and nonnegative, not inf"),
+        (["locate", "--config", "{tailed}", "--L", "inf", "--window", "-1", "1", "--beta", "0.5"],
+         "L must be finite and nonnegative, not inf"),
+        (["order", "--config", "{tailed}", "--L", "inf"], "L must be finite and nonnegative, not inf"),
+        (["theta", "--config", "{tailed}", "--t", "1", "--theta0", "nan", "--L", "1"],
+         "theta0 must be finite, not nan"),
+        (["theta", "--config", "{tailed}", "--t", "1", "--theta0", "inf", "--L", "1"],
+         "theta0 must be finite, not inf"),
+        (["locate", "--config", "{angle}", "--L", "1", "--window", "0", "20", "--beta", "4"],
+         "beta must lie in [0, pi)"),
+        (["locate", "--config", "{angle}", "--L", "1", "--window", "0", "20", "--beta", "-0.5"],
+         "beta must lie in [0, pi)"),
+        (["locate", "--config", "{angle}", "--L", "1", "--window", "0", "20", "--beta", "nan"],
+         "beta must lie in [0, pi)"),
+        (["m-endpoints", "--config", "{tailed}", "--minus-t", "-1e12"],
+         "m(-1000000000000.0): the pulled-back vector is within rounding of the transfer product"),
+    ], ids=["count", "locate", "staircase", "schedule", "count-L-inf", "locate-L-inf", "order-L-inf",
+            "theta0-nan", "theta0-inf", "locate-beta-4", "locate-beta-negative", "locate-beta-nan",
+            "m-large-t"])
     def test_not_finite_spectral_parameter_is_named(self, run, tmp_path, argv, error):
         # at t = -inf each singular step of the staircase lands on its
         # stationary point and counts 2 (the exact count is 1); the others
-        # would fail on an unrelated NaN or angle
+        # would fail on an unrelated NaN or angle.  L = inf gave a certified
+        # count and an eigenvalue at -7.5e-15 on the tailed system, and order
+        # a numpy warning first; theta0 = nan or inf failed in a floor or a
+        # tangent; locate took beta = 4 mod pi and -0.5 as it stood, where the
+        # count rejects both; m(-1e12) was off by 1.8e-4, unflagged
         stairs = {"segments": [{"length": 1e-5, "kind": "angle", "alpha": a} for a in (1.2, -1.2, 0.3)]}
-        paths = {"{ramp}": write_config(tmp_path, RAMP), "{stairs}": write_config(tmp_path, stairs, "stairs.json")}
-        code, out = run(*[paths.get(a, a) for a in argv])
+        tailed = {"segments": [{"length": 1.0, "kind": "angle", "alpha": a} for a in (0.3, -0.6)],
+                  "tail": {"type": "singular", "gamma": -1.2}}
+        angle = {"segments": [{"length": 1.0, "kind": "angle", "alpha": 0.3}]}
+        paths = {"{ramp}": write_config(tmp_path, RAMP), "{stairs}": write_config(tmp_path, stairs, "stairs.json"),
+                 "{tailed}": write_config(tmp_path, tailed, "tailed.json"),
+                 "{angle}": write_config(tmp_path, angle, "angle.json")}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(*[paths.get(a, a) for a in argv])
         assert code == 2
         assert json.loads(out)["error"] == error
+        assert not caught, [str(w.message) for w in caught]
 
 
 #: documents that parse but hold a non-finite number: the gate rejects each

@@ -14,15 +14,13 @@ import canosc
 
 SRC = pathlib.Path(canosc.__file__).parent
 
-# Every segment kind answers pieces(length) and split(at, length) (see
-# hamiltonian's "segment kinds"): a kind whose answer does not depend on an
-# argument still takes it.
+# Every segment kind answers pieces(length) (see hamiltonian's "segment
+# kinds"): a kind whose answer does not depend on the length still takes it.
 _PROTOCOL = "segment-kind protocol"
 #: "module.qualname" -> (unread parameters, reason)
 ALLOWED = {
-    "hamiltonian.ConstantAngle.split": ({"at", "length"}, _PROTOCOL),
-    "hamiltonian.ConstantMatrix.split": ({"at", "length"}, _PROTOCOL),
     "hamiltonian.PhiTable.pieces": ({"length"}, _PROTOCOL),
+    "hamiltonian.Pieces.pieces": ({"length"}, _PROTOCOL),
     # the benchmark harness passes these positionally and criterion 11 by
     # keyword, so they go with the next benchmark change
     "spectra.count_bounded": ({"tol"}, "benchmark-pinned"),

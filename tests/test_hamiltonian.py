@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canosc import pruefer
+from canosc import entire, pruefer, spectra
 from canosc.hamiltonian import (
     ConstantAngle,
     ConstantMatrix,
@@ -239,6 +239,25 @@ class TestRotate:
         twice = rotate(rotate(H, g1), g2)
         for x in (0.5, 1.5, 2.5):
             assert np.allclose(h_at(once, x), h_at(twice, x), atol=1e-12)
+
+    def test_rank_one_matrix_stays_rank_one(self):
+        # turning the entries of a rank-one matrix rounded them to a full-rank
+        # one (lam2 = 1.4e-17), whose tiny P_{phi + pi/2} part wound 1186
+        # extra times by t = 1e12 (theta 3727.10 against 4.3124) and cut the
+        # order fit's radii to 1e3; the turned pieces keep lam2 = 0
+        H = Hamiltonian(
+            (Segment(1.0, ConstantMatrix(MatrixH(1.0, 0.0, 0.0))), Segment(1.0, ConstantAngle(-0.4)))
+        )
+        turned = rotate(H, 0.3)
+        assert all(p.singular for _, p, _ in turned.walk(2.0))
+        th = pruefer.integrate(H, 1e12, 0.0, 2.0)
+        th_rot = pruefer.integrate(turned, 1e12, 0.3, 2.0)
+        rounding = spectra._angle_rounding(th) + spectra._angle_rounding(th_rot)
+        assert abs(th_rot.theta_end() - 0.3 - th.theta_end()) <= rounding
+        assert th.theta_end() == pytest.approx(4.31238898038369, abs=1e-12)
+        # R T R^T moves the largest entry a little: 0.0818 on both, 0.2258 on the full-rank one
+        fits = [entire.order_bound_check(G).fitted_order for G in (H, turned)]
+        assert fits[1] == pytest.approx(fits[0], abs=1e-3)
 
     def test_round_trip(self):
         H = single(PhiRamp(0.4, -0.4))

@@ -76,6 +76,12 @@ def tables():
     return table_points().map(lambda pts: Segment(pts[-1][0], PhiTable(pts)))
 
 
+def samples(seg: Segment) -> tuple[tuple[float, float], ...]:
+    """(offset, phi) at every piece start and at the last piece's end."""
+    ps = seg.pieces
+    return tuple((p.offset, p.phi0) for p in ps) + ((ps[-1].end, ps[-1].phi1),)
+
+
 constant_angles = st.builds(Segment, lengths, st.builds(ConstantAngle, angles))
 segments = st.one_of(ramps(), matrices(), tables(), constant_angles)
 systems = st.lists(segments, min_size=1, max_size=3).map(lambda s: Hamiltonian(tuple(s)))
@@ -201,6 +207,47 @@ class TestInvariants:
         R = rotation(gamma)
         assert np.max(np.abs(T_rot - R @ T @ R.T)) <= 1e-12 * max(1.0, np.max(np.abs(T)))
 
+    @given(
+        st.tuples(ramps(), matrices(), tables(), constant_angles),
+        st.lists(segments, max_size=2),
+        st.builds(SingularHalfLine, angles),
+        st.floats(-3.0, 3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rotate_turns_every_piece(self, kinds, extra, tail, gamma):
+        # the same chain with phi + gamma, lam1 and lam2 bit for bit, tail included
+        H = Hamiltonian(tuple(kinds) + tuple(extra), tail=tail)
+        L = H.x_max + 1.0
+        walked, turned = list(H.walk(L)), list(rotate(H, gamma).walk(L))
+        assert len(turned) == len(walked)
+        for (x, p, span), (xr, pr, spanr) in zip(walked, turned):
+            assert (xr, spanr) == (x, span)
+            assert pr == p._replace(phi0=p.phi0 + gamma, phi1=p.phi1 + gamma)
+
+    @given(segments, st.floats(0.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_split_cuts_the_chain(self, seg, frac):
+        # pieces before the cut keep their bits, the piece across it is cut
+        # at Piece.phi, the pieces after it move by -at: put back together,
+        # the chain's ends and every piece's phi and lam are the original bits
+        at = frac * seg.length
+        assume(0.0 < at < seg.length)
+        a, b = seg.split(at)
+        before = [p for p in seg.pieces if p.end <= at]
+        across = [p for p in seg.pieces if p.offset < at < p.end]
+        after = [p for p in seg.pieces if p.offset >= at]
+        assert list(a.pieces[: len(before)]) == before
+        assert list(b.pieces[len(b.pieces) - len(after):]) == [
+            p._replace(offset=p.offset - at, end=p.end - at) for p in after
+        ]
+        for p in across:
+            mid = p.phi(at - p.offset)
+            assert a.pieces[-1] == p._replace(end=at, phi1=mid)
+            assert b.pieces[0] == p._replace(offset=0.0, end=p.end - at, phi0=mid)
+        assert len(a.pieces) + len(b.pieces) == len(seg.pieces) + len(across)
+        assert a.pieces[0].phi0 == seg.pieces[0].phi0 and b.pieces[-1].phi1 == seg.pieces[-1].phi1
+        assert (a.length, b.length) == (at, seg.length - at)
+
     @given(segments, st.floats(0.05, 0.95), st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
     @settings(max_examples=60, deadline=None)
     def test_split_leaves_theta_and_T(self, seg, frac, t, im):
@@ -281,7 +328,8 @@ class TestBatched:
 
 class TestStoredPieces:
     """Each segment builds its pieces once; a table keeps its samples only
-    as its pieces and answers as np.interp on the samples would."""
+    as its pieces, and cut or turned it is the samples np.interp would
+    give."""
 
     @given(tailed, st.floats(0.5, 1.5))
     @settings(max_examples=40, deadline=None)
@@ -301,30 +349,26 @@ class TestStoredPieces:
         assert all(type(v) is float for pair in table.points for v in pair)
         assert PhiTable(list(pts)) == table and hash(PhiTable(list(pts))) == hash(table)
         assert hash(Segment(pts[-1][0], PhiTable(pts))) == hash(Segment(pts[-1][0], table))
-        assert table.rotated(0.25) != table
+        turned = rotate(Hamiltonian((Segment(pts[-1][0], table),)), 0.25).segments[0]
+        assert samples(turned) == tuple((o, p + 0.25) for o, p in pts) != table.points
 
     @given(table_points(), st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=6))
     @settings(max_examples=80, deadline=None)
-    def test_phi_at_split_rotated_as_interp_on_points(self, pts, fracs):
-        table = PhiTable(pts)
+    def test_split_rotate_as_interp_on_points(self, pts, fracs):
+        seg = Segment(pts[-1][0], PhiTable(pts))
         offs = np.array([o for o, _ in pts])
         phis = np.array([p for _, p in pts])
         length = pts[-1][0]
-
-        def interp(x):
-            return float(np.interp(x, offs, phis))
-
-        for x in [f * length for f in fracs] + offs.tolist():
-            assert table.phi_at(x) == interp(x)
         for at in [f * length for f in fracs if 0.0 < f * length < length]:
-            mid = interp(at)
-            left = [(o, p) for o, p in pts if o < at] + [(at, mid)]
-            right = [(0.0, mid)] + [(o - at, p) for o, p in pts if o > at]
-            if abs(right[-1][0] - (length - at)) > 1e-12:
-                right[-1] = (length - at, right[-1][1])
-            a, b = table.split(at, length)
-            assert a.points == tuple(left) and b.points == tuple(right)
-        assert table.rotated(0.3).points == tuple((o, p + 0.3) for o, p in pts)
+            # the samples either side of the cut, and phi at the cut within
+            # a few ulp of np.interp's
+            a, b = seg.split(at)
+            mid = a.pieces[-1].phi1
+            assert mid == pytest.approx(float(np.interp(at, offs, phis)), abs=4 * math.ulp(float(np.max(np.abs(phis)))))
+            assert samples(a) == tuple((o, p) for o, p in pts if o < at) + ((at, mid),)
+            assert samples(b) == ((0.0, mid),) + tuple((o - at, p) for o, p in pts if o > at)
+        turned = rotate(Hamiltonian((seg,)), 0.3).segments[0]
+        assert samples(turned) == tuple((o, p + 0.3) for o, p in pts)
 
     @given(
         st.tuples(ramps(), matrices(), tables(), constant_angles),
@@ -394,7 +438,17 @@ class TestInvalidStillRaises:
         with pytest.raises(ValueError, match="invalid Hamiltonian"):
             spectra.locate_eigenvalues(bad, 1.5, 0.0, self.W)
 
-    @pytest.mark.parametrize("L", [-1.0, math.nan])
+    def test_rotate_and_split_check_their_input(self):
+        # a cut or turned segment keeps no matrix entries for validate to read
+        bad = Segment(1.0, ConstantMatrix(MatrixH(0.5, 0.0, 0.6)))
+        with pytest.raises(ValueError, match="invalid Hamiltonian"):
+            rotate(Hamiltonian((bad,)), 0.3)
+        with pytest.raises(ValueError, match="invalid Hamiltonian"):
+            bad.split(0.5)
+        with pytest.raises(ValueError, match="invalid Hamiltonian"):
+            truncate_with_tail(Hamiltonian((bad,)), 0.5, 0.0)
+
+    @pytest.mark.parametrize("L", [-1.0, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "call",
         [
@@ -405,8 +459,9 @@ class TestInvalidStillRaises:
         ids=["theta_at", "integrate", "transfer_matrix_log"],
     )
     def test_negative_or_nan_length_raises(self, call, L):
-        # every comparison with NaN is false, so an unchecked NaN L walks all of H
-        H = Hamiltonian((Segment(1.0, ConstantAngle(0.2)),))
+        # every comparison with NaN is false, so an unchecked NaN L walks all
+        # of H; an infinite L would walk a tail to infinity
+        H = Hamiltonian((Segment(1.0, ConstantAngle(0.2)),), tail=SingularHalfLine(-0.4))
         with pytest.raises(ValueError, match="nonnegative"):
             call(H, L)
 

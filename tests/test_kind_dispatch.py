@@ -9,6 +9,11 @@ and are allowed: :func:`~canosc.hamiltonian.validate` reads the entries the
 caller gave a ``ConstantMatrix``, and ``PhiTable.__eq__`` compares two
 tables.  ``oracle.py`` is an independent reference by design and is not
 scanned.
+
+A kind answers that one question only: cutting a segment is
+``Segment.split`` and turning it is ``rotate``, each acting once on the
+pieces, so no class in ``hamiltonian`` but ``Segment`` defines ``split`` and
+none defines ``rotated``.
 """
 
 import ast
@@ -17,7 +22,7 @@ import pathlib
 import canosc
 
 SRC = pathlib.Path(canosc.__file__).parent
-KINDS = {"ConstantAngle", "ConstantMatrix", "PhiRamp", "PhiTable"}
+KINDS = {"ConstantAngle", "ConstantMatrix", "PhiRamp", "PhiTable", "Pieces"}
 #: (module, enclosing function, kind) of the allowed checks
 ALLOWED = {
     ("hamiltonian", "validate", "ConstantMatrix"),
@@ -75,3 +80,19 @@ def test_no_module_dispatches_on_a_segment_kind():
         for scope, kind in dispatches(path.read_text())
     }
     assert found <= ALLOWED, f"kind dispatches outside the allowed checks: {found - ALLOWED}"
+
+
+def methods(source: str, names: set[str]) -> list[tuple[str, str]]:
+    """(class, method) of every method named in names."""
+    return [
+        (cls.name, fn.name)
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in names
+    ]
+
+
+def test_split_and_rotate_act_once_on_the_pieces():
+    found = methods((SRC / "hamiltonian.py").read_text(), {"split", "rotated"})
+    assert found == [("Segment", "split")], f"split or rotated defined outside Segment.split: {found}"

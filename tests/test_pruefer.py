@@ -112,14 +112,28 @@ class TestIntegrate:
         H = single(ConstantMatrix(MatrixH(0.5, 0.0, 0.5)), length=2.0)
         assert pruefer.theta_at(H, 3.0, 0.0, 2.0) == pytest.approx(3.0, abs=1e-8)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_t_not_finite_raises(self, t):
-        # theta(L; +-inf) is a limit the walk does not define yet: a ValueError, not an angle
-        H = single(ConstantAngle(0.4))
-        with pytest.raises(ValueError, match=f"t must be finite, not {t}"):
-            pruefer.integrate(H, t, 0.0, 1.0)
-        with pytest.raises(ValueError, match=f"t must be finite, not {t}"):
-            pruefer.theta_at(H, t, 0.0, 1.0)
+    @pytest.mark.parametrize(
+        "t, theta0, L, error",
+        [
+            (math.nan, 0.0, 1.0, "t must be finite, not nan"),
+            (math.inf, 0.0, 1.0, "t must be finite, not inf"),
+            (-math.inf, 0.0, 1.0, "t must be finite, not -inf"),
+            (1.0, math.nan, 1.0, "theta0 must be finite, not nan"),
+            (1.0, math.inf, 1.0, "theta0 must be finite, not inf"),
+            (1.0, -math.inf, 1.0, "theta0 must be finite, not -inf"),
+            (1.0, 0.0, math.inf, "L must be finite and nonnegative, not inf"),
+        ],
+        ids=["nan", "inf", "-inf", "theta0-nan", "theta0-inf", "theta0--inf", "L-inf"],
+    )
+    def test_t_not_finite_raises(self, t, theta0, L, error):
+        # theta(L; +-inf) is a limit the walk does not define yet: a ValueError,
+        # not an angle.  A theta0 or L that is not finite has no angle either,
+        # though the tail would walk to L = inf
+        H = single(ConstantAngle(0.4), tail=SingularHalfLine(-0.2))
+        with pytest.raises(ValueError, match=error):
+            pruefer.integrate(H, t, theta0, L)
+        with pytest.raises(ValueError, match=error):
+            pruefer.theta_at(H, t, theta0, L)
 
 
 class TestSweep:

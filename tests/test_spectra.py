@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -68,6 +69,28 @@ class TestCountBounded:
         assert not spectra._is_full_singular_pi_half(H, 2.5)
         tailed = single(ConstantAngle(PI / 2), tail=SingularHalfLine(0.3))
         assert not spectra._is_full_singular_pi_half(tailed, 3.0)
+
+    @pytest.mark.parametrize("beta", [4.0, -0.5, PI, math.nan])
+    def test_beta_outside_zero_pi_rejected(self, beta):
+        # the count and locate read beta alike: locate took 4 mod pi and
+        # failed on nan in a ceiling
+        H = single(ConstantAngle(0.3))
+        w = SpectralWindow(0.0, 20.0)
+        for call in (spectra.count_bounded, spectra.locate_eigenvalues):
+            with pytest.raises(ValueError, match=r"beta must lie in \[0, pi\)"):
+                call(H, 1.0, beta, w)
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_L_not_finite_rejected(self, L):
+        # with a tail the walk would run to L = inf: a certified count for a
+        # beta that means nothing there
+        H = Hamiltonian(
+            (Segment(1.0, ConstantAngle(0.3)), Segment(1.0, ConstantAngle(-0.6))), tail=SingularHalfLine(-1.2)
+        )
+        w = SpectralWindow(-1.0, 1.0)
+        for call in (spectra.count_bounded, spectra.locate_eigenvalues):
+            with pytest.raises(ValueError, match=f"L must be finite and nonnegative, not {L}"):
+                call(H, L, 0.5, w)
 
     @pytest.mark.parametrize("gap, certified", [(1e-14, False), (1e-6, True)])
     def test_certified_against_the_walk_rounding(self, gap, certified):
@@ -612,6 +635,46 @@ class TestMEndpoints:
         assert all(math.isfinite(m) for m in ms)
         assert all(a < b for a, b in zip(ms, ms[1:]))
         assert m_minus_inf < ms[0]
+
+    @staticmethod
+    def exact_singular_m(segments, minus_t, beta):
+        """m from the exact product of the singular factors I + t l J P_alpha,
+        in mpmath at 50 digits."""
+        with mpmath.workdps(50):
+            t = mpmath.mpf(minus_t)
+            T = mpmath.eye(2)
+            for alpha, length in segments:
+                c, s = mpmath.cos(alpha), mpmath.sin(alpha)
+                T = (mpmath.eye(2) + t * length * mpmath.matrix([[-c * s, -s * s], [c * c, c * s]])) * T
+            f1 = T[1, 1] * mpmath.cos(beta) - T[0, 1] * mpmath.sin(beta)
+            f2 = T[0, 0] * mpmath.sin(beta) - T[1, 0] * mpmath.cos(beta)
+            return float(f1 / f2)
+
+    def test_large_t_answers_or_raises(self):
+        # adj(U) e_beta falls like 1.2/|t| toward U's rounding: m(-1e12) was
+        # off by 1.8e-4, m(-1e16) = 0.25, m(-1e20) = inf, m(-1e200) = 0.0,
+        # where m(-inf) = -tan 0.3.  Each t now gives m to 1/PULLBACK_MARGIN
+        # or a FloatingPointError naming t
+        segments = [(0.3, 1.0), (-0.6, 1.0)]
+        H = Hamiltonian(tuple(Segment(l, ConstantAngle(a)) for a, l in segments), tail=SingularHalfLine(-1.2))
+        beta = spectra._natural_beta(-0.6)
+        answered = []
+        for k in range(0, 41):
+            t = -(10.0 ** (k / 2))
+            try:
+                m = spectra.m_halfline_real(H, t)
+            except FloatingPointError as exc:
+                assert f"m({t})" in str(exc)
+                continue
+            answered.append(t)
+            assert m == pytest.approx(self.exact_singular_m(segments, t, beta), rel=1.0 / spectra.PULLBACK_MARGIN)
+        assert -1e9 in answered and -1e12 not in answered
+        for t in (-1e16, -1e20, -1e200):
+            with pytest.raises(FloatingPointError):
+                spectra.m_halfline_real(H, t)
+        ramp = Hamiltonian((Segment(1.0, ConstantAngle(0.3)), Segment(1.0, PhiRamp(0.2, -0.6))))
+        with pytest.raises(FloatingPointError, match=r"m\(-1e\+100\)"):
+            spectra.m_halfline_real(ramp, -1e100)
 
     def test_herglotz_monotone_on_negative_axis(self):
         H = Hamiltonian(
