@@ -508,19 +508,26 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The full parser, or, given the argv it will parse, one whose only
+    subcommand with options is the one argv names (its first token that is
+    not an option): argparse reads no other subparser's options, so both
+    parse and print alike."""
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     ap = _Parser(prog="canosc", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (fn, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
+        if named is None or name == named:
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

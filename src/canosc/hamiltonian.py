@@ -329,18 +329,32 @@ class ValidationReport:
     issues: list[tuple[int, str]] = field(default_factory=list)
 
 
+def _piece_issue(pieces: tuple[Piece, ...]) -> Optional[str]:
+    """The first piece that breaks lam1, lam2 >= 0 with lam1 + lam2 = 1, or
+    phi nonincreasing (the ramp and table rule), described; else None."""
+    for j, p in enumerate(pieces):
+        if min(p.lam1, p.lam2) < -CONSTRUCTION_TOL or abs(p.lam1 + p.lam2 - 1.0) > CONSTRUCTION_TOL:
+            return f"piece {j}: eigenvalues ({p.lam1!r}, {p.lam2!r}), expected nonnegative with sum 1"
+        if p.phi1 > p.phi0 + 1e-15:
+            return f"piece {j}: phi rises from {p.phi0!r} to {p.phi1!r}"
+    return None
+
+
 def validate(H: Hamiltonian) -> ValidationReport:
-    """Check every segment against the trace-normed PSD invariants, and its
-    length, its pieces and the tail angle for non-finite numbers."""
+    """Check every segment's length, pieces and the tail angle for non-finite
+    numbers, and each segment against the trace-normed PSD invariants: a
+    matrix's entries, else its pieces, so a segment is reported once."""
     issues: list[tuple[int, str]] = []
     for i, seg in enumerate(H.segments):
+        msgs = []
         if not all(map(math.isfinite, chain((seg.length,), *seg.pieces))):
-            issues.append((i, "length or piece values not finite"))
+            msgs.append("length or piece values not finite")
         k = seg.kind
         if isinstance(k, ConstantMatrix):
-            for msg in k.matrix.issues():
-                issues.append((i, msg))
-        # angle-based kinds are trace-normed PSD by construction
+            msgs += k.matrix.issues()
+        if not msgs and (msg := _piece_issue(seg.pieces)) is not None:
+            msgs.append(msg)
+        issues += [(i, m) for m in msgs]
     if H.tail is not None and not math.isfinite(H.tail.gamma):
         issues.append((len(H.segments), f"tail gamma = {H.tail.gamma!r} is not finite"))
     return ValidationReport(ok=not issues, issues=issues)

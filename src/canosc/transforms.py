@@ -187,14 +187,25 @@ def molchanov_classic(
     """Window integrals W(x, d) = int_x^{x+d} V for the classical criterion.
 
     Verdict "diverges_likely" when every d-row rises across the last half of
-    x_grid (N >= 3).  V must be sampled beyond max(x_grid) + max(d_list).
+    x_grid (N >= 3).  x_grid must be finite, every d positive, and V
+    sampled on [min(x_grid), max(x_grid) + max(d_list)].
     """
     v_grid = np.asarray(v_grid, dtype=float)
     v_values = np.asarray(v_values, dtype=float)
     x_grid = np.asarray(sorted(float(x) for x in x_grid))
     if len(x_grid) < 3:
         raise ValueError(f"x_grid has {len(x_grid)} points; its last half needs two to rise")
+    if not np.isfinite(x_grid).all():
+        raise ValueError("x_grid must be finite")
     d_list = [float(d) for d in d_list]
+    for d in d_list:
+        if not d > 0.0:
+            raise ValueError(f"window width d must be positive, not {d!r}")
+    if x_grid[0] < v_grid[0] - 1e-12:
+        raise ValueError(
+            f"potential must be sampled from min(x_grid) = {float(x_grid[0])!r} on, "
+            f"not from {float(v_grid[0])!r}"
+        )
     if x_grid[-1] + max(d_list) > v_grid[-1] + 1e-12:
         raise ValueError("potential must be sampled beyond max(x_grid) + max(d)")
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (v_values[1:] + v_values[:-1]) * np.diff(v_grid))])

@@ -496,6 +496,23 @@ class TestPotentialCommands:
         assert code == 2
         assert json.loads(out)["error"].startswith(str(path))
 
+    @pytest.mark.parametrize("argv, error", [
+        # W = 0 and W < 0 read not_diverging for a V = x that diverges
+        (["--d-list", "0"], "window width d must be positive, not 0.0"),
+        (["--d-list", "1", "-1"], "window width d must be positive, not -1.0"),
+        # left of the samples V was read as 0: W = [0, 0, 0.5, 5.5, 10.5]
+        (["--x-grid", "-10", "10", "5"],
+         "potential must be sampled from min(x_grid) = -10.0 on, not from 0.0"),
+        (["--x-grid", "1", "nan", "5"], "x_grid must be finite"),
+    ], ids=["d_zero", "d_negative", "x_grid_before_samples", "x_grid_nan"])
+    def test_classic_window_outside_its_meaning_exits_two(self, run, tmp_path, argv, error):
+        xs = np.linspace(0.0, 20.0, 201)
+        path = tmp_path / "lin.csv"
+        np.savetxt(path, np.column_stack([xs, xs]), delimiter=",")
+        code, out = run("molchanov", "--potential", str(path), *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": error}
+
     @pytest.mark.parametrize("n", ["0", "2.7"])
     def test_x_grid_count_must_be_a_positive_integer(self, run, free_csv, n):
         code, out = run("molchanov", "--potential", free_csv, "--x-grid", "1", "5", n)
@@ -775,8 +792,8 @@ class TestEveryOptionIsRead:
 
         build = cli.build_parser
 
-        def recording_parser():
-            ap = build()
+        def recording_parser(argv=None):
+            ap = build(argv)
             parse = ap.parse_args
 
             def parse_args(argv):
@@ -799,6 +816,65 @@ class TestEveryOptionIsRead:
             assert not unset, f"{name}: no run sets {unset}"
             unread = [a.option_strings[0] for a in options if a.dest not in reads[name]]
             assert not unread, f"{name}: {unread} never read"
+
+
+def _options(ap):
+    """subcommand -> its option flags, help aside"""
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [a.option_strings[0] for a in p._actions if a.option_strings and a.dest != "help"]
+        for name, p in sub.choices.items()
+    }
+
+
+def _parse(ap, argv, capsys):
+    """(exit code, stdout, stderr) of ap.parse_args(argv), which exits on -h and errors"""
+    with pytest.raises(SystemExit) as exc:
+        ap.parse_args(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestParserPerCommand:
+    """main builds only the named subcommand's options; every help, usage
+    and error text is the full parser's."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_full_parser_holds_every_option(self):
+        assert _options(cli.build_parser()) == {
+            name: [flag for flag, _ in options] for name, (_, _, options) in cli.COMMANDS.items()
+        }
+
+    @pytest.mark.parametrize("name", cli.COMMANDS)
+    def test_named_parser_holds_its_options_alone(self, name):
+        given = _options(cli.build_parser(["--degrees", name, "--config", "sys.json"]))
+        assert given.pop(name) == [flag for flag, _ in cli.COMMANDS[name][2]]
+        assert all(flags == [] for flags in given.values())
+
+    def test_help_lists_every_subcommand(self, run):
+        code, out = run("-h")
+        assert code == 0
+        assert all(f"    {name}" in out for name in cli.COMMANDS)
+
+    def test_unknown_command_exits_one(self, capsys):
+        argv = ["bogus", "--config", "sys.json"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument command: invalid choice: 'bogus'" in err
+        assert _parse(cli.build_parser(), argv, capsys) == (1, "", err)
+
+    @pytest.mark.parametrize("name", cli.COMMANDS)
+    @pytest.mark.parametrize("tail", [["-h"], []], ids=["help", "bare"])
+    def test_command_prints_what_the_full_parser_prints(self, capsys, name, tail):
+        argv = [name, *tail]
+        full = _parse(cli.build_parser(), argv, capsys)
+        assert _parse(cli.build_parser(argv), argv, capsys) == full
+        assert cli.main(argv) == full[0]
+        assert capsys.readouterr() == full[1:]
 
 
 #: a ramp of length 20 whose transfer matrix at t = -1e5 has |T| = e^1420.5

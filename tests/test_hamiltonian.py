@@ -17,6 +17,7 @@ from canosc.hamiltonian import (
     PhiRamp,
     PhiTable,
     Piece,
+    Pieces,
     Segment,
     SingularHalfLine,
     extract_phi,
@@ -72,6 +73,20 @@ class TestValidate:
         assert not rep.ok and "finite" in rep.issues[0][1]
         with pytest.raises(ValueError, match="finite"):
             next(H.walk(0.5))
+
+    @pytest.mark.parametrize("piece, message", [
+        (Piece(0.0, 1.0, 0.3, 0.9, 2.0, -1.0), "piece 0: eigenvalues (2.0, -1.0), expected nonnegative with sum 1"),
+        (Piece(0.0, 1.0, 0.3, 0.3, 0.5, 0.2), "piece 0: eigenvalues (0.5, 0.2), expected nonnegative with sum 1"),
+        (Piece(0.0, 1.0, 0.3, 0.9), "piece 0: phi rises from 0.3 to 0.9"),
+    ], ids=["negative_lam2", "trace", "rising_phi"])
+    def test_invalid_piece_chain_fails_the_gate(self, piece, message):
+        # a chain built by hand holds no matrix entries: its pieces are read
+        ok = Piece(0.0, 0.5, 0.2, 0.2)
+        H = Hamiltonian((Segment(0.5, Pieces((ok,))),
+                         Segment(1.5, Pieces((ok, piece._replace(offset=0.5, end=1.5))))))
+        assert validate(H).issues == [(1, message.replace("piece 0", "piece 1"))]
+        with pytest.raises(ValueError, match="segment 1: piece 1"):
+            pruefer.theta_at(H, 5.0, 0.0, 1.0)
 
     def test_pointwise_psd_trace_on_samples(self):
         # every represented H(x) must be PSD with unit trace
