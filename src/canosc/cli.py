@@ -125,7 +125,7 @@ def _tolerances(doc: dict, override=None) -> float:
         raise ConfigError("tolerances: an object is required")
     try:
         tol = float(tols.get("integration", 1e-9) if override is None else override)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"tolerances: integration: {exc}") from exc
     if not tol > 0.0:
         raise ValueError("tol must be positive")

@@ -40,9 +40,9 @@ def rotation(gamma: float) -> np.ndarray:
 class MatrixH:
     """Entries of a symmetric 2x2 coefficient value.
 
-    Construction is permissive: invariants (trace 1, PSD) are checked by
-    :func:`validate` so that malformed data can be reported rather than
-    silently rejected.
+    Construction is permissive: a :class:`ConstantMatrix` is one piece in its
+    eigenbasis, and :func:`validate` judges that piece (eigenvalues
+    nonnegative with sum 1), so malformed data is reported, not raised.
     """
 
     h11: float
@@ -60,16 +60,6 @@ class MatrixH:
     def angle(self) -> float:
         """Projection angle mod pi, meaningful when det ~ 0."""
         return 0.5 * math.atan2(2.0 * self.h12, self.h11 - self.h22)
-
-    def issues(self) -> list[str]:
-        out = []
-        if abs(self.trace - 1.0) > CONSTRUCTION_TOL:
-            out.append(f"trace = {self.trace!r}, expected 1")
-        if self.h11 < -CONSTRUCTION_TOL or self.h22 < -CONSTRUCTION_TOL:
-            out.append("negative diagonal entry")
-        if self.h12 * self.h12 > self.h11 * self.h22 + CONSTRUCTION_TOL:
-            out.append("not positive semidefinite (h12^2 > h11*h22)")
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -112,53 +102,8 @@ class PhiRamp:
     phi_start: float
     phi_end: float
 
-    def __post_init__(self):
-        if self.phi_end > self.phi_start + 1e-15:
-            raise ValueError("PhiRamp requires phi_end <= phi_start")
-
     def pieces(self, length: float) -> tuple[Piece, ...]:
         return (Piece(0.0, length, self.phi_start, self.phi_end),)
-
-
-class PhiTable:
-    """H = P_phi(x) with phi piecewise linear through (offset, phi) samples.
-
-    Offsets are relative to the segment start, strictly increasing, starting
-    at 0; phi values are nonincreasing.  The samples are kept only as the
-    table's pieces, one per interval; :attr:`points` reads them back.
-    """
-
-    __slots__ = ("_pieces",)
-
-    def __init__(self, points):
-        pts = [(float(o), float(p)) for o, p in points]
-        if len(pts) < 2:
-            raise ValueError("PhiTable needs at least two samples")
-        if pts[0][0] != 0.0:
-            raise ValueError("PhiTable offsets must start at 0")
-        if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
-            raise ValueError("PhiTable offsets must be strictly increasing")
-        if any(b[1] > a[1] + 1e-15 for a, b in zip(pts, pts[1:])):
-            raise ValueError("PhiTable phi values must be nonincreasing")
-        self._pieces = tuple(Piece(o0, o1, p0, p1) for (o0, p0), (o1, p1) in zip(pts, pts[1:]))
-
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        ps = self._pieces
-        return tuple((p.offset, p.phi0) for p in ps) + ((ps[-1].end, ps[-1].phi1),)
-
-    def __eq__(self, other):
-        return isinstance(other, PhiTable) and self._pieces == other._pieces
-
-    def __hash__(self) -> int:
-        return hash(self._pieces)
-
-    def __repr__(self) -> str:
-        return f"PhiTable(points={self.points!r})"
-
-    def pieces(self, length: float) -> tuple[Piece, ...]:
-        """One piece per table interval: the stored tuple itself."""
-        return self._pieces
 
 
 @dataclass(frozen=True)
@@ -170,6 +115,29 @@ class Pieces:
 
     def pieces(self, length: float) -> tuple[Piece, ...]:
         return self.chain
+
+
+class PhiTable(Pieces):
+    """H = P_phi(x) with phi piecewise linear through (offset, phi) samples:
+    the chain of one piece per interval, which :attr:`points` reads back.
+
+    Offsets are relative to the segment start, strictly increasing, starting
+    at 0; phi values are nonincreasing (rules of :func:`validate`).
+    """
+
+    def __init__(self, points):
+        pts = [(float(o), float(p)) for o, p in points]
+        if len(pts) < 2:
+            raise ValueError("PhiTable needs at least two samples")
+        super().__init__(tuple(Piece(o0, o1, p0, p1) for (o0, p0), (o1, p1) in zip(pts, pts[1:])))
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        ps = self.chain
+        return tuple((p.offset, p.phi0) for p in ps) + ((ps[-1].end, ps[-1].phi1),)
+
+    def __repr__(self) -> str:
+        return f"PhiTable(points={self.points!r})"
 
 
 SegmentKind = Union[ConstantAngle, ConstantMatrix, PhiRamp, PhiTable, Pieces]
@@ -231,11 +199,7 @@ class Segment:
     def __post_init__(self):
         if not (self.length > 0.0):
             raise ValueError("segment length must be positive")
-        pieces = self.kind.pieces(self.length)
-        # only a table's or a chain's pieces can end elsewhere
-        if abs(pieces[-1].end - self.length) > 1e-12 * max(1.0, self.length):
-            raise ValueError("PhiTable last offset must equal segment length")
-        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "pieces", self.kind.pieces(self.length))
 
     def split(self, at: float) -> tuple["Segment", "Segment"]:
         """Split into two segments with lengths (at, length - at).  The piece
@@ -329,32 +293,42 @@ class ValidationReport:
     issues: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _piece_issue(pieces: tuple[Piece, ...]) -> Optional[str]:
-    """The first piece that breaks lam1, lam2 >= 0 with lam1 + lam2 = 1, or
-    phi nonincreasing (the ramp and table rule), described; else None."""
+def _piece_issue(length: float, pieces: tuple[Piece, ...]) -> Optional[str]:
+    """The first piece that breaks a segment rule, described; else None.  The
+    pieces tile [0, length): the first starts at 0, each where the last one
+    ended, each has positive length, and the last ends within
+    1e-12 max(1, length) of the length.  Each has lam1, lam2 >= 0 with
+    lam1 + lam2 = 1 (a matrix's trace and PSD rule) and phi nonincreasing
+    (the ramp and table rule), each to CONSTRUCTION_TOL and 1e-15."""
+    if not pieces:
+        return "no pieces"
+    end = 0.0
     for j, p in enumerate(pieces):
+        if p.offset != end:
+            return f"piece {j}: starts at {p.offset!r}, not at {end!r}"
+        if not p.end > p.offset:
+            return f"piece {j}: ends at {p.end!r}, not after its start {p.offset!r}"
         if min(p.lam1, p.lam2) < -CONSTRUCTION_TOL or abs(p.lam1 + p.lam2 - 1.0) > CONSTRUCTION_TOL:
             return f"piece {j}: eigenvalues ({p.lam1!r}, {p.lam2!r}), expected nonnegative with sum 1"
         if p.phi1 > p.phi0 + 1e-15:
             return f"piece {j}: phi rises from {p.phi0!r} to {p.phi1!r}"
+        end = p.end
+    if abs(end - length) > 1e-12 * max(1.0, length):
+        return f"piece {j}: ends at {end!r}, not at the segment length {length!r}"
     return None
 
 
 def validate(H: Hamiltonian) -> ValidationReport:
     """Check every segment's length, pieces and the tail angle for non-finite
-    numbers, and each segment against the trace-normed PSD invariants: a
-    matrix's entries, else its pieces, so a segment is reported once."""
+    numbers, then each segment's pieces against the segment rules of
+    :func:`_piece_issue`, whatever its kind: every bad segment is reported,
+    each once."""
     issues: list[tuple[int, str]] = []
     for i, seg in enumerate(H.segments):
-        msgs = []
         if not all(map(math.isfinite, chain((seg.length,), *seg.pieces))):
-            msgs.append("length or piece values not finite")
-        k = seg.kind
-        if isinstance(k, ConstantMatrix):
-            msgs += k.matrix.issues()
-        if not msgs and (msg := _piece_issue(seg.pieces)) is not None:
-            msgs.append(msg)
-        issues += [(i, m) for m in msgs]
+            issues.append((i, "length or piece values not finite"))
+        elif (msg := _piece_issue(seg.length, seg.pieces)) is not None:
+            issues.append((i, msg))
     if H.tail is not None and not math.isfinite(H.tail.gamma):
         issues.append((len(H.segments), f"tail gamma = {H.tail.gamma!r} is not finite"))
     return ValidationReport(ok=not issues, issues=issues)

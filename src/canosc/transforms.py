@@ -170,6 +170,22 @@ def schrodinger_to_canonical(
 # Molchanov criteria
 
 
+def _x_grid(x_grid, v_start: float) -> np.ndarray:
+    """x_grid sorted; a ValueError unless it is nonempty, finite and starts
+    where the potential is sampled (v_start on)."""
+    x_grid = np.asarray(sorted(float(x) for x in x_grid))
+    if not len(x_grid):
+        raise ValueError("x_grid is empty")
+    if not np.isfinite(x_grid).all():
+        raise ValueError("x_grid must be finite")
+    if x_grid[0] < v_start - 1e-12:
+        raise ValueError(
+            f"potential must be sampled from min(x_grid) = {float(x_grid[0])!r} on, "
+            f"not from {float(v_start)!r}"
+        )
+    return x_grid
+
+
 @dataclass
 class MolchanovTable:
     d_list: list[float]
@@ -192,20 +208,13 @@ def molchanov_classic(
     """
     v_grid = np.asarray(v_grid, dtype=float)
     v_values = np.asarray(v_values, dtype=float)
-    x_grid = np.asarray(sorted(float(x) for x in x_grid))
+    x_grid = _x_grid(x_grid, v_grid[0])
     if len(x_grid) < 3:
         raise ValueError(f"x_grid has {len(x_grid)} points; its last half needs two to rise")
-    if not np.isfinite(x_grid).all():
-        raise ValueError("x_grid must be finite")
     d_list = [float(d) for d in d_list]
     for d in d_list:
         if not d > 0.0:
             raise ValueError(f"window width d must be positive, not {d!r}")
-    if x_grid[0] < v_grid[0] - 1e-12:
-        raise ValueError(
-            f"potential must be sampled from min(x_grid) = {float(x_grid[0])!r} on, "
-            f"not from {float(v_grid[0])!r}"
-        )
     if x_grid[-1] + max(d_list) > v_grid[-1] + 1e-12:
         raise ValueError("potential must be sampled beyond max(x_grid) + max(d)")
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (v_values[1:] + v_values[:-1]) * np.diff(v_grid))])
@@ -241,9 +250,10 @@ def molchanov_new(P: SchrodingerProblem, x_grid, tol: float = 1e-10) -> Molchano
     the decaying solution f = p - Mq, which cancels catastrophically once q
     is large; the direct quadrature is stable.)  x_grid must stay clear of
     the at most one zero of q.  tol is the adaptive RK tolerance of the
-    Schroedinger solutions.
+    Schroedinger solutions.  x_grid must be nonempty, finite and start where
+    V is sampled.
     """
-    x_grid = np.asarray(sorted(float(x) for x in x_grid))
+    x_grid = _x_grid(x_grid, P.grid[0])
     xs, p, dp, q, dq = _solve_pair(P, x_end=1.5 * x_grid[-1], tol=tol)
     i1_full = np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] ** 2 + q[:-1] ** 2) * np.diff(xs))])
     # q not in L^2: its norm over the second half must dominate the first

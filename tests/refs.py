@@ -1,7 +1,7 @@
 """Independent references for the tests: H(x) from each segment kind's own
-fields, mpmath ramp factors and ramp Pruefer angles, the Riccati
-comparison closed forms, and the level and rounding allowance of a located
-root.
+fields, the entry rule of a constant matrix, mpmath ramp factors and ramp
+Pruefer angles, the Riccati comparison closed forms, and the level and
+rounding allowance of a located root.
 
 The RK references of the kernel tests integrate :func:`segment_h` and
 :func:`h_at`, which read the angle alpha, the MatrixH entries, the ramp's
@@ -60,6 +60,21 @@ def segment_h(seg: Segment, offset: float) -> np.ndarray:
         phi = p.phi0 + (p.phi1 - p.phi0) * (offset - p.offset) / (p.end - p.offset)
         return p.lam1 * p_alpha(phi) + p.lam2 * p_alpha(phi + math.pi / 2)
     raise TypeError(f"unknown segment kind {k!r}")
+
+
+#: tolerance of :func:`entries_valid`, the one validate's piece rule keeps
+ENTRY_TOL = 1e-12
+
+
+def entries_valid(m) -> bool:
+    """The entry rule of a constant matrix, read from its entries and not from
+    its eigenvalues: trace 1, a nonnegative diagonal and h12^2 <= h11 h22,
+    each to ENTRY_TOL."""
+    return (
+        abs(m.h11 + m.h22 - 1.0) <= ENTRY_TOL
+        and min(m.h11, m.h22) >= -ENTRY_TOL
+        and m.h12 * m.h12 <= m.h11 * m.h22 + ENTRY_TOL
+    )
 
 
 def h_at(H: Hamiltonian, x: float) -> np.ndarray:

@@ -112,6 +112,38 @@ class TestValidate:
         code, out = run("count", "--config", p, "--L", "1.0", "--window", "-5", "5")
         assert code == 2 and json.loads(out)["error"].startswith("segments[1]: ")
 
+    @pytest.mark.parametrize("segment, issue", [
+        ({"kind": "ramp", "phi_start": -0.5, "phi_end": 0.5}, "piece 0: phi rises from -0.5 to 0.5"),
+        ({"kind": "table", "points": [[0.0, 0.1], [1.0, 0.2]]}, "piece 0: phi rises from 0.1 to 0.2"),
+        ({"kind": "table", "points": [[0.2, 0.3], [1.0, 0.2]]}, "piece 0: starts at 0.2, not at 0.0"),
+        ({"kind": "table", "points": [[0.0, 0.3], [0.5, 0.3], [0.5, 0.2], [1.0, 0.2]]},
+         "piece 1: ends at 0.5, not after its start 0.5"),
+        ({"kind": "table", "points": [[0.0, 0.3], [0.5, 0.2]]}, "piece 0: ends at 0.5, not at the segment length 1.0"),
+        ({"kind": "matrix", "h11": 0.5, "h12": 0.6, "h22": 0.5},
+         "piece 0: eigenvalues (1.1, -0.09999999999999998), expected nonnegative with sum 1"),
+    ], ids=["rising_ramp", "rising_table", "table_late_start", "table_repeated_offset", "table_short", "matrix_not_psd"])
+    def test_bad_pieces_are_issues_of_their_index(self, run, tmp_path, segment, issue):
+        # a kind builds its pieces as given; validate names the segment and piece
+        doc = {"segments": [TWO_ANGLES["segments"][0], {"length": 1.0, **segment}]}
+        p = write_config(tmp_path, doc)
+        code, out = run("validate", "--config", p)
+        assert code == 2 and json.loads(out) == {"valid": False, "issues": [[1, issue]], "x_max": 2.0}
+        code, out = run("count", "--config", p, "--L", "1.0", "--window", "-5", "5")
+        assert code == 2 and json.loads(out) == {"error": f"invalid Hamiltonian: segment 1: {issue}"}
+
+    def test_every_bad_segment_is_listed(self, run, tmp_path):
+        doc = {"segments": [
+            {"length": 1.0, "kind": "angle", "alpha": 0.3},
+            {"length": 1.0, "kind": "ramp", "phi_start": 0.1, "phi_end": 0.5},
+            {"length": 1.0, "kind": "matrix", "h11": 0.7, "h12": 0.0, "h22": 0.7},
+        ]}
+        code, out = run("validate", "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert json.loads(out)["issues"] == [
+            [1, "piece 0: phi rises from 0.1 to 0.5"],
+            [2, "piece 0: eigenvalues (0.7, 0.7), expected nonnegative with sum 1"],
+        ]
+
     def test_no_segments_exits_two(self, run, tmp_path):
         code, out = run("validate", "--config", write_config(tmp_path, {"segments": []}))
         assert code == 2
@@ -131,8 +163,7 @@ class TestValidate:
         assert code == 2
         doc = json.loads(out)
         assert doc["valid"] is False
-        assert doc["issues"][0][0] == 0
-        assert "trace" in doc["issues"][0][1]
+        assert doc["issues"] == [[0, "piece 0: eigenvalues (0.7, 0.7), expected nonnegative with sum 1"]]
         assert doc["x_max"] == 1.0
 
     def test_reports_name_the_document_index(self, run, tmp_path):
@@ -144,18 +175,18 @@ class TestValidate:
         assert [i for i, _ in json.loads(out)["issues"]] == [2]
         code, out = run("count", "--config", p, "--L", "3.0", "--window", "-5", "5")
         assert code == 2
-        assert json.loads(out)["error"].startswith("invalid Hamiltonian: segment 2: trace")
+        assert json.loads(out)["error"].startswith("invalid Hamiltonian: segment 2: piece 0: eigenvalues")
 
     def test_zero_matrix_is_reported_not_raised(self, run, tmp_path):
-        # the zero matrix has no larger eigenvalue to divide by; it is a
-        # trace issue of its own segment like any other
+        # the zero matrix has no larger eigenvalue to divide by; its piece's
+        # eigenvalues (0, 0) are an issue of its own segment like any other
         p = write_config(tmp_path, after_equal_angles(0.0, 0.0, 0.0))
         code, out = run("validate", "--config", p)
         assert code == 2
-        assert json.loads(out)["issues"] == [[2, "trace = 0.0, expected 1"]]
+        assert json.loads(out)["issues"] == [[2, "piece 0: eigenvalues (0.0, 0.0), expected nonnegative with sum 1"]]
         code, out = run("count", "--config", p, "--L", "3.0", "--window", "-5", "5")
         assert code == 2
-        assert json.loads(out) == {"error": "invalid Hamiltonian: segment 2: trace = 0.0, expected 1"}
+        assert json.loads(out) == {"error": "invalid Hamiltonian: segment 2: piece 0: eigenvalues (0.0, 0.0), expected nonnegative with sum 1"}
 
 
 class TestTheta:
@@ -510,6 +541,19 @@ class TestPotentialCommands:
         path = tmp_path / "lin.csv"
         np.savetxt(path, np.column_stack([xs, xs]), delimiter=",")
         code, out = run("molchanov", "--potential", str(path), *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": error}
+
+    @pytest.mark.parametrize("x_grid, error", [
+        (["1", "nan", "5"], "x_grid must be finite"),
+        # q was reported as vanishing inside the range, not as unsampled
+        (["1", "10", "5"], "potential must be sampled from min(x_grid) = 1.0 on, not from 2.0"),
+    ], ids=["x_grid_nan", "x_grid_before_samples"])
+    def test_new_grid_outside_its_meaning_exits_two(self, run, tmp_path, x_grid, error):
+        xs = np.linspace(2.0, 20.0, 181)
+        path = tmp_path / "late.csv"
+        np.savetxt(path, np.column_stack([xs, np.zeros_like(xs)]), delimiter=",")
+        code, out = run("molchanov", "--mode", "new", "--potential", str(path), "--x-grid", *x_grid)
         assert code == 2
         assert json.loads(out) == {"error": error}
 
@@ -1126,6 +1170,12 @@ class TestExtremeInputsSweep:
         assert code == 2
         res = json.loads(out)
         assert res["valid"] is False and res["error"]
+
+    def test_unreadable_tolerance_names_its_key(self, run, tmp_path):
+        path = write_config(tmp_path, {**TWO_ANGLES, "tolerances": {"integration": "abc"}})
+        code, out = run("count", "--config", path, "--L", "1.0", "--window", "-5", "5")
+        assert code == 2
+        assert json.loads(out) == {"error": "tolerances: integration: could not convert string to float: 'abc'"}
 
     def test_type_far_up_the_axis(self, run, tmp_path):
         # -l b l a overflowed in the diagonal form's matrix factor at y = 1e300

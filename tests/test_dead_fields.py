@@ -18,12 +18,9 @@ read.  A member that shares a busy name has to be checked by hand.
 """
 
 import ast
-import pathlib
 
-import canosc
+from scan import REPO, defs, name, parse, reads, sources
 
-SRC = pathlib.Path(canosc.__file__).parent
-REPO = pathlib.Path(__file__).resolve().parent.parent
 READERS = ("src", "tests", "perfbench")
 
 #: "module.Class.member" -> reason it stays although nothing reads it
@@ -32,56 +29,67 @@ ALLOWED: dict[str, str] = {}
 
 def _is_record(cls: ast.ClassDef) -> bool:
     """A class decorated with dataclass (bare, called or dotted) or derived from NamedTuple."""
-
-    def name(node):
-        node = node.func if isinstance(node, ast.Call) else node
-        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-
-    return any(name(d) == "dataclass" for d in cls.decorator_list) or any(
+    return any(name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in cls.decorator_list) or any(
         name(b) == "NamedTuple" for b in cls.bases
     )
 
 
-def members() -> set[str]:
+def members(trees: dict[str, ast.Module]) -> set[str]:
     """"module.Class.name" of every record field, method and property."""
     out = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for cls in ast.walk(tree):
+    for module, tree in trees.items():
+        for qualname, cls in defs(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for stmt in cls.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and _is_record(cls):
-                    out.add(f"{path.stem}.{cls.name}.{stmt.target.id}")
+                    out.add(f"{module}.{qualname}.{stmt.target.id}")
                 elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                     stmt.name.startswith("__") and stmt.name.endswith("__")
                 ):
-                    out.add(f"{path.stem}.{cls.name}.{stmt.name}")
+                    out.add(f"{module}.{qualname}.{stmt.name}")
     return out
 
 
-def read_names() -> set[str]:
+def read_names(trees) -> set[str]:
+    """Every attribute name read (obj.name), or read by getattr with a literal name."""
     out = set()
-    for d in READERS:
-        for path in sorted((REPO / d).rglob("*.py")):
-            for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-                    out.add(n.attr)
-                elif (
-                    isinstance(n, ast.Call)
-                    and getattr(n.func, "id", None) == "getattr"
-                    and len(n.args) >= 2
-                    and isinstance(n.args[1], ast.Constant)
-                    and isinstance(n.args[1].value, str)
-                ):
-                    out.add(n.args[1].value)
+    for tree in trees:
+        out |= {n.attr for n in reads(tree) if isinstance(n, ast.Attribute)}
+        out |= {
+            n.args[1].value
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+            and name(n.func) == "getattr"
+            and len(n.args) >= 2
+            and isinstance(n.args[1], ast.Constant)
+            and isinstance(n.args[1].value, str)
+        }
     return out
+
+
+def dead(trees: dict[str, ast.Module], readers) -> set[str]:
+    """The members of the trees whose name no reader reads."""
+    read = read_names(readers)
+    return {m for m in members(trees) if m.rsplit(".", 1)[1] not in read}
+
+
+def test_the_scan_sees_unread_fields_methods_and_properties():
+    src = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass R:\n    a: int\n    b: int\n    c = 1\n"
+        "    @property\n    def p(self):\n        return self.a\n"
+        "    def m(self):\n        return getattr(self, 'b')\n    def __eq__(self, o):\n        return False\n"
+        "class Plain:\n    x: int\n"
+    )
+    assert dead({"m": ast.parse(src)}, [ast.parse(src)]) == {"m.R.p", "m.R.m"}
+    assert dead({"m": ast.parse(src)}, [ast.parse(src), ast.parse("r.p, r.m()")]) == set()
 
 
 def test_every_field_is_read():
-    read = read_names()
-    dead = {m for m in members() if m.rsplit(".", 1)[1] not in read}
-    unexpected = sorted(dead - set(ALLOWED))
+    readers = [parse(p) for d in READERS for p in sorted((REPO / d).rglob("*.py"))]
+    found = dead(sources(), readers)
+    unexpected = sorted(found - set(ALLOWED))
     assert not unexpected, f"fields, methods and properties nothing reads: {unexpected}"
-    stale = sorted(set(ALLOWED) - dead)
+    stale = sorted(set(ALLOWED) - found)
     assert not stale, f"allowed as unread but read, or gone: {stale}"

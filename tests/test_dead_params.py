@@ -8,18 +8,14 @@ fails too, so the list cannot go stale.
 """
 
 import ast
-import pathlib
 
-import canosc
-
-SRC = pathlib.Path(canosc.__file__).parent
+from scan import functions, sources
 
 # Every segment kind answers pieces(length) (see hamiltonian's "segment
 # kinds"): a kind whose answer does not depend on the length still takes it.
 _PROTOCOL = "segment-kind protocol"
 #: "module.qualname" -> (unread parameters, reason)
 ALLOWED = {
-    "hamiltonian.PhiTable.pieces": ({"length"}, _PROTOCOL),
     "hamiltonian.Pieces.pieces": ({"length"}, _PROTOCOL),
     # the benchmark harness passes these positionally and criterion 11 by
     # keyword, so they go with the next benchmark change
@@ -27,22 +23,6 @@ ALLOWED = {
     "spectra.locate_eigenvalues": ({"tol"}, "benchmark-pinned"),
     "entire.log_max_entry": ({"tol"}, "benchmark-pinned"),
 }
-
-
-def _functions(tree: ast.Module):
-    """(qualname, node) of every def, methods under their class."""
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from visit(child, prefix + child.name + ".")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield prefix + child.name, child
-                yield from visit(child, prefix + child.name + ".")
-            else:
-                yield from visit(child, prefix)
-
-    yield from visit(tree, "")
 
 
 def _unread(fn) -> set[str]:
@@ -57,19 +37,27 @@ def _unread(fn) -> set[str]:
     return params - read
 
 
-def dead_parameters() -> dict[str, set[str]]:
+def dead_parameters(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """"module.qualname" -> its unread parameters, of every def in the trees."""
     out = {}
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for qualname, fn in _functions(tree):
+    for module, tree in trees.items():
+        for qualname, fn in functions(tree):
             unread = _unread(fn)
             if unread:
-                out[f"{path.stem}.{qualname}"] = unread
+                out[f"{module}.{qualname}"] = unread
     return out
 
 
+def test_the_scan_sees_unread_parameters_of_methods_and_nested_defs():
+    src = (
+        "def f(a, b, *args, c, **kw):\n    a += 1\n    return c\n\n"
+        "class K:\n    def m(self, x):\n        def inner(y):\n            return x\n        return inner\n"
+    )
+    assert dead_parameters({"m": ast.parse(src)}) == {"m.f": {"b", "args", "kw"}, "m.K.m.inner": {"y"}}
+
+
 def test_every_parameter_is_read():
-    dead = dead_parameters()
+    dead = dead_parameters(sources())
     allowed = {name: params for name, (params, _) in ALLOWED.items()}
     unexpected = {n: sorted(p - allowed.get(n, set())) for n, p in dead.items() if p - allowed.get(n, set())}
     assert not unexpected, f"parameters their function never reads: {unexpected}"

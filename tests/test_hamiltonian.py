@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from canosc import entire, pruefer, spectra
 from canosc.hamiltonian import (
@@ -25,7 +25,7 @@ from canosc.hamiltonian import (
     truncate_with_tail,
     validate,
 )
-from refs import h_at, p_alpha, to_hamiltonian
+from refs import ENTRY_TOL, entries_valid, h_at, p_alpha, to_hamiltonian
 
 PI = math.pi
 
@@ -42,15 +42,15 @@ class TestValidate:
 
     def test_trace_violation_reported(self):
         H = single(ConstantMatrix(MatrixH(0.7, 0.0, 0.7)))
-        rep = validate(H)
-        assert not rep.ok
-        assert any("trace" in msg for _, msg in rep.issues)
+        # trace 1.4: the matrix is one piece in its eigenbasis, and validate
+        # judges that piece's eigenvalues
+        assert validate(H).issues == [(0, "piece 0: eigenvalues (0.7, 0.7), expected nonnegative with sum 1")]
 
     def test_zero_matrix_reported(self):
         zero = ConstantMatrix(MatrixH(0.0, 0.0, 0.0))
         H = Hamiltonian((Segment(1.0, ConstantAngle(0.2)), Segment(1.0, zero)))
         assert H.segments[1].pieces == (Piece(0.0, 1.0, 0.0, 0.0, 0.0, 0.0),)
-        assert validate(H).issues == [(1, "trace = 0.0, expected 1")]
+        assert validate(H).issues == [(1, "piece 0: eigenvalues (0.0, 0.0), expected nonnegative with sum 1")]
 
     def test_psd_violation_reported(self):
         H = single(ConstantMatrix(MatrixH(0.5, 0.6, 0.5)))
@@ -88,6 +88,87 @@ class TestValidate:
         with pytest.raises(ValueError, match="segment 1: piece 1"):
             pruefer.theta_at(H, 5.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("kind, message", [
+        (Pieces((Piece(0.0, 0.5, 0.3, 0.3),)), "piece 0: ends at 0.5, not at the segment length 1.0"),
+        (Pieces(()), "no pieces"),
+    ], ids=["short", "empty"])
+    def test_chain_that_does_not_tile_the_segment_fails_the_gate(self, kind, message):
+        # the tiling of [0, length) is a rule of validate, not of Segment
+        H = Hamiltonian((Segment(1.0, ConstantAngle(0.3)), Segment(1.0, kind)))
+        assert validate(H).issues == [(1, message)]
+        with pytest.raises(ValueError, match=f"invalid Hamiltonian: segment 1: {message}"):
+            next(H.walk(1.5))
+
+    @given(
+        st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4),
+        st.integers(0, 2),
+        st.sampled_from(["gap", "overlap", "reversed", "late"]),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_gap_overlap_reversal_or_late_start_names_segment_and_piece(self, steps, k, defect, data):
+        # a hand-built chain on [0, length) with one defect at piece j, as
+        # segment k of three: a gap or an overlap before piece j >= 1, piece j
+        # ending before it starts, or the whole chain starting late (j = 0)
+        ends = np.cumsum(steps).tolist()
+        chain = [Piece(a, b, 0.3, 0.3) for a, b in zip([0.0] + ends, ends)]
+        first = 1 if defect in ("gap", "overlap") else 0
+        assume(len(chain) > first)
+        j = 0 if defect == "late" else data.draw(st.integers(first, len(chain) - 1))
+        if defect == "reversed":
+            chain[j] = chain[j]._replace(end=chain[j].offset - 0.05)
+        else:
+            d = -0.5 * steps[j - 1] if defect == "overlap" else 0.05
+            chain[j:] = [q._replace(offset=q.offset + d, end=q.end + d) for q in chain[j:]]
+        segs = [Segment(1.0, ConstantAngle(0.2)) for _ in range(3)]
+        segs[k] = Segment(ends[-1], Pieces(tuple(chain)))
+        issues = validate(Hamiltonian(tuple(segs))).issues
+        assert [(i, m.split(":")[0]) for i, m in issues] == [(k, f"piece {j}")]
+        with pytest.raises(ValueError, match=f"invalid Hamiltonian: segment {k}: piece {j}: "):
+            pruefer.theta_at(Hamiltonian(tuple(segs)), 5.0, 0.0, 0.5)
+
+    def test_matrix_verdict_is_the_entry_rule(self):
+        # the piece rule (eigenvalues >= 0 with sum 1) judges a matrix as its
+        # entries (trace 1, diagonal >= 0, det >= 0) do; near each boundary the
+        # entries sit 0.05 tol or more from the threshold, past rounding
+        rng = np.random.default_rng(7)
+        tol = ENTRY_TOL
+
+        def margin(n):
+            u = rng.uniform(0.0, 2.9, n)
+            return rng.choice([-1.0, 1.0], n) * tol * np.where(u < 0.95, u, u + 0.1)
+
+        n = 400
+        h11 = rng.uniform(0.02, 0.98, n)
+        inner = rng.uniform(-0.9, 0.9, n) * np.sqrt(h11 * (1.0 - h11))
+        below = np.abs(margin(n))
+        cases = {
+            "generic": (rng.uniform(-0.5, 1.5, n), rng.uniform(-1.0, 1.0, n), rng.uniform(-0.5, 1.5, n)),
+            "trace 1": (h11, rng.uniform(-1.2, 1.2, n) * np.sqrt(h11 * (1.0 - h11)), 1.0 - h11),
+            "trace boundary": (h11, inner, 1.0 - h11 + margin(n)),
+            "psd boundary": (h11, np.sqrt(h11 * (1.0 - h11) + margin(n)), 1.0 - h11),
+            "diagonal boundary": (-below, np.zeros(n), 1.0 + below),
+        }
+        for name, (a, b, c) in cases.items():
+            verdicts = []
+            for m in map(MatrixH, a.tolist(), b.tolist(), c.tolist()):
+                ok = validate(single(ConstantMatrix(m))).ok
+                assert ok == entries_valid(m), m
+                verdicts.append(ok)
+            # every family but the generic one meets both verdicts
+            assert name == "generic" or 0.1 < np.mean(verdicts) < 0.9, name
+
+    def test_every_bad_segment_is_reported(self):
+        H = Hamiltonian((
+            Segment(1.0, ConstantAngle(0.3)),
+            Segment(1.0, PhiRamp(0.1, 0.5)),
+            Segment(1.0, ConstantMatrix(MatrixH(0.7, 0.0, 0.7))),
+        ))
+        assert validate(H).issues == [
+            (1, "piece 0: phi rises from 0.1 to 0.5"),
+            (2, "piece 0: eigenvalues (0.7, 0.7), expected nonnegative with sum 1"),
+        ]
+
     def test_pointwise_psd_trace_on_samples(self):
         # every represented H(x) must be PSD with unit trace
         H = Hamiltonian(
@@ -122,16 +203,21 @@ class TestConstruction:
         H = Hamiltonian(list(segs))
         assert H.segments == segs
         assert [i for i, _ in validate(H).issues] == [2]
-        with pytest.raises(ValueError, match=r"invalid Hamiltonian: segment 2: trace"):
+        with pytest.raises(ValueError, match=r"invalid Hamiltonian: segment 2: piece 0: eigenvalues"):
             next(H.walk(1.0))
 
     def test_increasing_ramp_rejected(self):
-        with pytest.raises(ValueError):
-            PhiRamp(-0.5, 0.5)
+        # a kind only builds its pieces: validate reports the rise, the walk raises
+        H = single(PhiRamp(-0.5, 0.5))
+        assert validate(H).issues == [(0, "piece 0: phi rises from -0.5 to 0.5")]
+        with pytest.raises(ValueError, match="invalid Hamiltonian: segment 0: piece 0: phi rises"):
+            next(H.walk(0.5))
 
     def test_table_must_be_nonincreasing(self):
-        with pytest.raises(ValueError):
-            PhiTable(((0.0, 0.1), (1.0, 0.2)))
+        H = single(PhiTable(((0.0, 0.1), (1.0, 0.2))))
+        assert validate(H).issues == [(0, "piece 0: phi rises from 0.1 to 0.2")]
+        with pytest.raises(ValueError, match="invalid Hamiltonian: segment 0: piece 0: phi rises"):
+            next(H.walk(0.5))
 
 
 class TestExtractPhi:

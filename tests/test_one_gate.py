@@ -7,28 +7,27 @@ to drift from the first; this test fails on one.
 """
 
 import ast
-import pathlib
 
-import canosc
+from scan import name, scoped, sources
 
-SRC = pathlib.Path(canosc.__file__).parent
 NAME = "require_valid"
 
 
-def _names(tree: ast.Module):
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.name
+def naming(trees: dict[str, ast.Module]) -> list[str]:
+    """The modules whose code or imports name NAME."""
+    return sorted(m for m, tree in trees.items() if any(name(n) == NAME for _, n in scoped(tree)))
+
+
+def test_the_scan_sees_calls_attributes_and_imports():
+    trees = {
+        "a": ast.parse("def require_valid(H):\n    pass\n"),
+        "b": ast.parse("from .a import require_valid as check\n"),
+        "c": ast.parse("hamiltonian.require_valid(H)\n"),
+        "d": ast.parse("x = 'require_valid'\n"),
+    }
+    assert naming(trees) == ["b", "c"]
 
 
 def test_only_hamiltonian_names_require_valid():
-    naming = sorted(
-        path.stem
-        for path in SRC.glob("*.py")
-        if NAME in _names(ast.parse(path.read_text(), filename=str(path)))
-    )
-    assert naming == ["hamiltonian"], f"modules naming {NAME}: {naming}"
+    found = naming(sources())
+    assert found == ["hamiltonian"], f"modules naming {NAME}: {found}"

@@ -16,12 +16,10 @@ and was deleted by hand, and ``entire.expm`` passes it because
 """
 
 import ast
-import pathlib
 
-import canosc
+from scan import REPO, SRC, functions, name, reads
 
-SRC = pathlib.Path(canosc.__file__).parent
-PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
+PERFBENCH = REPO / "perfbench"
 
 #: "module.qualname" -> why it stays though nothing in src/ or perfbench/ calls it
 ALLOWED = {
@@ -35,29 +33,6 @@ ALLOWED = {
 }
 
 
-def _functions(tree: ast.Module):
-    """(qualname, node) of every def, methods under their class."""
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from visit(child, prefix + child.name + ".")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield prefix + child.name, child
-                yield from visit(child, prefix + child.name + ".")
-            else:
-                yield from visit(child, prefix)
-
-    yield from visit(tree, "")
-
-
-def _uses(tree: ast.Module):
-    """(name, line) of every Name or Attribute that is read."""
-    for n in ast.walk(tree):
-        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
-            yield (n.id if isinstance(n, ast.Name) else n.attr), n.lineno
-
-
 def unused(defining: dict[str, str], others: tuple[str, ...] = ()) -> set[str]:
     """The "module.qualname" of each function in the defining sources (module
     -> text) that neither they nor the others use outside its own definition."""
@@ -65,11 +40,11 @@ def unused(defining: dict[str, str], others: tuple[str, ...] = ()) -> set[str]:
     trees |= {i: ast.parse(text) for i, text in enumerate(others)}
     uses: dict[str, list[tuple[object, int]]] = {}
     for m, tree in trees.items():
-        for name, line in _uses(tree):
-            uses.setdefault(name, []).append((m, line))
+        for n in reads(tree):
+            uses.setdefault(name(n), []).append((m, n.lineno))
     out = set()
     for m in defining:
-        for qualname, fn in _functions(trees[m]):
+        for qualname, fn in functions(trees[m]):
             if fn.name.startswith("__") and fn.name.endswith("__"):
                 continue
             inside = range(fn.lineno, fn.end_lineno + 1)

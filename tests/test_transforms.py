@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,19 @@ class TestMolchanovNew:
     def test_g_nonnegative(self):
         res = molchanov_new(free_problem(), np.linspace(1.0, 8.0, 15))
         assert np.all(res.G >= 0.0)
+
+    @pytest.mark.parametrize("x_grid, error", [
+        ([], "x_grid is empty"),
+        ([1.0, math.nan, 5.0], "x_grid must be finite"),
+        ([1.0, math.inf], "x_grid must be finite"),
+        # the solutions start at the first sample, 2: q vanished "inside" [1, 10]
+        ([1.0, 10.0], "potential must be sampled from min(x_grid) = 1.0 on, not from 2.0"),
+    ], ids=["empty", "nan", "inf", "before_samples"])
+    def test_grid_outside_the_samples_rejected(self, x_grid, error):
+        xs = np.linspace(2.0, 20.0, 181)
+        P = SchrodingerProblem(grid=xs, values=np.zeros_like(xs), E0=-1.0)
+        with pytest.raises(ValueError, match=re.escape(error)):
+            molchanov_new(P, x_grid)
 
     def test_square_integrable_q_rejected(self):
         # swap the solution roles: init makes "q" the decaying combination
