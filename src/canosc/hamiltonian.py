@@ -148,10 +148,10 @@ class Piece(NamedTuple):
 
     phi runs linearly from phi0 to phi1; with kappa = -phi' the frame
     v = R(phi)^T u turns u' = z J H u into v' = [[0, -b], [a, 0]] v with the
-    constants (a, b) = :meth:`rates`.  Angle pieces have (lam1, lam2) = (1, 0);
-    a constant matrix is one piece in its eigenbasis (phi0 = phi1).  A
-    singular tail is the piece [0, inf) past X_max.  The pieces of a
-    :class:`PhiProfile` are angle pieces in absolute coordinates.
+    constants (a, b) = (z lam1 + kappa, z lam2 + kappa).  Angle pieces have
+    (lam1, lam2) = (1, 0); a constant matrix is one piece in its eigenbasis
+    (phi0 = phi1).  A singular tail is the piece [0, inf) past X_max.  The
+    pieces of a :class:`PhiProfile` are angle pieces in absolute coordinates.
     """
 
     offset: float
@@ -170,11 +170,6 @@ class Piece(NamedTuple):
         """phi at offset off into the piece: phi1 exactly at the piece's end."""
         length = self.end - self.offset
         return self.phi1 if off == length else self.phi0 + (self.phi1 - self.phi0) * (off / length)
-
-    def rates(self, z):
-        """(a, b) = (z lam1 + kappa, z lam2 + kappa)."""
-        kappa = (self.phi0 - self.phi1) / (self.end - self.offset)
-        return z * self.lam1 + kappa, z * self.lam2 + kappa
 
     def int_cos2(self) -> float:
         """Integral of cos^2(phi) over an angle piece, in closed form."""
@@ -265,7 +260,8 @@ class Hamiltonian:
                 x = acc + p.offset
                 if x >= L:
                     break
-                yield x, p, min(p.end - p.offset, L - x)
+                span, rest = p.end - p.offset, L - x
+                yield x, p, rest if rest < span else span
             acc += seg.length
         if L > acc:
             if self._tail_piece is not None:

@@ -1,15 +1,15 @@
 """Pruefer-angle integration for canonical systems.
 
 Writing a real solution as u = R e_theta turns the system into the scalar
-equation theta' = t * e_theta^T H(x) e_theta.  Every coefficient is a chain
-of :class:`~canosc.hamiltonian.Piece` s, and on a piece psi = theta - phi
-obeys psi' = a cos^2 psi + b sin^2 psi with constants (a, b) = piece.rates(t),
-so each step has a closed form: :func:`step_singular` when b = 0 (singular
-intervals), the linear angle chi with tan psi = sqrt(a/b) tan chi when
-ab > 0, and the angle of the tanh-scaled propagated vector when ab <= 0.  The
-angle is kept unwrapped (no mod-pi reduction) so that the counting formulas
-can apply ceil/floor directly.  Nothing is integrated numerically, so no
-function here takes a tolerance or reports an error bound.
+equation theta' = t * e_theta^T H(x) e_theta.  Every coefficient is a chain of
+:class:`~canosc.hamiltonian.Piece` s, and on a piece psi = theta - phi obeys
+psi' = a cos^2 psi + b sin^2 psi with constants (a, b) = (t lam1 + kappa,
+t lam2 + kappa), kappa = -phi', so each step has a closed form: :func:`step_singular`
+when b = 0 (singular intervals), the linear angle chi with tan psi = sqrt(a/b)
+tan chi when ab > 0, and the angle of the tanh-scaled propagated vector when
+ab <= 0.  The angle is kept unwrapped (no mod-pi reduction) so that the counting
+formulas can apply ceil/floor directly.  Nothing is integrated numerically, so
+no function here takes a tolerance or reports an error bound.
 """
 
 from __future__ import annotations
@@ -69,11 +69,15 @@ def turn(psi: float, a: float, b: float, length: float) -> float:
 
 
 def advance(theta: float, piece: Piece, length: float, t: float) -> float:
-    """theta after `length` of the piece, from theta at the piece start."""
-    if piece.singular:
-        return step_singular(theta, piece.phi0, length, t * piece.lam1)
-    a, b = piece.rates(t)
-    return turn(theta - piece.phi0, a, b, length) + piece.phi(length)
+    """theta after `length` of the piece, from theta at the piece start; reads the
+    fields once, testing :attr:`Piece.singular` and adding :meth:`Piece.phi` inline."""
+    offset, end, phi0, phi1, lam1, lam2 = piece
+    if phi0 == phi1 and lam2 == 0.0:
+        return step_singular(theta, phi0, length, t * lam1)
+    span = end - offset
+    kappa = (phi0 - phi1) / span
+    phi = phi1 if length == span else phi0 + (phi1 - phi0) * (length / span)
+    return turn(theta - phi0, t * lam1 + kappa, t * lam2 + kappa, length) + phi
 
 
 @dataclass
@@ -112,7 +116,7 @@ def integrate(
     thetas = [float(theta0)]
     theta = float(theta0)
     for x, piece, span in H.walk(L):
-        for p in eval_pts[bisect.bisect_right(eval_pts, x):bisect.bisect_left(eval_pts, x + span)]:
+        for p in eval_pts and eval_pts[bisect.bisect_right(eval_pts, x):bisect.bisect_left(eval_pts, x + span)]:
             off = p - x
             xs.append(x + off)
             thetas.append(advance(theta, piece, off, t))

@@ -90,13 +90,12 @@ def count_bounded(
     the benchmark harness passes it positionally and criterion 11 by keyword.
     """
     _check_beta(beta)
-    if _is_full_singular_pi_half(H, L):
-        # Trivial case: all spectral projections vanish.
-        return CountResult(count=0, certified=True)
     tr_t = pruefer.integrate(H, w.t, 0.0, L)
     tr_s = pruefer.integrate(H, w.s, 0.0, L)
     count = math.ceil(_level(tr_t.theta_end(), beta)) - math.ceil(_level(tr_s.theta_end(), beta))
     certified = all(_dist_to_grid(tr.theta_end() - beta) > _angle_rounding(tr) for tr in (tr_t, tr_s))
+    if (count, certified) != (0, True) and _is_full_singular_pi_half(H, L):
+        count, certified = 0, True  # trivial case: all spectral projections vanish
     return CountResult(count=count, certified=certified)
 
 
@@ -130,15 +129,16 @@ def locate_eigenvalues(
     for the count.
     """
     _check_beta(beta)
-    if _is_full_singular_pi_half(H, L):
-        return []
 
     def level(t):
         return _level(pruefer.theta_at(H, t, 0.0, L), beta)
 
     seen = [(w.s, level(w.s)), (w.t, level(w.t))]
+    levels = range(math.ceil(seen[0][1]), math.ceil(seen[1][1]))
+    if levels and _is_full_singular_pi_half(H, L):
+        return []
     out = []
-    for n in range(math.ceil(seen[0][1]), math.ceil(seen[1][1])):
+    for n in levels:
         # v is nondecreasing: f <= 0 left of the root, f > 0 right of it
         lo, f_lo = max((x, v - n) for x, v in seen if v <= n)
         hi, f_hi = min((x, v - n) for x, v in seen if v > n and x > lo)
@@ -183,6 +183,9 @@ class HalfLineCount:
 ANGLE_STEP_ULPS = 8
 #: F above this along a truncation schedule is a divergent half-line count
 DIVERGENCE_THRESHOLD = 50.0
+#: slack of "phi(inf) = -pi/2", the same in classify and zero-eig: a heuristic,
+#: which the declared tail model of ROADMAP item 2 replaces
+PHI_INFINITY_TOL = 1e-12
 
 
 def _angle_rounding(tr: pruefer.PrueferTrajectory) -> float:
@@ -300,7 +303,7 @@ def classify_semibounded(H: Hamiltonian) -> Classification:
             kind="not_semibounded",
             witness=f"segment {exc.segment_index} has det H = {exc.det:g} > {RANK_ONE_TOL:g}",
         )
-    if phi.phi_infinity >= -HALF_PI - 1e-12:
+    if phi.phi_infinity >= -HALF_PI - PHI_INFINITY_TOL:
         return Classification(kind="in_c_plus", phi=phi)
     n = math.ceil((-phi.phi_infinity - HALF_PI) / PI - 1e-12)
     return Classification(kind="neg_eigs_at_most", phi=phi, n_bound=n)
@@ -601,7 +604,7 @@ def zero_eigenvalue_check(phi: PhiProfile, tail: Optional[SingularHalfLine] = No
     if tail is not None:
         converges = cong_mod_pi(tail.gamma, HALF_PI)
         return ZeroEigenvalueCheck(converges, total if converges else math.inf, converges)
-    if abs(phi.phi_infinity + HALF_PI) > 1e-9:
+    if abs(phi.phi_infinity + HALF_PI) > PHI_INFINITY_TOL:
         return ZeroEigenvalueCheck(False, math.inf, False)
     # decay of g = phi + pi/2 between the window midpoint and the end
     x1 = phi.x_max

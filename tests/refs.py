@@ -9,8 +9,9 @@ two ends, the table's points and the tail's gamma, never the walked
 ``Piece`` s, so checking ``pieces`` against such an RK run is a check
 against an independent H(x).  The one exception is a ``Pieces`` segment (a
 segment after ``Segment.split`` or ``rotate``), which has no fields but its
-chain and is read from it.  canosc itself needs numpy alone; mpmath is a test
-dependency.
+chain and is read from it.  :func:`advance` is the Pruefer step as the
+``Piece`` methods state it, which ``pruefer.advance`` reads inline.  canosc
+itself needs numpy alone; mpmath is a test dependency.
 """
 
 from __future__ import annotations
@@ -196,6 +197,17 @@ def riccati_upper_alpha(
     denom = 1.0 - c0 * (1.0 - eps) * (x - a)
     with np.errstate(divide="ignore"):
         return c0 / denom + B / b
+
+
+def advance(theta: float, piece, length: float, t: float) -> float:
+    """theta after `length` of the piece, as the Piece methods state the step:
+    the singular closed form when ``piece.singular``, else the turn at the rates
+    (a, b) = (t lam1 + kappa, t lam2 + kappa) plus ``piece.phi(length)``."""
+    if piece.singular:
+        return pruefer.step_singular(theta, piece.phi0, length, t * piece.lam1)
+    kappa = (piece.phi0 - piece.phi1) / (piece.end - piece.offset)
+    a, b = t * piece.lam1 + kappa, t * piece.lam2 + kappa
+    return pruefer.turn(theta - piece.phi0, a, b, length) + piece.phi(length)
 
 
 def level(H: Hamiltonian, L: float, beta: float, t: float) -> float:

@@ -398,6 +398,23 @@ class TestStoredPieces:
         assert th == pruefer.integrate(H, t, theta0, L).theta_end()
         assert th == pruefer.theta_at(H, t, theta0, L)
 
+    @given(
+        st.tuples(ramps(), matrices(), tables(), constant_angles),
+        st.builds(SingularHalfLine, angles),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(-1e4, 1e4),
+        angles,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_advance_is_the_piece_rule_bit_for_bit(self, kinds, tail, frac, t, theta):
+        # the step on fields read once against refs.advance, which reads
+        # Piece.singular and Piece.phi: at each piece's whole span (where phi
+        # is phi1 exactly) and inside it, the tail's piece included
+        H = Hamiltonian(kinds, tail=tail)
+        for _, piece, span in H.walk(H.x_max + 1.0):
+            for length in (span, frac * span):
+                assert pruefer.advance(theta, piece, length, t) == refs.advance(theta, piece, length, t)
+
 
 class TestInvalidStillRaises:
     """Validation runs once per Hamiltonian; a failure is not kept, so every

@@ -161,6 +161,16 @@ class TestTrivialCase:
         assert spectra.count_bounded(H, 1.0, PI / 4, w).count == 1
         assert spectra.locate_eigenvalues(H, 1.0, PI / 4, w) == [pytest.approx(2.0, abs=1e-9)]
 
+    def test_trivial_when_the_angles_round_off_the_level(self):
+        # P_{pi/2 + 3e-12} is P_{pi/2} to cong_mod_pi, but its walk rounds
+        # theta(1; -+1e9) to -+9e-15, either side of the level beta = 0
+        H = Hamiltonian((Segment(1.0, ConstantAngle(PI / 2 + 3e-12)),))
+        w = SpectralWindow(-1e9, 1e9)
+        assert math.ceil(refs.level(H, 1.0, 0.0, w.t)) - math.ceil(refs.level(H, 1.0, 0.0, w.s)) == 1
+        res = spectra.count_bounded(H, 1.0, 0.0, w)
+        assert (res.count, res.certified) == (0, True)
+        assert spectra.locate_eigenvalues(H, 1.0, 0.0, w) == []
+
 
 class TestLocate:
     def test_p0_root_at_one(self):
@@ -829,9 +839,18 @@ class TestZeroEigenvalue:
             assert (chk.is_eigenvalue, chk.body_integral, chk.tail_converges) == (False, math.inf, False)
 
     def test_flat_just_above_minus_half_pi_false(self):
-        # phi(inf) passes the 1e-9 limit check, but phi + pi/2 = 1e-10 does
-        # not decay, so cos^2(phi) has an infinite integral
+        # phi + pi/2 = 1e-10 does not decay, so cos^2(phi) has an infinite
+        # integral; phi(inf) misses -pi/2 by more than PHI_INFINITY_TOL
         chk = spectra.zero_eigenvalue_check(plateau_profile([(4.0, -PI / 2 + 1e-10)]))
+        assert (chk.is_eigenvalue, chk.tail_converges) == (False, False)
+
+    def test_phi_infinity_is_judged_as_classify_judges_it(self):
+        # phi(inf) = -pi/2 - 5e-10 lies below -pi/2 for classify (at most one
+        # negative eigenvalue), so zero-eig may not read it as -pi/2 either
+        H = Hamiltonian((Segment(1.0, ConstantAngle(0.3)), Segment(5.0, ConstantAngle(-PI / 2 - 5e-10))))
+        c = spectra.classify_semibounded(H)
+        assert (c.kind, c.n_bound) == ("neg_eigs_at_most", 1)
+        chk = spectra.zero_eigenvalue_check(c.phi)
         assert (chk.is_eigenvalue, chk.tail_converges) == (False, False)
 
 
