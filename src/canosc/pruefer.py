@@ -117,9 +117,8 @@ def integrate(
     theta = float(theta0)
     for x, piece, span in H.walk(L):
         for p in eval_pts and eval_pts[bisect.bisect_right(eval_pts, x):bisect.bisect_left(eval_pts, x + span)]:
-            off = p - x
-            xs.append(x + off)
-            thetas.append(advance(theta, piece, off, t))
+            xs.append(p)
+            thetas.append(advance(theta, piece, p - x, t))
         theta = advance(theta, piece, span, t)
         xs.append(x + span)
         thetas.append(theta)

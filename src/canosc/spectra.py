@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import entire, pruefer
+from . import pruefer
 from .hamiltonian import (
     HALF_PI,
     PI,
@@ -342,32 +342,22 @@ def m_endpoints(phi: PhiProfile) -> tuple[float, float]:
     return _neg_tan_extended(phi.phi_start), _neg_tan_extended(phi.phi_infinity)
 
 
-#: |adj(U) e_beta| must exceed the product's rounding this many times over
-PULLBACK_MARGIN = 1e6
-
-
 def m_halfline_real(H: Hamiltonian, minus_t: float) -> float:
     """m(minus_t) for minus_t < 0 via truncation at L = X_max with tail P_phi(L).
 
-    The square-integrable direction of the tail, e_beta with beta = phi(L) +
-    pi/2, is pulled back to x = 0 through T = e^s U (det T = 1, so
-    T^-1 = e^s adj(U)); the result f1(0)/f2(0), an extended real, does not
-    depend on e^s, so it stays finite where |T| leaves the float range.  f
-    shrinks as |minus_t| grows; within PULLBACK_MARGIN of U's rounding (an
-    ulp per factor) f1/f2 is noise, and that is a FloatingPointError.
+    The square-integrable solution f is parallel to e_beta at X_max, beta =
+    phi(L) + pi/2, and its angle obeys the Pruefer equation, so the angle at
+    0 is a walk back from beta: x -> X_max - x mirrors each piece and turns t
+    into -t.  Each step is closed form and carries an angle, not a vector,
+    so m = f1(0)/f2(0) = cot theta(0) holds to rounding at every finite t.
     """
-    if minus_t >= 0.0:
-        raise ValueError("minus_t must be negative")
-    phi = extract_phi(H)
-    beta = _natural_beta(phi.pieces[-1].phi1)
-    (a, b), (c, d) = entire.transfer_matrix_log(H, H.x_max, complex(minus_t))[0].real
-    f1 = d * math.cos(beta) - b * math.sin(beta)
-    f2 = a * math.sin(beta) - c * math.cos(beta)
-    if max(abs(f1), abs(f2)) < PULLBACK_MARGIN * len(phi.pieces) * math.ulp(1.0):
-        raise FloatingPointError(f"m({minus_t}): the pulled-back vector is within rounding of the transfer product")
-    if f2 == 0.0:
-        return math.inf
-    return float(f1 / f2)
+    if not (math.isfinite(minus_t) and minus_t < 0.0):
+        raise ValueError(f"minus_t must be finite and negative, not {minus_t}")
+    theta = _natural_beta(extract_phi(H).pieces[-1].phi1)
+    for _, p, span in reversed(list(H.walk(H.x_max))):
+        theta = pruefer.advance(theta, p._replace(phi0=p.phi1, phi1=p.phi0), span, -minus_t)
+    sin = math.sin(theta)
+    return math.inf if sin == 0.0 else math.cos(theta) / sin
 
 
 # ---------------------------------------------------------------------------

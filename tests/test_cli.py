@@ -964,6 +964,9 @@ def _potential(tmp_path, name, v):
 
 
 class TestNumericFailuresExitTwo:
+    TAILED = {"segments": [{"length": 1.0, "kind": "angle", "alpha": a} for a in (0.3, -0.6)],
+              "tail": {"type": "singular", "gamma": -1.2}}
+
     @pytest.mark.parametrize("argv", [
         ["hadamard", "--alpha", "3", "--z", "1e300"],
         ["count", "--config", "{ramp}", "--window", "0", "inf"],
@@ -1004,11 +1007,13 @@ class TestNumericFailuresExitTwo:
          "beta must lie in [0, pi)"),
         (["locate", "--config", "{angle}", "--L", "1", "--window", "0", "20", "--beta", "nan"],
          "beta must lie in [0, pi)"),
-        (["m-endpoints", "--config", "{tailed}", "--minus-t", "-1e12"],
-         "m(-1000000000000.0): the pulled-back vector is within rounding of the transfer product"),
+        (["m-endpoints", "--config", "{tailed}", "--minus-t", "nan"],
+         "minus_t must be finite and negative, not nan"),
+        (["m-endpoints", "--config", "{tailed}", "--minus-t", "-inf"],
+         "minus_t must be finite and negative, not -inf"),
     ], ids=["count", "locate", "staircase", "schedule", "count-L-inf", "locate-L-inf", "order-L-inf",
             "theta0-nan", "theta0-inf", "locate-beta-4", "locate-beta-negative", "locate-beta-nan",
-            "m-large-t"])
+            "m-nan", "m--inf"])
     def test_not_finite_spectral_parameter_is_named(self, run, tmp_path, argv, error):
         # at t = -inf each singular step of the staircase lands on its
         # stationary point and counts 2 (the exact count is 1); the others
@@ -1016,13 +1021,11 @@ class TestNumericFailuresExitTwo:
         # count and an eigenvalue at -7.5e-15 on the tailed system, and order
         # a numpy warning first; theta0 = nan or inf failed in a floor or a
         # tangent; locate took beta = 4 mod pi and -0.5 as it stood, where the
-        # count rejects both; m(-1e12) was off by 1.8e-4, unflagged
+        # count rejects both; m at nan answered "nan" with exit 0
         stairs = {"segments": [{"length": 1e-5, "kind": "angle", "alpha": a} for a in (1.2, -1.2, 0.3)]}
-        tailed = {"segments": [{"length": 1.0, "kind": "angle", "alpha": a} for a in (0.3, -0.6)],
-                  "tail": {"type": "singular", "gamma": -1.2}}
         angle = {"segments": [{"length": 1.0, "kind": "angle", "alpha": 0.3}]}
         paths = {"{ramp}": write_config(tmp_path, RAMP), "{stairs}": write_config(tmp_path, stairs, "stairs.json"),
-                 "{tailed}": write_config(tmp_path, tailed, "tailed.json"),
+                 "{tailed}": write_config(tmp_path, self.TAILED, "tailed.json"),
                  "{angle}": write_config(tmp_path, angle, "angle.json")}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1030,6 +1033,13 @@ class TestNumericFailuresExitTwo:
         assert code == 2
         assert json.loads(out)["error"] == error
         assert not caught, [str(w.message) for w in caught]
+
+    def test_m_at_large_t_answers(self, run, tmp_path):
+        # a pull-back through T read m(-1e12) off by 1.8e-4, then exited 2;
+        # the reference is the exact singular product in mpmath at 50 digits
+        code, out = run("m-endpoints", "--config", write_config(tmp_path, self.TAILED), "--minus-t", "-1e12")
+        assert code == 0
+        assert json.loads(out)["m_numeric"] == pytest.approx(-0.3093362496085275, rel=1e-13, abs=0.0)
 
 
 #: documents that parse but hold a non-finite number: the gate rejects each

@@ -92,6 +92,18 @@ class TestIntegrate:
         assert any(abs(x - 1.0) < 1e-14 for x in tr.xs)
         assert tr.xs[-1] == pytest.approx(1.5)
 
+    def test_eval_point_is_sampled_as_given(self):
+        # a point was stored as x + (p - x), which here rounds to the float
+        # below p, so halfline_count's np.interp blended two samples at p
+        lengths = (0.163377588992386, 1.033218945989287, 0.47880619314785555)
+        H = Hamiltonian((Segment(lengths[0], ConstantAngle(0.4)), Segment(lengths[1], PhiRamp(0.4, -0.5)),
+                         Segment(lengths[2], ConstantAngle(-0.9))))
+        p = 0.42753745321524766
+        tr = pruefer.integrate(H, 2.0, 0.0, sum(lengths), x_eval=[p])
+        assert p in tr.xs
+        x, ramp, _ = list(H.walk(sum(lengths)))[1]
+        assert tr.thetas[list(tr.xs).index(p)] == pruefer.advance(tr.thetas[1], ramp, p - x, 2.0)
+
     def test_monotone_in_x_for_positive_t(self):
         H = Hamiltonian(
             (Segment(1.0, PhiRamp(0.5, -0.5)), Segment(1.0, ConstantAngle(-0.5)))

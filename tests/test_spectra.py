@@ -631,6 +631,15 @@ class TestMEndpoints:
                  Segment(2.0, PhiTable(((0.0, -0.7), (0.5, -0.9), (2.0, -1.0))))),
                 tail=SingularHalfLine(-1.3),
             ),
+            # a rank-one ConstantMatrix: its det rounds to lam2 = 2.8e-17, so
+            # advance takes the turn step where an angle takes the singular one
+            Hamiltonian(
+                (Segment(0.8, ConstantAngle(0.9)),
+                 Segment(1.3, ConstantMatrix(MatrixH(math.cos(0.45) ** 2, math.cos(0.45) * math.sin(0.45),
+                                                     math.sin(0.45) ** 2))),
+                 Segment(1.0, PhiRamp(0.2, -0.7))),
+                tail=SingularHalfLine(-0.9),
+            ),
         ]
         for H in systems:
             m = spectra.m_halfline_real(H, t)
@@ -660,31 +669,25 @@ class TestMEndpoints:
             f2 = T[0, 0] * mpmath.sin(beta) - T[1, 0] * mpmath.cos(beta)
             return float(f1 / f2)
 
-    def test_large_t_answers_or_raises(self):
-        # adj(U) e_beta falls like 1.2/|t| toward U's rounding: m(-1e12) was
-        # off by 1.8e-4, m(-1e16) = 0.25, m(-1e20) = inf, m(-1e200) = 0.0,
-        # where m(-inf) = -tan 0.3.  Each t now gives m to 1/PULLBACK_MARGIN
-        # or a FloatingPointError naming t
+    def test_exact_at_every_t(self):
+        # a pull-back of e_beta through T lost digits as |t| grew: m(-1e12)
+        # was off by 1.8e-4, m(-1e16) = 0.25 and m(-1e200) = 0.0, where
+        # m(-inf) = -tan 0.3.  The backward walk carries an angle, not a
+        # vector, so every t answers to rounding
         segments = [(0.3, 1.0), (-0.6, 1.0)]
         H = Hamiltonian(tuple(Segment(l, ConstantAngle(a)) for a, l in segments), tail=SingularHalfLine(-1.2))
         beta = spectra._natural_beta(-0.6)
-        answered = []
-        for k in range(0, 41):
-            t = -(10.0 ** (k / 2))
-            try:
-                m = spectra.m_halfline_real(H, t)
-            except FloatingPointError as exc:
-                assert f"m({t})" in str(exc)
-                continue
-            answered.append(t)
-            assert m == pytest.approx(self.exact_singular_m(segments, t, beta), rel=1.0 / spectra.PULLBACK_MARGIN)
-        assert -1e9 in answered and -1e12 not in answered
-        for t in (-1e16, -1e20, -1e200):
-            with pytest.raises(FloatingPointError):
-                spectra.m_halfline_real(H, t)
+        for t in [-(10.0 ** (k / 2)) for k in range(0, 41)] + [-1e100, -1e200, -1e300]:
+            m = spectra.m_halfline_real(H, t)
+            assert m == pytest.approx(self.exact_singular_m(segments, t, beta), rel=1e-13, abs=0.0), t
         ramp = Hamiltonian((Segment(1.0, ConstantAngle(0.3)), Segment(1.0, PhiRamp(0.2, -0.6))))
-        with pytest.raises(FloatingPointError, match=r"m\(-1e\+100\)"):
-            spectra.m_halfline_real(ramp, -1e100)
+        assert spectra.m_halfline_real(ramp, -1e100) == pytest.approx(-math.tan(0.3), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("minus_t", [0.0, 1.0, math.nan, -math.inf, math.inf])
+    def test_minus_t_not_finite_and_negative_is_named(self, minus_t):
+        H = Hamiltonian((Segment(1.0, ConstantAngle(0.3)),), tail=SingularHalfLine(-1.2))
+        with pytest.raises(ValueError, match=f"minus_t must be finite and negative, not {minus_t}"):
+            spectra.m_halfline_real(H, minus_t)
 
     def test_herglotz_monotone_on_negative_axis(self):
         H = Hamiltonian(
