@@ -22,10 +22,16 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-#: tolerance of the trace / PSD checks of :func:`validate`
+#: slack of the trace / PSD checks of :func:`validate`: a heuristic
 CONSTRUCTION_TOL = 1e-12
-#: determinant threshold below which a matrix counts as rank one
+#: det H above this is full rank (det ~ the smaller eigenvalue): a heuristic
 RANK_ONE_TOL = 1e-10
+#: slack of every angle question mod pi (:func:`cong_mod_pi`, :func:`branch`),
+#: in units of pi: a heuristic, which item 2's declared tail replaces for phi(inf)
+ANGLE_TOL = 1e-12
+#: slack of "x is at X" (:func:`same_position`), relative to max(1, |x|, |X|):
+#: a sum of n lengths rounds by at most n/2 ulp, so this covers 9000 segments
+POSITION_TOL = 1e-12
 
 PI = math.pi
 HALF_PI = math.pi / 2
@@ -266,14 +272,25 @@ class Hamiltonian:
         if L > acc:
             if self._tail_piece is not None:
                 yield acc, self._tail_piece, L - acc
-            elif L > acc + 1e-12 * max(1.0, acc):
+            elif not same_position(L, acc):
                 raise ValueError(f"L = {L} beyond X_max = {acc} and no tail attached")
 
 
+def same_position(x: float, X: float) -> bool:
+    """x is at X on the line, to POSITION_TOL: the one rule of an end of H."""
+    return abs(x - X) <= POSITION_TOL * max(1.0, abs(x), abs(X))
+
+
 def cong_mod_pi(a: float, b: float) -> bool:
-    """a = b mod pi, to 1e-12 in units of pi."""
+    """a = b mod pi, to ANGLE_TOL in units of pi."""
     d = (a - b) / PI
-    return abs(d - round(d)) < 1e-12
+    return abs(d - round(d)) < ANGLE_TOL
+
+
+def branch(value: float, ceiling: float) -> int:
+    """The n with value - n pi in (ceiling - pi, ceiling], a rise by at most
+    ANGLE_TOL pi counting as none: n > 0 where value rises above ceiling."""
+    return math.ceil((value - ceiling) / PI - ANGLE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +309,10 @@ class ValidationReport:
 def _piece_issue(length: float, pieces: tuple[Piece, ...]) -> Optional[str]:
     """The first piece that breaks a segment rule, described; else None.  The
     pieces tile [0, length): the first starts at 0, each where the last one
-    ended, each has positive length, and the last ends within
-    1e-12 max(1, length) of the length.  Each has lam1, lam2 >= 0 with
-    lam1 + lam2 = 1 (a matrix's trace and PSD rule) and phi nonincreasing
-    (the ramp and table rule), each to CONSTRUCTION_TOL and 1e-15."""
+    ended, each has positive length, and the last ends at the length
+    (:func:`same_position`).  Each has lam1, lam2 >= 0 with lam1 + lam2 = 1
+    to CONSTRUCTION_TOL (a matrix's trace and PSD rule), and phi does not
+    rise past the tie of :func:`branch` (the ramp and table rule)."""
     if not pieces:
         return "no pieces"
     end = 0.0
@@ -306,10 +323,10 @@ def _piece_issue(length: float, pieces: tuple[Piece, ...]) -> Optional[str]:
             return f"piece {j}: ends at {p.end!r}, not after its start {p.offset!r}"
         if min(p.lam1, p.lam2) < -CONSTRUCTION_TOL or abs(p.lam1 + p.lam2 - 1.0) > CONSTRUCTION_TOL:
             return f"piece {j}: eigenvalues ({p.lam1!r}, {p.lam2!r}), expected nonnegative with sum 1"
-        if p.phi1 > p.phi0 + 1e-15:
+        if branch(p.phi1, p.phi0) > 0:
             return f"piece {j}: phi rises from {p.phi0!r} to {p.phi1!r}"
         end = p.end
-    if abs(end - length) > 1e-12 * max(1.0, length):
+    if not same_position(end, length):
         return f"piece {j}: ends at {end!r}, not at the segment length {length!r}"
     return None
 
@@ -363,14 +380,14 @@ class PhiProfile:
         for p in ps:
             if p.end <= p.offset:
                 raise ValueError("degenerate piece")
-            if p.phi1 > p.phi0 + 1e-12:
+            if branch(p.phi1, p.phi0) > 0:
                 raise ValueError("increasing piece")
         for a, b in zip(ps, ps[1:]):
-            if abs(b.offset - a.end) > 1e-9 * max(1.0, abs(a.end)):
+            if not same_position(b.offset, a.end):
                 raise ValueError("pieces must abut")
-            if b.phi0 > a.phi1 + 1e-12:
+            if branch(b.phi0, a.phi1) > 0:
                 raise ValueError("upward jump between pieces")
-        if self.phi_infinity > ps[-1].phi1 + 1e-12:
+        if branch(self.phi_infinity, ps[-1].phi1) > 0:
             raise ValueError("phi_infinity above the final value")
 
     @property
@@ -412,11 +429,6 @@ class PhiProfile:
             self.phi_infinity + c,
         )
 
-    def normalized(self) -> "PhiProfile":
-        """Shift by a multiple of pi so that phi(0+) lies in (-pi/2, pi/2]."""
-        n = math.ceil((self.phi_start - HALF_PI) / PI - 1e-12)
-        return self.shifted(-n * PI) if n else self
-
 
 class NotRankOne(Exception):
     """H has a segment with det H above the rank-one threshold."""
@@ -427,20 +439,16 @@ class NotRankOne(Exception):
         super().__init__(f"segment {segment_index} has det H = {det:g}")
 
 
-def _align_below(value: float, ceiling: float) -> float:
-    """Shift value by a multiple of pi into (ceiling - pi, ceiling]."""
-    n = math.ceil((value - ceiling) / PI - 1e-12)
-    return value - n * PI
-
-
 def extract_phi(H: Hamiltonian) -> PhiProfile:
     """Angle profile with H = P_phi, continuous nonincreasing branch.
 
     Across segment boundaries the branch with the smallest nonnegative drop
-    (jump < pi) is chosen; ties resolve to drop zero.  Raises
-    :class:`NotRankOne` at the first segment with det H > RANK_ONE_TOL.
+    (jump < pi) is chosen, ties resolving to drop zero, and c puts phi(0+)
+    in (-pi/2, pi/2] (:func:`branch`).  Raises :class:`NotRankOne` at the
+    first segment with det H > RANK_ONE_TOL.
     """
     require_valid(H)
+    c = -branch(H.segments[0].pieces[0].phi0, HALF_PI) * PI
     pieces: list[Piece] = []
     x = 0.0
     prev_end: Optional[float] = None
@@ -449,16 +457,14 @@ def extract_phi(H: Hamiltonian) -> PhiProfile:
         det = max(p.lam1 * p.lam2 for p in ps)
         if det > RANK_ONE_TOL:
             raise NotRankOne(i, det)
-        shift = 0.0 if prev_end is None else _align_below(ps[0].phi0, prev_end) - ps[0].phi0
+        v = ps[0].phi0
+        shift = 0.0 if prev_end is None else (v - branch(v, prev_end) * PI) - v
         for p in ps:
-            pieces.append(Piece(x + p.offset, x + p.end, p.phi0 + shift, p.phi1 + shift))
+            pieces.append(Piece(x + p.offset, x + p.end, p.phi0 + shift + c, p.phi1 + shift + c))
         prev_end = ps[-1].phi1 + shift
         x += seg.length
-    if H.tail is not None:
-        phi_inf = _align_below(H.tail.gamma, prev_end)
-    else:
-        phi_inf = prev_end
-    return PhiProfile(tuple(pieces), phi_inf).normalized()
+    phi_inf = prev_end if H.tail is None else H.tail.gamma - branch(H.tail.gamma, prev_end) * PI
+    return PhiProfile(tuple(pieces), phi_inf + c)
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +484,15 @@ def rotate(H: Hamiltonian, gamma: float) -> Hamiltonian:
 
 def truncate_with_tail(H: Hamiltonian, L: float, gamma: float) -> Hamiltonian:
     """System equal to H on (0, L), P_gamma beyond."""
-    if not (0.0 < L <= H.x_max + 1e-12 * max(1.0, H.x_max)):
+    if not (0.0 < L and (L <= H.x_max or same_position(L, H.x_max))):
         raise ValueError(f"L = {L} outside (0, X_max = {H.x_max}]")
     segs: list[Segment] = []
     acc = 0.0
     for seg in H.segments:
-        if L >= acc + seg.length - 1e-12 * max(1.0, L):
-            segs.append(seg)
-            acc += seg.length
-            if abs(acc - L) <= 1e-12 * max(1.0, L):
-                break
-        else:
-            left, _ = seg.split(L - acc)
-            segs.append(left)
+        end = acc + seg.length
+        cut = L < end and not same_position(L, end)  # L inside the segment
+        segs.append(seg.split(L - acc)[0] if cut else seg)
+        if cut or same_position(L, end):
             break
+        acc = end
     return Hamiltonian(tuple(segs), tail=SingularHalfLine(gamma))

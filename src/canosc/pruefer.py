@@ -22,7 +22,7 @@ import numpy as np
 
 from .hamiltonian import HALF_PI, PI, Hamiltonian, Piece
 
-#: below this |cos(theta - alpha)| the angle sits exactly on a stationary point
+#: |cos(theta - alpha)| below this is a stationary point: a few ulps (cos(fl(pi/2)) = 6e-17)
 STATIONARY_EPS = 1e-15
 
 

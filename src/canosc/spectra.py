@@ -30,8 +30,10 @@ from .hamiltonian import (
     NotRankOne,
     PhiProfile,
     SingularHalfLine,
+    branch,
     cong_mod_pi,
     extract_phi,
+    same_position,
 )
 
 
@@ -66,10 +68,10 @@ def _check_beta(beta: float) -> None:
 
 def _is_full_singular_pi_half(H: Hamiltonian, L: float) -> bool:
     """True when H = P_{pi/2} on (0, L) in any encoding: the walked pieces
-    that start before L - 1e-12 (a sliver of the next is allowed) are at
-    least one, all singular of angle pi/2 mod pi.  As theta(0) = 0 and
-    theta' = t H_11 at theta = 0, that is when theta(L; .) is flat."""
-    pi_half = (p.singular and cong_mod_pi(p.phi0, HALF_PI) for x, p, _ in H.walk(L) if x < L - 1e-12)
+    not at L (a sliver of the next is allowed) are at least one, all
+    singular of angle pi/2 mod pi.  As theta(0) = 0 and theta' = t H_11 at
+    theta = 0, that is when theta(L; .) is flat."""
+    pi_half = (p.singular and cong_mod_pi(p.phi0, HALF_PI) for x, p, _ in H.walk(L) if not same_position(x, L))
     return next(pi_half, False) and all(pi_half)
 
 
@@ -181,11 +183,8 @@ class HalfLineCount:
 
 #: rounding allowance of one closed-form Pruefer step, in ulp of max(|theta|, pi)
 ANGLE_STEP_ULPS = 8
-#: F above this along a truncation schedule is a divergent half-line count
+#: F above this is a divergent half-line count: a heuristic, which item 6 replaces
 DIVERGENCE_THRESHOLD = 50.0
-#: slack of "phi(inf) = -pi/2", the same in classify and zero-eig: a heuristic,
-#: which the declared tail model of ROADMAP item 2 replaces
-PHI_INFINITY_TOL = 1e-12
 
 
 def _angle_rounding(tr: pruefer.PrueferTrajectory) -> float:
@@ -293,8 +292,8 @@ def classify_semibounded(H: Hamiltonian) -> Classification:
 
     A system is in C+ iff its normalized angle profile stays above -pi/2;
     a limit in (-N*pi - pi/2, -(N-1)*pi - pi/2] allows at most N negative
-    eigenvalues.  A segment of full rank rules out semiboundedness of this
-    rank-one kind entirely.
+    eigenvalues, N the :func:`branch` of -pi/2 below phi(inf).  A segment of
+    full rank rules out semiboundedness of this rank-one kind entirely.
     """
     try:
         phi = extract_phi(H)
@@ -303,10 +302,8 @@ def classify_semibounded(H: Hamiltonian) -> Classification:
             kind="not_semibounded",
             witness=f"segment {exc.segment_index} has det H = {exc.det:g} > {RANK_ONE_TOL:g}",
         )
-    if phi.phi_infinity >= -HALF_PI - PHI_INFINITY_TOL:
-        return Classification(kind="in_c_plus", phi=phi)
-    n = math.ceil((-phi.phi_infinity - HALF_PI) / PI - 1e-12)
-    return Classification(kind="neg_eigs_at_most", phi=phi, n_bound=n)
+    n = branch(-HALF_PI, phi.phi_infinity)
+    return Classification("in_c_plus", phi) if n <= 0 else Classification("neg_eigs_at_most", phi, n)
 
 
 def classify_wholeline(phi_left: PhiProfile, phi_right: PhiProfile) -> bool:
@@ -315,13 +312,11 @@ def classify_wholeline(phi_left: PhiProfile, phi_right: PhiProfile) -> bool:
     ``phi_left`` describes the left half line in reflected coordinates (the
     profile of the system mirrored onto [0, infinity)), so its own drop
     equals phi(-inf) - phi(0-).  The junction jump is normalized into
-    [0, pi) because each profile is only determined modulo pi.
+    [0, pi) because each profile is only determined modulo pi (:func:`branch`).
     """
-    joint = math.fmod(-phi_left.phi_start - phi_right.phi_start, PI)
-    if joint < -1e-9:
-        joint += PI
-    total = phi_left.drop + phi_right.drop + max(joint, 0.0)
-    return total <= PI + 1e-9
+    top, start = -phi_left.phi_start, phi_right.phi_start
+    joint = top - (start - branch(start, top) * PI)
+    return branch(phi_left.drop + phi_right.drop + joint, PI) <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +325,9 @@ def classify_wholeline(phi_left: PhiProfile, phi_right: PhiProfile) -> bool:
 
 def _neg_tan_extended(phi: float) -> float:
     """-tan(phi), with +-pi/2 mapped to the appropriate infinity."""
-    if _dist_to_grid(phi - HALF_PI) < 1e-12:
+    if cong_mod_pi(phi, HALF_PI):
         # tan pole: phi = pi/2 gives -infinity, phi = -pi/2 gives +infinity
-        r = (phi - HALF_PI) / PI
-        return -math.inf if round(r) % 2 == 0 else math.inf
+        return -math.inf if branch(phi, HALF_PI) % 2 == 0 else math.inf
     return -math.tan(phi)
 
 
@@ -378,7 +372,7 @@ class EssBounds:
 
 #: samples of g on the tail window and on the growth-diagnosis window
 ESS_SAMPLES = 1000
-#: A at most this reports an empty essential spectrum
+#: A at most this reports an empty essential spectrum: a heuristic, which item 2 replaces
 ESS_EMPTY_THRESHOLD = 1e-8
 
 
@@ -432,7 +426,7 @@ def ess_spectrum_bounds(phi: PhiProfile) -> EssBounds:
 
 
 #: a fitted tail model counts as resolved when its largest residual is at
-#: most this share of the profile's drop over the fitted stretch
+#: most this share of the profile's drop over the fitted stretch: a heuristic
 TAIL_FIT_GATE = 1e-6
 #: fewest profile samples on [X/2, X] a three-parameter tail fit is made from
 TAIL_FIT_MIN_SAMPLES = 10
@@ -494,7 +488,7 @@ def fit_tail(phi: PhiProfile) -> Optional[TailModel]:
     last = [pc for pc in phi.pieces if pc.end > x_mid]
     if any(not pc.phi1 < pc.phi0 for pc in last):
         return None
-    if any(abs(b.phi0 - a.phi1) > 1e-12 * max(1.0, abs(a.phi1)) for a, b in zip(last, last[1:])):
+    if any(branch(a.phi1, b.phi0) > 0 for a, b in zip(last, last[1:])):
         return None
     xs = np.array([pc.offset for pc in last if pc.offset >= x_mid] + [phi.x_max])
     ys = np.array([pc.phi0 for pc in last if pc.offset >= x_mid] + [last[-1].phi1])
@@ -586,23 +580,24 @@ def zero_eigenvalue_check(phi: PhiProfile, tail: Optional[SingularHalfLine] = No
     The body integral is exact per linear piece.  On a declared singular
     tail P_gamma (``tail``, as in ``Hamiltonian.tail``) the integrand is
     cos^2(gamma), so the tail converges iff gamma = pi/2 mod pi, where it
-    adds 0.  Without one, phi(inf) must be -pi/2 and the tail is judged by
-    the decay rate of phi + pi/2 over the last stretch of the profile
-    (power-law fit; faster decay than x^(-1/2) converges).
+    adds 0.  Without one, phi(inf) must be -pi/2 - n pi, n >= 0 (not H =
+    P_{pi/2}), and the tail is judged by the decay rate of phi to it over the
+    last stretch (power-law fit; faster decay than x^(-1/2) converges).
     """
     total = sum(p.int_cos2() for p in phi.pieces)
     if tail is not None:
         converges = cong_mod_pi(tail.gamma, HALF_PI)
         return ZeroEigenvalueCheck(converges, total if converges else math.inf, converges)
-    if abs(phi.phi_infinity + HALF_PI) > PHI_INFINITY_TOL:
+    n = branch(-HALF_PI, phi.phi_infinity)
+    if n < 0 or not cong_mod_pi(phi.phi_infinity, HALF_PI):
         return ZeroEigenvalueCheck(False, math.inf, False)
-    # decay of g = phi + pi/2 between the window midpoint and the end
-    x1 = phi.x_max
-    x0 = 0.5 * x1
-    g1 = phi.value(0.999 * x1) + HALF_PI
-    g0 = phi.value(x0) + HALF_PI
-    if g1 <= 1e-12:
+    bottom = -HALF_PI - n * PI
+    # decay of g = phi - bottom between the window midpoint and the end
+    x0, x1 = 0.5 * phi.x_max, phi.x_max
+    v1 = phi.value(0.999 * x1)
+    if branch(v1, bottom) <= 0:  # phi is at the bottom already
         return ZeroEigenvalueCheck(True, total, True)
+    g1, g0 = v1 - bottom, phi.value(x0) - bottom
     if g0 <= g1:
         return ZeroEigenvalueCheck(False, total, False)
     p = math.log(g1 / g0) / math.log(x1 / x0)

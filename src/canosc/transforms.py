@@ -28,6 +28,7 @@ from .hamiltonian import (
     PhiTable,
     Segment,
     SingularHalfLine,
+    same_position,
 )
 
 
@@ -41,9 +42,9 @@ class SplitRequired(Exception):
     diagonal transformation applies."""
 
 
-#: angle differences below this are rounding noise in an imported profile
+#: angle differences below this are RK noise in an imported profile: a heuristic
 MONOTONE_SLACK = 1e-8
-#: delta of the diagonal transform, which keeps phi at most pi/2 - delta
+#: delta of the diagonal transform, phi <= pi/2 - delta keeps |tan phi| <= 1e6: a heuristic
 DIAGONAL_MARGIN = 1e-6
 
 
@@ -178,7 +179,7 @@ def _x_grid(x_grid, v_start: float) -> np.ndarray:
         raise ValueError("x_grid is empty")
     if not np.isfinite(x_grid).all():
         raise ValueError("x_grid must be finite")
-    if x_grid[0] < v_start - 1e-12:
+    if x_grid[0] < v_start and not same_position(x_grid[0], v_start):
         raise ValueError(
             f"potential must be sampled from min(x_grid) = {float(x_grid[0])!r} on, "
             f"not from {float(v_start)!r}"
@@ -215,7 +216,7 @@ def molchanov_classic(
     for d in d_list:
         if not d > 0.0:
             raise ValueError(f"window width d must be positive, not {d!r}")
-    if x_grid[-1] + max(d_list) > v_grid[-1] + 1e-12:
+    if (end := x_grid[-1] + max(d_list)) > v_grid[-1] and not same_position(end, v_grid[-1]):
         raise ValueError("potential must be sampled beyond max(x_grid) + max(d)")
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (v_values[1:] + v_values[:-1]) * np.diff(v_grid))])
 
@@ -343,9 +344,10 @@ def canonical_to_diagonal(phi: PhiProfile) -> DiagonalSystem:
     cells: list[DiagonalSegment] = []
     t0 = -math.tan(phi.phi_start)
     for piece in phi.pieces:
-        # exact cell integrals: dw-mass = int cos^2(phi) dx, dt from tan (0 on a plateau)
+        # exact cell integrals: dw-mass = int cos^2(phi) dx, dt from tan (0 on a
+        # plateau, and on a rise within the angle tie, which validate lets pass)
         w_mass = piece.int_cos2()
-        dt = -math.tan(piece.phi1) + math.tan(piece.phi0)
+        dt = max(0.0, math.tan(piece.phi0) - math.tan(piece.phi1))
         dT = w_mass + dt
         cells.append(DiagonalSegment(deltaT=dT, h=w_mass / dT))
         # jumps between pieces carry no dw and no dt inside the range gap

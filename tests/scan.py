@@ -1,7 +1,7 @@
 """AST scans shared by the structural guards (``test_reached``,
-``test_dead_params``, ``test_dead_fields``, ``test_kind_dispatch`` and
-``test_one_gate``): one walker that knows the scope of every node, and the
-name a node spells.
+``test_dead_params``, ``test_dead_fields``, ``test_kind_dispatch``,
+``test_one_gate`` and ``test_tolerances``): one walker that knows the scope
+of every node, and the name a node spells.
 """
 
 from __future__ import annotations

@@ -395,6 +395,43 @@ class TestClassify:
         assert doc["witness"].startswith("segment 2 has det H")
 
 
+def angles(*spans):
+    """A document of angle segments from (length, alpha) pairs."""
+    return {"segments": [{"length": length, "kind": "angle", "alpha": a} for length, a in spans]}
+
+
+def close(a, b):
+    """JSON documents equal but for floats within 1e-9."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(close(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(close, a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return a == pytest.approx(b, rel=1e-9, abs=1e-9)
+    return a == b
+
+
+class TestAngleTies:
+    """Every angle question mod pi has one tie: an angle that rises, or misses
+    -pi/2, by a few 1e-12 is the same angle in every subcommand."""
+
+    @pytest.mark.parametrize("command", ["classify", "ess-bounds", "m-endpoints", "zero-eig", "to-diagonal", "type"])
+    def test_a_rise_of_2e12_answers_as_the_angle_twice(self, run, tmp_path, command):
+        code, out = run(command, "--config", write_config(tmp_path, angles((1.0, 0.3), (1.0, 0.3 + 2e-12))))
+        code2, out2 = run(command, "--config", write_config(tmp_path, angles((1.0, 0.3), (1.0, 0.3)), "twice.json"))
+        assert code == code2 == 0
+        assert close(json.loads(out), json.loads(out2))
+
+    @pytest.mark.parametrize("miss, kind", [(2e-12, "in_c_plus"), (3e-12, "in_c_plus"), (5e-10, "neg_eigs_at_most")])
+    def test_a_limit_near_minus_half_pi_has_one_verdict(self, run, tmp_path, miss, kind):
+        p = write_config(tmp_path, angles((1.0, 0.3), (5.0, -PI / 2 - miss)))
+        doc = json.loads(run("classify", "--config", p)[1])
+        assert doc["kind"] == kind and doc.get("n_bound", 1) >= 1
+        on_axis = kind == "in_c_plus"
+        assert json.loads(run("zero-eig", "--config", p)[1])["is_eigenvalue"] is on_axis
+        assert (json.loads(run("m-endpoints", "--config", p)[1])["m_at_zero_minus"] == "inf") is on_axis
+
+
 class TestToDiagonal:
     def test_plateau_cells(self, run, tmp_path):
         p = write_config(tmp_path, C_PLUS_TAIL)

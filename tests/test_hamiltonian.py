@@ -88,6 +88,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="segment 1: piece 1"):
             pruefer.theta_at(H, 5.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("rise, ok", [(2e-12, True), (3e-12, True), (4e-12, False)])
+    def test_a_rise_within_the_branch_tie_is_no_rise(self, rise, ok):
+        # the phi-order rule of a piece is the tie of a jump (hamiltonian.branch)
+        H = single(PhiRamp(0.3, 0.3 + rise))
+        assert validate(H).ok is ok
+        if ok:
+            assert extract_phi(H).pieces[0].phi1 == 0.3 + rise
+
     @pytest.mark.parametrize("kind, message", [
         (Pieces((Piece(0.0, 0.5, 0.3, 0.3),)), "piece 0: ends at 0.5, not at the segment length 1.0"),
         (Pieces(()), "no pieces"),
@@ -257,6 +265,19 @@ class TestExtractPhi:
         assert phi.value(0.5) == pytest.approx(PI / 3)
         assert phi.value(1.5) == pytest.approx(PI / 3)
 
+    @pytest.mark.parametrize("rise", [2e-12, 3e-12, 4e-12])
+    def test_a_rise_between_segments_is_a_tie_or_a_drop_of_nearly_pi(self, rise):
+        # a rise within the tie ANGLE_TOL pi is kept, and PhiProfile takes it
+        H = Hamiltonian((Segment(1.0, ConstantAngle(0.3)), Segment(1.0, ConstantAngle(0.3 + rise))))
+        expect = 0.3 + rise if rise < 1e-12 * PI else 0.3 + rise - PI
+        assert extract_phi(H).phi_infinity == pytest.approx(expect, rel=0.0, abs=1e-15)
+
+    def test_profile_pieces_abut_by_the_rule_of_validate(self):
+        a = Piece(0.0, 1.0, 0.3, 0.3)
+        assert PhiProfile((a, Piece(1.0 + 1e-13, 2.0, 0.2, 0.2)), 0.2).x_max == 2.0
+        with pytest.raises(ValueError, match="pieces must abut"):
+            PhiProfile((a, Piece(1.0 + 1e-10, 2.0, 0.2, 0.2)), 0.2)
+
     def test_normalization_into_half_open_interval(self):
         phi = extract_phi(single(ConstantAngle(PI / 3 + 5 * PI)))
         assert -PI / 2 < phi.phi_start <= PI / 2
@@ -283,7 +304,7 @@ class TestExtractPhi:
             pieces.append(Piece(x, x + length, phi, phi))
             x += length
             phi -= 0.01
-        prof = PhiProfile(tuple(pieces), pieces[-1].phi1 - 0.5).normalized()
+        prof = PhiProfile(tuple(pieces), pieces[-1].phi1 - 0.5)
         back = extract_phi(to_hamiltonian(prof, tail=False))
         for xq in np.linspace(0.0, x * 0.999, 37):
             d = (prof.value(xq) - back.value(xq)) / PI
@@ -395,6 +416,15 @@ class TestTruncate:
         H = single(ConstantAngle(0.0))
         with pytest.raises(ValueError):
             truncate_with_tail(H, 1.5, 0.0)
+
+    def test_an_end_within_the_position_rule_is_the_end(self):
+        H = Hamiltonian((Segment(1.0, ConstantAngle(0.1)), Segment(1.0, ConstantAngle(1.0))))
+        for L in (1.0 - 1e-13, 1.0 + 1e-13):
+            assert truncate_with_tail(H, L, 0.0).segments == H.segments[:1]
+        assert truncate_with_tail(H, 2.0 + 1e-13, 0.0).segments == H.segments
+        with pytest.raises(ValueError, match="beyond X_max"):
+            list(H.walk(2.0 + 1e-11))
+        assert sum(span for _, _, span in H.walk(2.0 + 1e-13)) == 2.0
 
 
 class TestHelpers:

@@ -19,6 +19,7 @@ from canosc.hamiltonian import (
     Segment,
     SingularHalfLine,
     extract_phi,
+    rotate,
 )
 from canosc.spectra import SpectralWindow
 import refs
@@ -560,6 +561,78 @@ class TestClassify:
         H = single(PhiRamp(0.0, -PI / 2))
         assert spectra.classify_semibounded(H).kind == "in_c_plus"
 
+    def test_a_rise_within_the_tie_is_the_angle_twice(self):
+        # 0.3 then 0.3 + 2e-12: the branch keeps the rise as a tie, and the
+        # profile it builds passes PhiProfile's own rules
+        twice, rise = (Hamiltonian((Segment(1.0, ConstantAngle(0.3)), Segment(1.0, ConstantAngle(b))))
+                       for b in (0.3, 0.3 + 2e-12))
+        c = spectra.classify_semibounded(rise)
+        assert (c.kind, c.n_bound) == (spectra.classify_semibounded(twice).kind, None) == ("in_c_plus", None)
+        assert c.phi.phi_infinity == 0.3 + 2e-12
+        assert spectra.zero_eigenvalue_check(c.phi) == spectra.zero_eigenvalue_check(extract_phi(twice))
+
+    @pytest.mark.parametrize("miss", [2e-12, 3e-12])
+    def test_a_limit_within_the_tie_of_minus_half_pi_is_c_plus(self, miss):
+        # kind and n_bound come from one branch count, so a limit that
+        # misses -pi/2 by less than the tie is C+, never "at most 0"
+        H = Hamiltonian((Segment(1.0, ConstantAngle(0.3)), Segment(5.0, ConstantAngle(-PI / 2 - miss))))
+        c = spectra.classify_semibounded(H)
+        assert (c.kind, c.n_bound) == ("in_c_plus", None)
+        assert spectra.zero_eigenvalue_check(c.phi).is_eigenvalue
+        assert spectra.m_endpoints(c.phi)[1] == math.inf
+
+    def test_n_bound_is_the_branch_below_minus_half_pi(self):
+        # phi(inf) = -pi/2 - j pi + k 1e-12: a miss of at most 3e-12 is a tie
+        for j in range(4):
+            for k in range(-5, 6):
+                c = spectra.classify_semibounded(single(PhiRamp(0.3, -PI / 2 - j * PI + k * 1e-12), length=2.0))
+                n = j + (k <= -4)
+                assert (c.kind, c.n_bound) == (("in_c_plus", None) if n == 0 else ("neg_eigs_at_most", n)), (j, k)
+
+
+@st.composite
+def near_tie_systems(draw):
+    """Angle and ramp segments whose boundaries drop, or rise or fall by a
+    few 1e-12 (near ties of the branch rule), with at times a last angle or a
+    tail at -pi/2 + k 1e-12; as well as drops, a tail or none."""
+    near = st.integers(-5, 5).map(lambda k: k * 1e-12)
+    phi = draw(st.floats(-1.5, 1.5))
+    segs = []
+    for i in range(draw(st.integers(1, 5))):
+        if i:
+            phi += draw(st.one_of(near, st.floats(-2.0, 0.0)))
+        if draw(st.booleans()):
+            phi = -PI / 2 + draw(near)
+        length = draw(st.floats(0.1, 2.0))
+        if draw(st.booleans()):
+            segs.append(Segment(length, ConstantAngle(phi)))
+        else:
+            end = phi - draw(st.floats(0.0, 1.0))
+            segs.append(Segment(length, PhiRamp(phi, end)))
+            phi = end
+    tail = draw(st.none() | near.map(lambda d: SingularHalfLine(phi + d)) | st.just(SingularHalfLine(-PI / 2)))
+    return Hamiltonian(tuple(segs), tail=tail)
+
+
+class TestRotationByPi:
+    @given(near_tie_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_verdicts_are_invariant(self, H):
+        # R_{k pi} H R_{-k pi} = H, so nothing may change but the rounding
+        phi = extract_phi(H)
+        c = spectra.classify_semibounded(H)
+        chk = spectra.zero_eigenvalue_check(phi, H.tail)
+        for k in (-2, -1, 1, 2):
+            Hk = rotate(H, k * PI)
+            phi_k = extract_phi(Hk)
+            assert [p[:2] for p in phi_k.pieces] == [p[:2] for p in phi.pieces]
+            assert np.allclose([p[2:4] for p in phi_k.pieces], [p[2:4] for p in phi.pieces], rtol=0.0, atol=1e-13)
+            assert phi_k.phi_infinity == pytest.approx(phi.phi_infinity, rel=0.0, abs=1e-13)
+            ck = spectra.classify_semibounded(Hk)
+            assert (ck.kind, ck.n_bound) == (c.kind, c.n_bound)
+            chk_k = spectra.zero_eigenvalue_check(phi_k, Hk.tail)
+            assert (chk_k.is_eigenvalue, chk_k.tail_converges) == (chk.is_eigenvalue, chk.tail_converges)
+
 
 class TestWholeline:
     def test_constant_profiles_true(self):
@@ -577,6 +650,14 @@ class TestWholeline:
         left = plateau_profile([(1.0, PI / 2), (1.0, 0.0)])
         right = plateau_profile([(1.0, PI / 2), (1.0, PI / 2 - 0.7 * PI)])
         assert not spectra.classify_wholeline(left, right)
+
+    @pytest.mark.parametrize("past, ok", [(5e-10, False), (3e-12, True), (2e-12, True), (0.0, True)])
+    def test_drop_past_pi_reads_the_branch_tie(self, past, ok):
+        # a ramp from 0 to -pi - past, after a flat left half line: a total
+        # drop past pi by more than the tie is not nonnegative
+        left = plateau_profile([(1.0, 0.0)])
+        right = extract_phi(single(PhiRamp(0.0, -PI - past)))
+        assert spectra.classify_wholeline(left, right) is ok
 
 
 class TestMEndpoints:
@@ -843,9 +924,16 @@ class TestZeroEigenvalue:
 
     def test_flat_just_above_minus_half_pi_false(self):
         # phi + pi/2 = 1e-10 does not decay, so cos^2(phi) has an infinite
-        # integral; phi(inf) misses -pi/2 by more than PHI_INFINITY_TOL
+        # integral; phi(inf) misses -pi/2 by more than the tie ANGLE_TOL pi
         chk = spectra.zero_eigenvalue_check(plateau_profile([(4.0, -PI / 2 + 1e-10)]))
         assert (chk.is_eigenvalue, chk.tail_converges) == (False, False)
+
+    def test_a_limit_a_branch_below_minus_half_pi_is_read_mod_pi(self):
+        # phi(inf) = -3 pi/2: cos^2 vanishes there as at -pi/2, as it does
+        # for a declared tail P_{pi/2} (test_declared_tail_is_read_mod_pi)
+        chk = spectra.zero_eigenvalue_check(plateau_profile([(1.0, 0.0), (3.0, -1.5 * PI)]))
+        assert (chk.is_eigenvalue, chk.tail_converges) == (True, True)
+        assert chk.body_integral == pytest.approx(1.0, rel=1e-12)
 
     def test_phi_infinity_is_judged_as_classify_judges_it(self):
         # phi(inf) = -pi/2 - 5e-10 lies below -pi/2 for classify (at most one

@@ -231,6 +231,15 @@ class TestDiagonal:
         D = canonical_to_diagonal(prof)
         assert all(0.0 < s.h < 1.0 for s in D.segments)
 
+    @pytest.mark.parametrize("rise", [1e-15, 2e-12])
+    def test_a_rise_within_the_angle_tie_is_a_plateau(self, rise):
+        # validate lets a piece rise by the tie; its cell is a point mass,
+        # not an h above 1
+        prof = PhiProfile((Piece(0.0, 1.0, 0.3, 0.3 + rise),), 0.3 + rise)
+        (cell,) = canonical_to_diagonal(prof).segments
+        assert cell.h == 1.0
+        assert cell.deltaT == pytest.approx(math.cos(0.3) ** 2, rel=1e-11)
+
     def test_image_measure_conservation(self):
         # sum over cells of (1+t^2)-weighted dw recovers the x-length
         rng = np.random.default_rng(7)
